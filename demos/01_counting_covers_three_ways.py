@@ -5,13 +5,13 @@ only simple branching elsewhere is the same thing as a tuple of transpositions
 in S_d multiplying to a fixed permutation of cycle type mu.  This script
 computes the same counts by
 
-  * direct backtracking over transposition tuples (connected covers),
+  * a direct count of transitive transposition tuples (connected covers),
   * convolving the transposition indicator vector in the group algebra
     (disconnected covers, no representation theory), and
   * the character sum over irreducibles (disconnected covers again),
 
 then splices the two disconnected engines through the exp/log transform and
-checks everything agrees with the backtracking count, exactly.
+checks everything agrees with the direct count, exactly.
 """
 
 from hurwitzlab import (
@@ -40,7 +40,7 @@ for nu, row in zip(table.partitions, table.entries):
 print()
 
 print("Connected cover counts H(genus, mu), three routes each:")
-print(f"{'genus':>5} {'mu':>8} {'backtracking':>14} {'convolution':>13} {'characters':>12}")
+print(f"{'genus':>5} {'mu':>8} {'direct count':>14} {'convolution':>13} {'characters':>12}")
 for mu in [Partition([3]), Partition([2, 1]), Partition([1, 1, 1]), Partition([2, 2])]:
     for g in (0, 1):
         r = 2 * g - 2 + mu.size + mu.length

@@ -48,7 +48,7 @@ print("Forward evaluation round-trips through the engines; a profile the")
 print("interpolation never saw:")
 mu = Partition([2, 2])
 print(f"  table evaluation H(1,{mu}) =", elsv_evaluate(1, mu, table))
-print(f"  direct backtracking       =", connected_dfs(1, mu))
+print(f"  direct count              =", connected_dfs(1, mu))
 print()
 
 report = string_equation_check(table)

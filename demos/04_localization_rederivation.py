@@ -46,7 +46,7 @@ for gh in [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)]:
     invert_into(table, *gh)
 
 print("End to end, the localization chain reproduces both the direct table")
-print("evaluation and the raw backtracking count:")
+print("evaluation and the direct transposition count:")
 for g, mu in [(0, Partition([1, 1, 1])), (1, Partition([2])), (0, Partition([2, 1, 1])),
               (1, Partition([2, 1])), (2, Partition([2]))]:
     loc = elsv_via_localization(g, mu, table)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 from .errors import ConsistencyError, DomainError, HurwitzlabError, ResourceLimitError
 from .hodge import (
     HodgeTable,
+    burnside_engine,
     elsv_evaluate,
     elsv_inversion,
     hodge_export,
@@ -23,13 +24,16 @@ from .hodge import (
     required_brackets,
 )
 from .hurwitz import (
+    BURNSIDE_MAX_D,
+    DFS_NODE_BUDGET,
+    DP_MAX_D,
     connected_dfs,
     connected_via_transform,
     disconnected_burnside,
     disconnected_dp,
 )
 from .partitions import Partition
-from .symgroup import build_table
+from .symgroup import build_table, write_atomic
 from .verify import run_suite
 
 CACHE_ENV_VAR = "HURWITZLAB_CACHE_DIR"
@@ -46,20 +50,17 @@ def default_cache_dir():
 
 @dataclass
 class RunConfig:
-    dfs_node_budget: int = 10**8
-    dp_max_d: int = 7
-    burnside_max_d: int = 14
+    dfs_node_budget: int = DFS_NODE_BUDGET
+    dp_max_d: int = DP_MAX_D
+    burnside_max_d: int = BURNSIDE_MAX_D
     cache_dir: str = ""
     output_format: str = "text"
-    series_max_size: int = 6
-    series_max_exp: int = 10
     timing: bool = False
 
     def __post_init__(self):
         if not self.cache_dir:
             self.cache_dir = default_cache_dir()
-        for name in ("dfs_node_budget", "dp_max_d", "burnside_max_d",
-                     "series_max_size", "series_max_exp"):
+        for name in ("dfs_node_budget", "dp_max_d", "burnside_max_d"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"budget {name} must be positive")
         if self.output_format not in FORMATS:
@@ -104,16 +105,13 @@ def _build_parser():
     common.add_argument("--cache-dir", default="",
                         help=f"cache directory (default ${CACHE_ENV_VAR} "
                              "or ~/.cache/hurwitzlab)")
-    common.add_argument("--budget-dfs-nodes", type=int, default=10**8,
-                        help="node budget for the backtracking engine")
-    common.add_argument("--budget-dp-max-d", type=int, default=7,
+    common.add_argument("--budget-dfs-nodes", type=int, default=DFS_NODE_BUDGET,
+                        help="budget of visited states for the dfs engine")
+    common.add_argument("--budget-dp-max-d", type=int, default=DP_MAX_D,
                         help="largest degree for the convolution engine")
-    common.add_argument("--budget-burnside-max-d", type=int, default=14,
+    common.add_argument("--budget-burnside-max-d", type=int,
+                        default=BURNSIDE_MAX_D,
                         help="largest degree for the character-sum engine")
-    common.add_argument("--series-max-size", type=int, default=6,
-                        help="partition-size truncation for series work")
-    common.add_argument("--series-max-exp", type=int, default=10,
-                        help="exponent truncation for series work")
     common.add_argument("--timing", action="store_true",
                         help="include elapsed time in output (breaks "
                              "byte-for-byte determinism)")
@@ -171,8 +169,6 @@ def _config_from_args(args):
         burnside_max_d=args.budget_burnside_max_d,
         cache_dir=args.cache_dir,
         output_format=args.format,
-        series_max_size=args.series_max_size,
-        series_max_exp=args.series_max_exp,
         timing=args.timing,
     )
 
@@ -208,7 +204,7 @@ def _run_query(engine, genus, euler, mu, config):
         r = -euler + d + h
         if engine == "dfs":
             raise DomainError(
-                "the backtracking engine counts connected covers; "
+                "the dfs engine counts connected covers; "
                 "use --genus with it, or pick dp/burnside for --euler"
             )
         if engine == "dp":
@@ -314,9 +310,7 @@ def _load_table(path):
 
 
 def _save_table(table, path):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(hodge_export(table))
+    write_atomic(path, hodge_export(table))
 
 
 def _cmd_hodge(args, config):
@@ -325,10 +319,7 @@ def _cmd_hodge(args, config):
             f"unstable (g, h) = ({args.genus}, {args.marks}): no moduli to "
             "integrate over"
         )
-    engine = lambda g, mu: connected_via_transform(
-        g, mu, "burnside",
-        burnside_max_d=config.burnside_max_d, cache_dir=config.cache_dir,
-    )
+    engine = burnside_engine(config.cache_dir, config.burnside_max_d)
     result = elsv_inversion(args.genus, args.marks, hurwitz_engine=engine)
     path = _table_path(args, config)
     table = _load_table(path)
@@ -369,10 +360,7 @@ def _cmd_elsv(args, config):
     path = _table_path(args, config)
     table = _load_table(path)
     if not all(b in table for b in required_brackets(g, h)):
-        engine = lambda gg, m: connected_via_transform(
-            gg, m, "burnside",
-            burnside_max_d=config.burnside_max_d, cache_dir=config.cache_dir,
-        )
+        engine = burnside_engine(config.cache_dir, config.burnside_max_d)
         for bracket, value in elsv_inversion(g, h, hurwitz_engine=engine).brackets.items():
             table.add(bracket, value)
         _save_table(table, path)

@@ -15,22 +15,14 @@ recover the brackets.  All linear algebra is fraction-free elimination on
 integers; no floating point anywhere.
 """
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, lcm
 
 from .errors import ConsistencyError, DomainError, MissingBracketError
-from .hurwitz import (
-    DFS_NODE_BUDGET,
-    connected_dfs,
-    connected_via_transform,
-    estimate_dfs_nodes,
-)
+from .hurwitz import BURNSIDE_MAX_D, connected_dfs, connected_via_transform
 from .partitions import Partition, aut_size, partitions_of
-
-logger = logging.getLogger(__name__)
 
 _TABLE_HEADER = "hurwitzlab-hodge-table v1"
 
@@ -325,30 +317,30 @@ class InversionResult:
     samples: dict        # profile -> engine value, for every profile queried
 
 
-def default_engine(g, mu):
-    """Connected count via the character-sum engine plus the log transform."""
-    return connected_via_transform(g, mu, "burnside")
-
-
-#: Planning threshold for inversion spot checks.  The node estimate is an
-#: equidistribution heuristic and runs optimistic by a small factor, so plan
-#: against a quarter of the real budget.
-SPOT_CHECK_BUDGET = DFS_NODE_BUDGET // 4
+def burnside_engine(cache_dir=None, max_d=BURNSIDE_MAX_D):
+    """The default inversion engine: connected counts from the character-sum
+    engine through the log transform."""
+    def engine(g, mu):
+        return connected_via_transform(
+            g, mu, "burnside", burnside_max_d=max_d, cache_dir=cache_dir
+        )
+    return engine
 
 
 def elsv_inversion(g, h, hurwitz_engine=None, dfs_spot_check=True,
-                   spot_check_budget=SPOT_CHECK_BUDGET, max_radius_growth=20):
+                   max_radius_growth=20):
     """Recover all (g, h) brackets by exact interpolation against an engine.
 
     Samples the normalized count on a grid of profiles, solves for the
     monomial-symmetric coefficients in the degree band
     [2g-3+h, 3g-3+h], and reads brackets off the band.  The two smallest grid
-    points are independently re-derived by the backtracking engine unless
-    ``dfs_spot_check`` is disabled.
+    points are always re-derived by the transitive-factorization count
+    (``connected_dfs``), which uses no characters and no transform, unless
+    ``dfs_spot_check`` is disabled; a disagreement raises ConsistencyError.
     """
     if 2 * g - 2 + h <= 0:
         raise DomainError(f"unsupported range: unstable (g, h) = ({g}, {h})")
-    engine = hurwitz_engine if hurwitz_engine is not None else default_engine
+    engine = hurwitz_engine if hurwitz_engine is not None else burnside_engine()
     n = 3 * g - 3 + h
     unknowns = []
     for i in range(0, g + 1):
@@ -387,24 +379,13 @@ def elsv_inversion(g, h, hurwitz_engine=None, dfs_spot_check=True,
     solution = _solve_square_exact(rows, values)
 
     if dfs_spot_check:
-        checked = 0
-        for mu in sorted(grid, key=lambda p: (p.size, p.parts)):
-            if checked == 2:
-                break
-            r = 2 * g - 2 + mu.size + mu.length
-            if estimate_dfs_nodes(mu.size, r) > spot_check_budget:
-                logger.info(
-                    "skipping backtracking spot check at (g=%s, mu=%s): "
-                    "estimated cost exceeds the node budget", g, mu,
-                )
-                continue
+        for mu in sorted(grid, key=lambda p: (p.size, p.parts))[:2]:
             check = connected_dfs(g, mu)
             if check != samples[mu]:
                 raise ConsistencyError(
-                    f"engine disagreement at (g={g}, mu={mu}): backtracking "
-                    f"gives {check}, inversion engine gave {samples[mu]}"
+                    f"engine disagreement at (g={g}, mu={mu}): the transitive "
+                    f"count gives {check}, inversion engine gave {samples[mu]}"
                 )
-            checked += 1
 
     brackets = {}
     for ((psi, i), coeff) in zip(unknowns, solution):

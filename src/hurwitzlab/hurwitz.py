@@ -2,9 +2,11 @@
 
 Three independent engines compute the same numbers:
 
-* ``connected_dfs`` -- backtracking enumeration of transposition tuples whose
-  product is a fixed permutation and whose support graph is connected
-  (connected covers, graded by genus);
+* ``connected_dfs`` -- a count of transposition tuples whose product is a
+  fixed permutation and whose support graph is connected, advanced one factor
+  at a time over (pending product, component labels) states: the
+  Goulden-Jackson cut-and-join recursion at the level of permutations
+  (connected covers, graded by genus; character-free);
 * ``disconnected_dp`` -- repeated convolution of the transposition class sum
   in the group algebra, as a plain vector over all d! permutations
   (disconnected covers, graded by Euler characteristic; character-free);
@@ -36,14 +38,15 @@ from math import comb, factorial
 
 from .errors import DomainError, ResourceLimitError
 from .partitions import Partition, kappa, partitions_of, z
-from .symgroup import build_table
+from .symgroup import MAX_TABLE_D, build_table
 
 logger = logging.getLogger(__name__)
 
-#: Default budgets; every engine accepts overrides.
+#: Default budgets, also the CLI defaults; every engine accepts overrides.
+#: The DFS budget counts the states ``connected_dfs`` visits.
 DFS_NODE_BUDGET = 10**8
 DP_MAX_D = 7
-BURNSIDE_MAX_D = 14
+BURNSIDE_MAX_D = MAX_TABLE_D
 
 
 # ---------------------------------------------------------------------------
@@ -65,33 +68,26 @@ def invert_perm(p):
     return tuple(out)
 
 
-def cycle_type(p):
-    seen = [False] * len(p)
-    lengths = []
+def _cycle_labels(p):
+    """The cycle of each point, numbered by first occurrence."""
+    labels = [-1] * len(p)
+    count = 0
     for start in range(len(p)):
-        if seen[start]:
-            continue
-        n, x = 0, start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            n += 1
-        lengths.append(n)
-    return Partition(sorted(lengths, reverse=True))
+        if labels[start] < 0:
+            x = start
+            while labels[x] < 0:
+                labels[x] = count
+                x = p[x]
+            count += 1
+    return labels
+
+
+def cycle_type(p):
+    return Partition(sorted(Counter(_cycle_labels(p)).values(), reverse=True))
 
 
 def cycle_count(p):
-    seen = [False] * len(p)
-    count = 0
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        count += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-    return count
+    return len(set(_cycle_labels(p)))
 
 
 def conjugate_perm(p, g):
@@ -126,86 +122,7 @@ def transpositions(d):
 
 
 # ---------------------------------------------------------------------------
-# engine 1: backtracking enumeration of connected factorizations
-
-def _edges_connect(edges, d):
-    """Union-find over {0..d-1} seeded by the edge supports; unmoved points
-    count as singletons, so a single class of size d means transitive."""
-    if d == 0:
-        return False
-    parent = list(range(d))
-    components = d
-    for i, j in edges:
-        ri = i
-        while parent[ri] != ri:
-            ri = parent[ri]
-        rj = j
-        while parent[rj] != rj:
-            rj = parent[rj]
-        if ri != rj:
-            parent[ri] = rj
-            components -= 1
-    return components == 1
-
-
-_DFS_TABLE_MAX_D = 8
-_dfs_tables = {}
-
-
-def _dfs_tables_for(d, composition):
-    key = (d, composition)
-    cached = _dfs_tables.get(key)
-    if cached is None:
-        perms = list(permutations(range(d)))
-        index = {p: i for i, p in enumerate(perms)}
-        dist = [d - cycle_count(p) for p in perms]
-        moves, edges = [], []
-        for t_perm, (i, j) in transpositions(d):
-            if composition == "rl":
-                moves.append([index[compose(t_perm, p)] for p in perms])
-            else:
-                moves.append([index[compose(p, t_perm)] for p in perms])
-            edges.append((i, j))
-        cached = (index, dist, moves, edges)
-        _dfs_tables[key] = cached
-    return cached
-
-
-def _stirling_dist_counts(d):
-    """Number of permutations of d points at each transposition distance
-    (d - number of cycles), from the unsigned Stirling recursion."""
-    row = [1]  # cycle counts for S_0 -> S_d
-    for n in range(1, d + 1):
-        new = [0] * (n + 1)
-        for c, v in enumerate(row):
-            new[c + 1] += v
-            new[c] += (n - 1) * v
-        row = new
-    return [row[d - m] if 0 <= d - m <= d else 0 for m in range(d + 1)]
-
-
-def estimate_dfs_nodes(d, r, dist0=None):
-    """Cheap upper-ish estimate of the candidate visits a backtracking run
-    will make, using equidistribution of prefix products over the parity
-    class.  Used to decide whether a spot check fits a budget."""
-    if d <= 1 or r == 0:
-        return 1
-    num_t = d * (d - 1) // 2
-    per_dist = _stirling_dist_counts(d)
-    half = max(factorial(d) // 2, 1)
-    if dist0 is None:
-        dist0 = 0
-    total, kept = 0, 1
-    for k in range(r):
-        total += kept * num_t
-        m = r - (k + 1)
-        parity = (dist0 + k + 1) % 2
-        allowed = sum(
-            per_dist[dd] for dd in range(0, min(m, d - 1) + 1) if dd % 2 == parity
-        )
-        kept = min(kept * num_t, max(1, kept * num_t * allowed // half))
-    return total
-
+# engine 1: layered count of transitive factorizations
 
 def connected_dfs(g, mu, node_budget=DFS_NODE_BUDGET, sigma_inf=None,
                   composition="rl"):
@@ -213,15 +130,16 @@ def connected_dfs(g, mu, node_budget=DFS_NODE_BUDGET, sigma_inf=None,
 
     Counts tuples (sigma_1, ..., sigma_r) of transpositions with product equal
     to a fixed representative of the class of ``mu`` and with the generated
-    subgroup transitive (union-find over the supports at each leaf), then
-    divides by the centralizer order.  The tuple length is
-    r = 2g - 2 + |mu| + len(mu).  Branches die when the remaining steps cannot
-    close the gap between the pending product and the identity (minimum
-    transposition distance d - #cycles).
+    subgroup transitive, then divides by the centralizer order.  The tuple
+    length is r = 2g - 2 + |mu| + len(mu).  The count advances one
+    transposition at a time over states (pending product, component labels of
+    the points under the transpositions chosen so far); see
+    ``_transitive_count``.
 
     ``sigma_inf`` may supply an alternative class representative (the count is
     a class function, so the result cannot depend on it).  ``composition``
     selects the product convention, "rl" (apply rightmost first) or "lr".
+    ``node_budget`` bounds the number of states visited.
     """
     if g < 0:
         raise DomainError(f"genus must be nonnegative, got {g}")
@@ -242,75 +160,63 @@ def connected_dfs(g, mu, node_budget=DFS_NODE_BUDGET, sigma_inf=None,
     dist0 = d - cycle_count(sigma_inf)
     if dist0 > r or (r - dist0) % 2 != 0:
         return Fraction(0)  # parity: each factor flips the sign
-    if d <= _DFS_TABLE_MAX_D:
-        count = _dfs_count_indexed(d, r, sigma_inf, node_budget, composition)
-    else:
-        count = _dfs_count_generic(d, r, sigma_inf, node_budget, composition)
+    count = _transitive_count(d, r, sigma_inf, node_budget, composition)
     return Fraction(count, z(mu))
 
 
-def _dfs_count_indexed(d, r, sigma_inf, node_budget, composition):
-    index, dist, moves, edges = _dfs_tables_for(d, composition)
-    id_idx = index[identity_perm(d)]
-    num_t = len(moves)
-    count = 0
-    nodes = 0
-    chosen = []
+def _transitive_count(d, r, sigma, node_budget, composition):
+    """Number of r-tuples of transpositions with product ``sigma`` whose
+    supports connect all d points.
 
-    def descend(depth, needed_idx):
-        nonlocal count, nodes
-        if nodes > node_budget:
-            raise ResourceLimitError(
-                f"DFS budget of {node_budget} visited nodes exceeded"
-            )
-        remaining = r - depth
-        if remaining == 0:
-            if needed_idx == id_idx and _edges_connect(chosen, d):
-                count += 1
-            return
-        limit = remaining - 1
-        nodes += num_t
-        for t in range(num_t):
-            nxt = moves[t][needed_idx]
-            if dist[nxt] > limit:
-                continue
-            chosen.append(edges[t])
-            descend(depth + 1, nxt)
-            chosen.pop()
-
-    descend(0, index[sigma_inf])
-    return count
-
-
-def _dfs_count_generic(d, r, sigma_inf, node_budget, composition):
-    trans = transpositions(d)
+    A state is the pending product p (what the remaining factors must
+    multiply to) and the component label of each point under the
+    transpositions chosen so far, relabelled by first occurrence.  Each step
+    multiplies p by one transposition (i j) -- "lr": p o t swaps entries i
+    and j; "rl": t o p swaps entries p^-1(i) and p^-1(j) -- and merges the
+    components of i and j.  Either way the cycle count of p moves by one: up
+    when i and j share a cycle, down otherwise.  A state is dropped when the
+    steps left cannot close the transposition distance d - #cycles or merge
+    the remaining components.  Only the current step's {state: ways} dict is
+    held.  This is the cut-and-join recursion of Goulden and Jackson, run on
+    permutations rather than on cycle types.
+    """
+    edges = list(combinations(range(d), 2))
     right_to_left = composition == "rl"
-    count = 0
-    nodes = 0
-    chosen = []
-
-    def descend(depth, needed):
-        nonlocal count, nodes
-        if nodes > node_budget:
+    layer = {(sigma, tuple(range(d))): 1}
+    visited = 0
+    for left in range(r, 0, -1):
+        visited += len(layer)
+        if visited > node_budget:
             raise ResourceLimitError(
-                f"DFS budget of {node_budget} visited nodes exceeded"
+                f"budget of {node_budget} visited states exceeded"
             )
-        remaining = r - depth
-        if remaining == 0:
-            if needed == identity_perm(d) and _edges_connect(chosen, d):
-                count += 1
-            return
-        nodes += len(trans)
-        for t_perm, edge in trans:
-            nxt = compose(t_perm, needed) if right_to_left else compose(needed, t_perm)
-            if d - cycle_count(nxt) > remaining - 1:
-                continue
-            chosen.append(edge)
-            descend(depth + 1, nxt)
-            chosen.pop()
-
-    descend(0, sigma_inf)
-    return count
+        nxt = {}
+        for (p, labels), ways in layer.items():
+            cycle_of = _cycle_labels(p)
+            dist = d - len(set(cycle_of))
+            components = max(labels, default=-1) + 1
+            where = invert_perm(p) if right_to_left else range(d)
+            for i, j in edges:
+                if (dist - 1 if cycle_of[i] == cycle_of[j] else dist + 1) >= left:
+                    continue
+                li, lj = labels[i], labels[j]
+                if components - (li != lj) > left:
+                    continue
+                q = list(p)
+                a, b = where[i], where[j]
+                q[a], q[b] = q[b], q[a]
+                if li != lj:
+                    lo, hi = min(li, lj), max(li, lj)
+                    merged = tuple(
+                        lo if x == hi else x - (x > hi) for x in labels
+                    )
+                else:
+                    merged = labels
+                key = (tuple(q), merged)
+                nxt[key] = nxt.get(key, 0) + ways
+        layer = nxt
+    # every surviving state has p = identity and at most one component
+    return sum(ways for (_, labels), ways in layer.items() if set(labels) == {0})
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +334,12 @@ class HurwitzSeries:
 
     Keys are (parts tuple, exponent); coefficients are exact rationals.
     Multiplying monomials concatenates-and-sorts the partitions and adds the
-    exponents; terms beyond the truncation orders are dropped.
+    exponents.  Products drop every term with |mu| > max_size or with
+    r = e + |mu| > max_exp + max_size.  Both gradings are additive and
+    nonnegative, so the dropped terms form an ideal: the truncated series is
+    a quotient ring, and log and exp invert each other exactly on it.  (A
+    bound on e alone is not an ideal, because e can be negative: a dropped
+    term times a later factor with e < 0 should have come back.)
 
     The coefficient of a product also picks up binom(r1 + r2, r1) with
     r = e + |mu| per factor: covers over a disjoint profile interleave their
@@ -490,17 +401,16 @@ class HurwitzSeries:
     def __mul__(self, other):
         self._compatible(other)
         out = {}
+        max_r = self.max_exp + self.max_size
         for (p1, e1), c1 in self.coeffs.items():
-            r1 = e1 + sum(p1)
+            s1 = sum(p1)
+            r1 = e1 + s1
             for (p2, e2), c2 in other.coeffs.items():
-                e = e1 + e2
-                if e > self.max_exp:
+                s2 = sum(p2)
+                r2 = e2 + s2
+                if r1 + r2 > max_r or s1 + s2 > self.max_size:
                     continue
-                parts = tuple(sorted(p1 + p2, reverse=True))
-                if sum(parts) > self.max_size:
-                    continue
-                r2 = e2 + sum(p2)
-                key = (parts, e)
+                key = (tuple(sorted(p1 + p2, reverse=True)), e1 + e2)
                 new = out.get(key, Fraction(0)) + comb(r1 + r2, r1) * c1 * c2
                 if new:
                     out[key] = new
@@ -599,7 +509,8 @@ def disconnected_series(engine="burnside", max_size=6, max_exp=10,
     Includes every partition of size <= max_size (or, when
     ``submultisets_of`` is given, only sub-multisets of that partition, which
     is all the logarithm can consume for that target) and every admissible
-    exponent e = r - |mu| <= max_exp.  The constant term is 1.
+    r = e + |mu| <= max_exp + max_size, the truncation rule of
+    ``HurwitzSeries``.  The constant term is 1.
     """
     eng = _engine_callable(engine, **engine_opts)
     if submultisets_of is not None:
@@ -609,22 +520,20 @@ def disconnected_series(engine="burnside", max_size=6, max_exp=10,
     series = HurwitzSeries.one(max_size, max_exp)
     for part in pool:
         d, h = part.size, part.length
-        for r in range(0, max_exp + d + 1):
+        for r in range(0, max_exp + max_size + 1):
             if (r - d - h) % 2 != 0:
                 continue
-            e = r - d
-            if e > max_exp:
-                break
             value = eng(d + h - r, part)
             if value:
-                series.set_coefficient(part, e, value)
+                series.set_coefficient(part, r - d, value)
     return series
 
 
 def connected_via_transform(g, mu, engine="burnside", **engine_opts):
     """Connected cover count extracted from a disconnected engine through the
     exp/log transform.  Concretely: the coefficient of
-    lambda^(2g-2+len(mu)) p_mu in the log of the disconnected series."""
+    lambda^(2g-2+len(mu)) p_mu in the log of the disconnected series,
+    truncated at size |mu| and at r = e + |mu|, the query's own r."""
     d, h = mu.size, mu.length
     e = 2 * g - 2 + h
     if e + d < 0:
@@ -632,7 +541,7 @@ def connected_via_transform(g, mu, engine="burnside", **engine_opts):
     if d == 0:
         raise DomainError("the empty partition has no connected covers")
     series = disconnected_series(
-        engine, max_size=d, max_exp=e + d, submultisets_of=mu, **engine_opts
+        engine, max_size=d, max_exp=e, submultisets_of=mu, **engine_opts
     )
     return connected_from_disconnected(series).coefficient(mu, e)
 

@@ -9,6 +9,7 @@ module.
 """
 
 import os
+import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
@@ -150,6 +151,22 @@ class CharacterTable:
         return cls(d=d, partitions=parts, entries=rows)
 
 
+def write_atomic(path, text):
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory and ``os.replace``, so a reader sees the old file or the new
+    one, never a partial write."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _cache_path(cache_dir, d):
     return os.path.join(cache_dir, f"chartable-{d:02d}.txt")
 
@@ -169,9 +186,7 @@ def build_table(d, cache_dir=None, max_d=MAX_TABLE_D):
     if d in _table_memo:
         table = _table_memo[d]
         if cache_dir and not os.path.exists(_cache_path(cache_dir, d)):
-            os.makedirs(cache_dir, exist_ok=True)
-            with open(_cache_path(cache_dir, d), "w", encoding="utf-8") as fh:
-                fh.write(table.to_text())
+            write_atomic(_cache_path(cache_dir, d), table.to_text())
         return table
 
     table = None
@@ -195,9 +210,7 @@ def build_table(d, cache_dir=None, max_d=MAX_TABLE_D):
         table = CharacterTable(d=d, partitions=parts, entries=entries)
         table.verify()
         if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
-            with open(_cache_path(cache_dir, d), "w", encoding="utf-8") as fh:
-                fh.write(table.to_text())
+            write_atomic(_cache_path(cache_dir, d), table.to_text())
 
     _table_memo[d] = table
     return table

@@ -22,6 +22,7 @@ from math import factorial
 from .errors import DomainError
 from .hodge import (
     HodgeTable,
+    burnside_engine,
     elsv_evaluate,
     elsv_inversion,
     sample_candidates,
@@ -77,10 +78,9 @@ _fresh_memo = {}
 def _inversion(g, h, cache_dir=None):
     key = (g, h)
     if key not in _inversion_memo:
-        engine = lambda gg, mu: connected_via_transform(
-            gg, mu, "burnside", cache_dir=cache_dir
+        _inversion_memo[key] = elsv_inversion(
+            g, h, hurwitz_engine=burnside_engine(cache_dir)
         )
-        _inversion_memo[key] = elsv_inversion(g, h, hurwitz_engine=engine)
     return _inversion_memo[key]
 
 
@@ -116,7 +116,7 @@ def _admissible_r(mu, r_max):
 
 
 def engine_agreement_checks(cache_dir=None):
-    """Three-way agreement: backtracking, convolution + transform, character
+    """Three-way agreement: direct count, convolution + transform, character
     sum + transform, for every profile of size <= 5 and admissible r <= 6."""
     out = []
     for size in range(1, 6):

@@ -32,7 +32,7 @@ def _criterion(number, name, results):
 
 
 def test_criterion_01_engine_agreement(cache_dir):
-    """Three-way exact agreement (backtracking / convolution+transform /
+    """Three-way exact agreement (direct count / convolution+transform /
     character-sum+transform) for every |mu| <= 5 and admissible r <= 6."""
     results = verify.engine_agreement_checks(cache_dir=cache_dir)
     assert len(results) >= 18  # every partition of size 1..5 is covered

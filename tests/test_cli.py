@@ -168,6 +168,26 @@ def test_hodge_command_writes_table(capsys, cache):
         assert "(1,1,[0],1) 1/24" in fh.read()
 
 
+def test_failed_table_write_keeps_previous_file(capsys, cache, monkeypatch):
+    # (0, 4) caches every character table that (1, 1) needs, so the only
+    # write left in the second run is the bracket table itself
+    run_cli(capsys, "hodge", "--genus", "0", "--marks", "4", "--cache-dir", cache)
+    table_path = os.path.join(cache, "hodge-table.txt")
+    with open(table_path) as fh:
+        before = fh.read()
+    listing = sorted(os.listdir(cache))
+
+    def failing_replace(src, dst):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        main(["hodge", "--genus", "1", "--marks", "1", "--cache-dir", cache])
+    with open(table_path) as fh:
+        assert fh.read() == before
+    assert sorted(os.listdir(cache)) == listing
+
+
 def test_hodge_unstable_exits_one(capsys, cache):
     code, _, err = run_cli(
         capsys, "hodge", "--genus", "0", "--marks", "2", "--cache-dir", cache,

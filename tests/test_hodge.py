@@ -213,6 +213,18 @@ def test_spot_check_catches_bad_engine():
         elsv_inversion(1, 1, hurwitz_engine=corrupt_engine)
 
 
+def test_spot_check_runs_at_second_smallest_grid_point():
+    # (2,1,1,1,1) is the second smallest (0, 5) grid point, with r = 9
+    bad = Partition([2, 1, 1, 1, 1])
+
+    def off_by_one_engine(g, mu):
+        value = connected_via_transform(g, mu, "burnside")
+        return value + 1 if mu == bad else value
+
+    with pytest.raises(ConsistencyError):
+        elsv_inversion(0, 5, hurwitz_engine=off_by_one_engine)
+
+
 # --- string equation --------------------------------------------------------
 
 

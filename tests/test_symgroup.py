@@ -256,3 +256,22 @@ def test_tampered_cache_values_do_not_leak(tmp_path):
     rebuilt = build_table(3, cache_dir=str(tmp_path))
     rebuilt.verify()
     sg._table_memo.pop(3, None)
+
+
+def test_failed_cache_write_keeps_previous_file(tmp_path, monkeypatch):
+    import os
+
+    import hurwitzlab.symgroup as sg
+
+    path = tmp_path / "chartable-04.txt"
+    path.write_text("previous contents\n")
+    sg._table_memo.pop(4, None)
+
+    def failing_replace(src, dst):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        build_table(4, cache_dir=str(tmp_path))
+    assert path.read_text() == "previous contents\n"
+    assert os.listdir(tmp_path) == ["chartable-04.txt"]
