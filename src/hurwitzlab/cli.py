@@ -21,7 +21,7 @@ from .hodge import (
     elsv_inversion,
     hodge_export,
     hodge_import,
-    required_brackets,
+    sample_candidates,
 )
 from .hurwitz import (
     BURNSIDE_MAX_D,
@@ -303,10 +303,23 @@ def _table_path(args, config):
 
 
 def _load_table(path):
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
+    """The bracket table at ``path``.  A missing or unparsable file is a cache
+    miss: an empty table, which the caller fills and writes back."""
+    try:
+        with open(path, encoding="utf-8", errors="replace") as fh:
             return hodge_import(fh.read())
-    return HodgeTable()
+    except (FileNotFoundError, DomainError):
+        return HodgeTable()
+
+
+def _invert_block(table, g, h, config):
+    """Replace the (g, h) block of ``table`` by a fresh inversion."""
+    engine = burnside_engine(config.cache_dir, config.burnside_max_d)
+    result = elsv_inversion(g, h, hurwitz_engine=engine)
+    table.drop(g, h)
+    for bracket, value in result.brackets.items():
+        table.add(bracket, value)
+    return result
 
 
 def _save_table(table, path):
@@ -319,12 +332,9 @@ def _cmd_hodge(args, config):
             f"unstable (g, h) = ({args.genus}, {args.marks}): no moduli to "
             "integrate over"
         )
-    engine = burnside_engine(config.cache_dir, config.burnside_max_d)
-    result = elsv_inversion(args.genus, args.marks, hurwitz_engine=engine)
     path = _table_path(args, config)
     table = _load_table(path)
-    for bracket, value in result.brackets.items():
-        table.add(bracket, value)
+    result = _invert_block(table, args.genus, args.marks, config)
     _save_table(table, path)
 
     entries = sorted(result.brackets.items(), key=lambda kv: kv[0].sort_key())
@@ -359,10 +369,12 @@ def _cmd_elsv(args, config):
         raise DomainError(f"unstable (g, h) = ({g}, {h})")
     path = _table_path(args, config)
     table = _load_table(path)
-    if not all(b in table for b in required_brackets(g, h)):
-        engine = burnside_engine(config.cache_dir, config.burnside_max_d)
-        for bracket, value in elsv_inversion(g, h, hurwitz_engine=engine).brackets.items():
-            table.add(bracket, value)
+    # every m_J is positive at the all-ones profile, so a changed bracket
+    # changes this value: a stored block must match the character-free count
+    ones = next(sample_candidates(g, h))
+    if not (table.has_all_for(g, h) and elsv_evaluate(g, ones, table)
+            == connected_dfs(g, ones, node_budget=config.dfs_node_budget)):
+        _invert_block(table, g, h, config)
         _save_table(table, path)
     started = time.perf_counter()
     value = elsv_evaluate(g, mu, table)
@@ -438,7 +450,8 @@ def _cmd_export(args, config):
         path = _table_path(args, config)
         if not os.path.exists(path):
             raise DomainError(f"no bracket table at {path}; run 'hodge' first")
-        document = hodge_export(_load_table(path))
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            document = hodge_export(hodge_import(fh.read()))
     else:
         if args.degree is None:
             raise DomainError("--what chartable needs --d")

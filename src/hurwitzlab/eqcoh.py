@@ -21,7 +21,9 @@ Pieces:
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
+from operator import add
 
+from . import sparse
 from .errors import ConsistencyError, DomainError
 from .hodge import HodgeBracket
 from .partitions import Partition, aut_size
@@ -62,6 +64,9 @@ class Laurent:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def is_constant(self):
         return set(self.terms) <= {0}
 
@@ -87,14 +92,7 @@ class Laurent:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            new = out.get(e, Fraction(0)) + c
-            if new:
-                out[e] = new
-            else:
-                out.pop(e, None)
-        return Laurent(out)
+        return Laurent(sparse.add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -117,16 +115,7 @@ class Laurent:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                new = out.get(e, Fraction(0)) + c1 * c2
-                if new:
-                    out[e] = new
-                else:
-                    out.pop(e, None)
-        return Laurent(out)
+        return Laurent(sparse.mul(self.terms, other.terms, add))
 
     __rmul__ = __mul__
 
@@ -200,14 +189,7 @@ class WeightMultiset:
         return cls(out)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, m in other.terms.items():
-            new = out.get(w, 0) + m
-            if new:
-                out[w] = new
-            else:
-                out.pop(w, None)
-        return WeightMultiset(out)
+        return WeightMultiset(sparse.add(self.terms, other.terms))
 
     def __neg__(self):
         return WeightMultiset({w: -m for w, m in self.terms.items()})
@@ -361,18 +343,7 @@ def _grr_check_exact(fixed_points, claimed):
 
 
 def _series_mul(a, b, order):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            if e > order:
-                continue
-            new = out.get(e, Fraction(0)) + c1 * c2
-            if new:
-                out[e] = new
-            else:
-                out.pop(e, None)
-    return out
+    return sparse.mul(a, b, lambda e1, e2: e1 + e2 if e1 + e2 <= order else None)
 
 
 def _series_exp_term(c, order):
@@ -382,6 +353,14 @@ def _series_exp_term(c, order):
         if term:
             out[n] = term
         term = term * c / (n + 1)
+    return out
+
+
+def _char_series(ws, order):
+    """sum of mult * e^(w u) as a truncated series dict."""
+    out = {}
+    for w, m in ws.items():
+        out = sparse.add(out, sparse.scale(_series_exp_term(w, order), m))
     return out
 
 
@@ -402,11 +381,7 @@ def _grr_check_series(fixed_points, claimed, order):
     work = order + max_tangent + 1
     lhs = {}
     for tangent, fiber in fixed_points:
-        num = {}
-        for w, m in fiber.items():
-            for e, c in _series_exp_term(w, work).items():
-                num[e] = num.get(e, Fraction(0)) + m * c
-        term = num
+        term = _char_series(fiber, work)
         for w, m in tangent.items():
             # 1 - e^(-w u) = w u * g(u) with g(0) = 1
             g = {
@@ -417,12 +392,8 @@ def _grr_check_series(fixed_points, claimed, order):
             for _ in range(m):
                 term = _series_mul(term, inv_g, work)
                 term = {e - 1: c / w for e, c in term.items()}
-        for e, c in term.items():
-            lhs[e] = lhs.get(e, Fraction(0)) + c
-    rhs = {}
-    for w, m in claimed.items():
-        for e, c in _series_exp_term(w, work).items():
-            rhs[e] = rhs.get(e, Fraction(0)) + m * c
+        lhs = sparse.add(lhs, term)
+    rhs = _char_series(claimed, work)
     for e in range(min(min(lhs, default=0), 0), order + 1):
         if lhs.get(e, Fraction(0)) != rhs.get(e, Fraction(0)):
             return False
@@ -643,10 +614,6 @@ class HodgeClassPoly:
         psi[index] = 1
         return cls(g, h, {(tuple(psi), ()): Fraction(1)})
 
-    @classmethod
-    def lambda_class(cls, g, h, i):
-        return cls(g, h, {((0,) * h, (i,)): Fraction(1)})
-
     def _compatible(self, other):
         if (self.g, self.h) != (other.g, other.h):
             raise DomainError("classes live on different moduli")
@@ -654,14 +621,7 @@ class HodgeClassPoly:
     def __add__(self, other):
         other = self._coerce(other)
         self._compatible(other)
-        out = dict(self.terms)
-        for key, coef in other.terms.items():
-            new = out.get(key, Laurent()) + coef
-            if new.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = new
-        return HodgeClassPoly(self.g, self.h, out)
+        return HodgeClassPoly(self.g, self.h, sparse.add(self.terms, other.terms))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -683,22 +643,16 @@ class HodgeClassPoly:
     def __mul__(self, other):
         other = self._coerce(other)
         self._compatible(other)
-        out = {}
-        for (psi1, lam1), c1 in self.terms.items():
-            deg1 = sum(psi1) + sum(lam1)
-            for (psi2, lam2), c2 in other.terms.items():
-                if deg1 + sum(psi2) + sum(lam2) > self.cap:
-                    continue
-                key = (
-                    tuple(a + b for a, b in zip(psi1, psi2)),
-                    tuple(sorted(lam1 + lam2)),
-                )
-                new = out.get(key, Laurent()) + c1 * c2
-                if new.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = new
-        return HodgeClassPoly(self.g, self.h, out)
+
+        def key_mul(k1, k2):
+            (psi1, lam1), (psi2, lam2) = k1, k2
+            if sum(psi1) + sum(lam1) + sum(psi2) + sum(lam2) > self.cap:
+                return None
+            return tuple(map(add, psi1, psi2)), tuple(sorted(lam1 + lam2))
+
+        return HodgeClassPoly(
+            self.g, self.h, sparse.mul(self.terms, other.terms, key_mul)
+        )
 
     __rmul__ = __mul__
 

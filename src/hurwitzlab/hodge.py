@@ -11,14 +11,15 @@ degree 3g - 3 + h - i carries, with sign (-1)^i, exactly the brackets
 <psi_1^{j_1} ... psi_h^{j_h} lambda_i>.  ``elsv_evaluate`` runs this forward
 from a bracket table; ``elsv_invert`` samples an engine on a grid of part
 tuples and solves the exact linear system in the monomial-symmetric basis to
-recover the brackets.  All linear algebra is fraction-free elimination on
-integers; no floating point anywhere.
+recover the brackets.  The linear algebra is one incremental Gaussian
+elimination over the rationals, which both picks the independent grid rows
+and solves; no floating point anywhere.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from math import factorial, lcm
+from itertools import islice, permutations
+from math import comb, factorial
 
 from .errors import ConsistencyError, DomainError, MissingBracketError
 from .hurwitz import BURNSIDE_MAX_D, connected_dfs, connected_via_transform
@@ -142,6 +143,13 @@ class HodgeTable:
     def has_all_for(self, g, h):
         return all(b in self for b in required_brackets(g, h))
 
+    def drop(self, g, h):
+        """Forget the (g, h) brackets, except the built-in seed."""
+        self._entries = {
+            b: entry for b, entry in self._entries.items()
+            if (b.g, b.h) != (g, h) or b == _SEED_BRACKET
+        }
+
 
 def required_brackets(g, h):
     """Every bracket the (g, h) forward evaluation touches."""
@@ -192,78 +200,51 @@ def elsv_evaluate(g, mu, table):
     """Forward evaluation: the connected cover count for (g, mu) from a
     bracket table.  Raises MissingBracketError naming the first absent
     bracket, and rejects unstable (g, len(mu))."""
-    h = mu.length
-    if 2 * g - 2 + h <= 0:
-        raise DomainError(f"unsupported range: unstable (g, h) = ({g}, {h})")
-    n = 3 * g - 3 + h
     total = Fraction(0)
-    for i in range(0, g + 1):
-        s = n - i
-        if s < 0:
-            continue
-        sign = (-1) ** i
-        for psi in _exponent_multisets(s, h):
-            bracket = HodgeBracket(g=g, h=h, psi=psi, lam=i)
-            total += sign * table.value(bracket) * monomial_symmetric(psi, mu.parts)
+    for b in required_brackets(g, mu.length):
+        total += (-1) ** b.lam * table.value(b) * monomial_symmetric(b.psi, mu.parts)
     return _prefactor(g, mu) * total
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra (fraction-free elimination)
+# exact linear algebra (incremental elimination over the rationals)
 
-def _solve_square_exact(rows, rhs):
-    """Solve A x = b exactly.  Rows are scaled to integers, eliminated by the
-    fraction-free (Bareiss) scheme, then back-substituted with rationals."""
-    n = len(rows)
-    aug = []
-    for row, b in zip(rows, rhs):
-        scale = lcm(*(Fraction(v).denominator for v in list(row) + [b]))
-        aug.append([int(Fraction(v) * scale) for v in list(row) + [b]])
-    prev = 1
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if pivot_row is None:
-            raise DomainError("singular linear system")
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                aug[i][j] = (aug[i][j] * aug[k][k] - aug[i][k] * aug[k][j]) // prev
-            aug[i][k] = 0
-        prev = aug[k][k]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * x[j]
-        x[i] = acc / aug[i][i]
-    return x
+class _Elimination:
+    """Gaussian elimination that takes its rows one at a time.
 
+    ``add`` reduces a candidate row against the kept rows and keeps it only
+    if it is independent, recording the multiples it subtracted; ``solve``
+    replays those multiples on a right-hand side and back-substitutes.  So
+    each row is eliminated once, whether it is kept or not."""
 
-class _RankTracker:
-    """Incremental exact rank bookkeeping for greedy row selection."""
+    def __init__(self):
+        self.rows = []  # (pivot column, reduced row, [(kept index, multiple)])
 
-    def __init__(self, width):
-        self.width = width
-        self.reduced = []  # (pivot column, normalized row)
-
-    def try_add(self, row):
+    def add(self, row):
         work = [Fraction(v) for v in row]
-        for pivot, basis_row in self.reduced:
+        used = []
+        for k, (pivot, kept, _) in enumerate(self.rows):
             if work[pivot]:
-                coef = work[pivot]
-                for j in range(self.width):
-                    work[j] -= coef * basis_row[j]
-        for j in range(self.width):
-            if work[j]:
-                inv = work[j]
-                self.reduced.append((j, [v / inv for v in work]))
-                return True
-        return False
+                f = work[pivot] / kept[pivot]
+                work = [w - f * v for w, v in zip(work, kept)]
+                used.append((k, f))
+        pivot = next((j for j, w in enumerate(work) if w), None)
+        if pivot is None:
+            return False
+        self.rows.append((pivot, work, used))
+        return True
 
-    @property
-    def rank(self):
-        return len(self.reduced)
+    def solve(self, rhs):
+        """The x with A x = rhs, A the kept rows, which must be square."""
+        reduced = []
+        for b, (_, _, used) in zip(rhs, self.rows):
+            reduced.append(Fraction(b) - sum(f * reduced[k] for k, f in used))
+        x = [Fraction(0)] * len(self.rows)
+        # each kept row vanishes at the pivots of the rows kept before it
+        for (pivot, row, _), b in reversed(list(zip(self.rows, reduced))):
+            x[pivot] = (b - sum(v * x[j] for j, v in enumerate(row)
+                                if j != pivot)) / row[pivot]
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -327,86 +308,59 @@ def burnside_engine(cache_dir=None, max_d=BURNSIDE_MAX_D):
     return engine
 
 
-def elsv_inversion(g, h, hurwitz_engine=None, dfs_spot_check=True,
-                   max_radius_growth=20):
+#: How far past its initial radius the candidate pool may grow before a
+#: rank-deficient grid counts as a singular interpolation system.
+_MAX_RADIUS_GROWTH = 20
+
+
+def elsv_inversion(g, h, hurwitz_engine=None):
     """Recover all (g, h) brackets by exact interpolation against an engine.
 
     Samples the normalized count on a grid of profiles, solves for the
     monomial-symmetric coefficients in the degree band
     [2g-3+h, 3g-3+h], and reads brackets off the band.  The two smallest grid
     points are always re-derived by the transitive-factorization count
-    (``connected_dfs``), which uses no characters and no transform, unless
-    ``dfs_spot_check`` is disabled; a disagreement raises ConsistencyError.
+    (``connected_dfs``), which uses no characters and no transform; a
+    disagreement raises ConsistencyError.
     """
-    if 2 * g - 2 + h <= 0:
-        raise DomainError(f"unsupported range: unstable (g, h) = ({g}, {h})")
     engine = hurwitz_engine if hurwitz_engine is not None else burnside_engine()
-    n = 3 * g - 3 + h
-    unknowns = []
-    for i in range(0, g + 1):
-        s = n - i
-        if s < 0:
-            continue
-        unknowns.extend((psi, i) for psi in _exponent_multisets(s, h))
+    unknowns = required_brackets(g, h)
+    radius = max(3 * g - 1 + h, 1) + _MAX_RADIUS_GROWTH
+    pool = islice(sample_candidates(g, h), comb(radius + h - 1, h))
+    elimination = _Elimination()
+    grid = []
+    for mu in pool:
+        if elimination.add([monomial_symmetric(b.psi, mu.parts) for b in unknowns]):
+            grid.append(mu)
+            if len(grid) == len(unknowns):
+                break
+    else:
+        raise DomainError(
+            f"singular interpolation system for (g, h) = ({g}, {h}): "
+            f"rank {len(grid)} of {len(unknowns)} after grid {grid}"
+        )
+    samples = {mu: engine(g, mu) for mu in grid}
+    solution = elimination.solve(
+        [normalized_count(g, mu, samples[mu]) for mu in grid]
+    )
 
-    tracker = _RankTracker(len(unknowns))
-    grid, rows, values = [], [], []
-    samples = {}
-    candidates = sample_candidates(g, h)
-    attempts_limit = None
-    attempts = 0
-    while tracker.rank < len(unknowns):
-        mu = next(candidates)
-        attempts += 1
-        if attempts_limit is None:
-            # bound attempts by the initial pool plus the allowed growth
-            base = max(3 * g - 1 + h, 1) + max_radius_growth
-            attempts_limit = _pool_size(h, base)
-        if attempts > attempts_limit:
-            raise DomainError(
-                f"singular interpolation system for (g, h) = ({g}, {h}): "
-                f"rank {tracker.rank} of {len(unknowns)} after grid {grid}"
+    for mu in sorted(grid, key=lambda p: (p.size, p.parts))[:2]:
+        check = connected_dfs(g, mu)
+        if check != samples[mu]:
+            raise ConsistencyError(
+                f"engine disagreement at (g={g}, mu={mu}): the transitive "
+                f"count gives {check}, inversion engine gave {samples[mu]}"
             )
-        row = [monomial_symmetric(psi, mu.parts) for psi, _ in unknowns]
-        if not tracker.try_add(row):
-            continue
-        value = engine(g, mu)
-        samples[mu] = value
-        grid.append(mu)
-        rows.append(row)
-        values.append(normalized_count(g, mu, value))
 
-    solution = _solve_square_exact(rows, values)
-
-    if dfs_spot_check:
-        for mu in sorted(grid, key=lambda p: (p.size, p.parts))[:2]:
-            check = connected_dfs(g, mu)
-            if check != samples[mu]:
-                raise ConsistencyError(
-                    f"engine disagreement at (g={g}, mu={mu}): the transitive "
-                    f"count gives {check}, inversion engine gave {samples[mu]}"
-                )
-
-    brackets = {}
-    for ((psi, i), coeff) in zip(unknowns, solution):
-        brackets[HodgeBracket(g=g, h=h, psi=psi, lam=i)] = (-1) ** i * coeff
+    brackets = {b: (-1) ** b.lam * x for b, x in zip(unknowns, solution)}
     return InversionResult(g=g, h=h, brackets=brackets, grid=tuple(grid),
                            samples=samples)
 
 
-def _pool_size(h, radius):
-    # number of weakly increasing h-tuples from {1..radius}
-    from math import comb
-
-    return comb(radius + h - 1, h)
-
-
-def elsv_invert(g, h, hurwitz_engine=None, dfs_spot_check=True):
+def elsv_invert(g, h, hurwitz_engine=None):
     """All linear Hodge brackets for (g, h), as a dict from bracket to exact
     rational.  See ``elsv_inversion`` for the mechanism and metadata."""
-    return elsv_inversion(
-        g, h, hurwitz_engine=hurwitz_engine, dfs_spot_check=dfs_spot_check
-    ).brackets
+    return elsv_inversion(g, h, hurwitz_engine=hurwitz_engine).brackets
 
 
 def invert_into(table, g, h, hurwitz_engine=None, provenance=INVERTED):
@@ -504,7 +458,8 @@ def hodge_import(text):
     for ln in lines[1:]:
         try:
             key, value, provenance = ln.split()
-        except ValueError as exc:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"malformed Hodge table line {ln!r}") from exc
-        table.add(HodgeBracket.from_string(key), Fraction(value), provenance)
+        table.add(HodgeBracket.from_string(key), value, provenance)
     return table

@@ -34,8 +34,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import factorial
 
+from . import sparse
 from .errors import DomainError, ResourceLimitError
 from .partitions import Partition, kappa, partitions_of, z
 from .symgroup import MAX_TABLE_D, build_table
@@ -341,13 +342,17 @@ class HurwitzSeries:
     bound on e alone is not an ideal, because e can be negative: a dropped
     term times a later factor with e < 0 should have come back.)
 
-    The coefficient of a product also picks up binom(r1 + r2, r1) with
+    The coefficient of a product picks up binom(r1 + r2, r1) with
     r = e + |mu| per factor: covers over a disjoint profile interleave their
     labelled simple branch points, so the grading is exponential in r.  (A
     degree-4 check pins this down: the two factorizations of a product of two
     disjoint 2-cycles into two transpositions only appear with the binomial.)
     Without the weighting the exp/log transform does not invert the
-    disconnected counts.
+    disconnected counts.  ``coeffs`` therefore stores c / r!, which turns the
+    weighted product into the plain one; ``coefficient``, ``set_coefficient``
+    and ``items`` convert at the boundary.  The map c -> c / r! is a ring
+    isomorphism that keeps both truncation gradings, so log and exp need no
+    conversion.
     """
 
     max_size: int
@@ -360,7 +365,7 @@ class HurwitzSeries:
 
     def coefficient(self, mu, e):
         parts = mu.parts if isinstance(mu, Partition) else tuple(mu)
-        return self.coeffs.get((parts, e), Fraction(0))
+        return self.coeffs.get((parts, e), Fraction(0)) * factorial(e + sum(parts))
 
     def set_coefficient(self, mu, e, value):
         parts = mu.parts if isinstance(mu, Partition) else tuple(mu)
@@ -369,7 +374,7 @@ class HurwitzSeries:
                 f"exponent {e} below -|mu| = {-sum(parts)}: no cover has "
                 "fewer than zero simple branch points"
             )
-        value = Fraction(value)
+        value = Fraction(value) / factorial(e + sum(parts))
         if value:
             self.coeffs[(parts, e)] = value
         else:
@@ -381,42 +386,29 @@ class HurwitzSeries:
 
     def __add__(self, other):
         self._compatible(other)
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            new = out.get(key, Fraction(0)) + val
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-        return HurwitzSeries(self.max_size, self.max_exp, out)
+        return HurwitzSeries(self.max_size, self.max_exp,
+                             sparse.add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        out = {k: scalar * v for k, v in self.coeffs.items() if scalar * v}
-        return HurwitzSeries(self.max_size, self.max_exp, out)
+        return HurwitzSeries(self.max_size, self.max_exp,
+                             sparse.scale(self.coeffs, Fraction(scalar)))
 
     def __mul__(self, other):
         self._compatible(other)
-        out = {}
-        max_r = self.max_exp + self.max_size
-        for (p1, e1), c1 in self.coeffs.items():
-            s1 = sum(p1)
-            r1 = e1 + s1
-            for (p2, e2), c2 in other.coeffs.items():
-                s2 = sum(p2)
-                r2 = e2 + s2
-                if r1 + r2 > max_r or s1 + s2 > self.max_size:
-                    continue
-                key = (tuple(sorted(p1 + p2, reverse=True)), e1 + e2)
-                new = out.get(key, Fraction(0)) + comb(r1 + r2, r1) * c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        return HurwitzSeries(self.max_size, self.max_exp, out)
+        max_size, max_r = self.max_size, self.max_exp + self.max_size
+
+        def key_mul(k1, k2):
+            (p1, e1), (p2, e2) = k1, k2
+            size = sum(p1) + sum(p2)
+            if size > max_size or size + e1 + e2 > max_r:
+                return None
+            return tuple(sorted(p1 + p2, reverse=True)), e1 + e2
+
+        return HurwitzSeries(self.max_size, self.max_exp,
+                             sparse.mul(self.coeffs, other.coeffs, key_mul))
 
     def is_zero(self):
         return not self.coeffs
@@ -429,9 +421,8 @@ class HurwitzSeries:
 
     def items(self):
         """Deterministically ordered (key, coefficient) pairs."""
-        return sorted(
-            self.coeffs.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1])
-        )
+        keys = sorted(self.coeffs, key=lambda k: (sum(k[0]), k[0], k[1]))
+        return [(k, self.coefficient(*k)) for k in keys]
 
     def _power_bound(self):
         # Every term of (S - 1) from cover data has e >= -|mu|, so the weight

@@ -261,6 +261,63 @@ def test_conflicting_table_file_exits_three(capsys, cache):
     assert code == 3 and "conflicting" in err
 
 
+def _tampered_table(capsys, cache):
+    """Invert (1, 1), then change one stored bracket from 1/24 to 1/12."""
+    run_cli(capsys, "hodge", "--genus", "1", "--marks", "1", "--cache-dir", cache)
+    path = os.path.join(cache, "hodge-table.txt")
+    with open(path) as fh:
+        text = fh.read()
+    assert "(1,1,[1],0) 1/24" in text
+    with open(path, "w") as fh:
+        fh.write(text.replace("(1,1,[1],0) 1/24", "(1,1,[1],0) 1/12"))
+    return path
+
+
+def test_elsv_reinverts_a_tampered_block(capsys, cache):
+    path = _tampered_table(capsys, cache)
+    code, out, _ = run_cli(
+        capsys, "elsv", "--genus", "1", "--partition", "3", "--cache-dir", cache,
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "H = 9"  # the tampered table gives 45/2
+    with open(path) as fh:
+        assert "(1,1,[1],0) 1/24" in fh.read()
+
+
+def test_hodge_replaces_a_tampered_block(capsys, cache):
+    path = _tampered_table(capsys, cache)
+    code, out, _ = run_cli(
+        capsys, "hodge", "--genus", "1", "--marks", "1", "--cache-dir", cache,
+    )
+    assert code == 0
+    with open(path) as fh:
+        assert "(1,1,[1],0) 1/24" in fh.read()
+
+
+def test_unparsable_table_is_a_cache_miss(capsys, cache):
+    os.makedirs(cache, exist_ok=True)
+    path = os.path.join(cache, "hodge-table.txt")
+    with open(path, "wb") as fh:
+        fh.write(b"\xff\xfe not even text\n")
+    code, _, err = run_cli(capsys, "export", "--what", "hodge", "--cache-dir", cache)
+    assert code == 1 and "format" in err  # export shows the file as it is
+    code, out, _ = run_cli(
+        capsys, "elsv", "--genus", "1", "--partition", "2", "--cache-dir", cache,
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "H = 1/2"
+    with open(path) as fh:
+        assert fh.read().startswith("hurwitzlab-hodge-table v1\n")
+    with open(path, "w") as fh:
+        fh.write("hurwitzlab-hodge-table v1\n(1,1,[1],0) 1/0 inverted\n")
+    code, _, _ = run_cli(
+        capsys, "hodge", "--genus", "1", "--marks", "1", "--cache-dir", cache,
+    )
+    assert code == 0
+    with open(path) as fh:
+        assert "(1,1,[1],0) 1/24" in fh.read()
+
+
 def test_run_config_rejects_unknown_keys():
     with pytest.raises(DomainError):
         RunConfig.from_dict({"dfs_node_budget": 10, "bogus": 1})

@@ -185,9 +185,11 @@ def test_polynomiality_band():
         normalized_count(g, mu, connected_via_transform(g, mu, "burnside"))
         for mu in samples
     ]
-    from hurwitzlab.hodge import _solve_square_exact
+    from hurwitzlab.hodge import _Elimination
 
-    solution = _solve_square_exact(rows, values)
+    elimination = _Elimination()
+    assert all(elimination.add(row) for row in rows)  # a square, regular system
+    solution = elimination.solve(values)
     for j, coeff in zip(exponents, solution):
         if sum(j) < 2 * g - 3 + h:
             assert coeff == 0, (j, coeff)
@@ -223,6 +225,20 @@ def test_spot_check_runs_at_second_smallest_grid_point():
 
     with pytest.raises(ConsistencyError):
         elsv_inversion(0, 5, hurwitz_engine=off_by_one_engine)
+
+
+def test_singular_interpolation_is_bounded(monkeypatch):
+    # a stream that repeats one profile never reaches full rank
+    import itertools
+
+    from hurwitzlab import hodge
+
+    monkeypatch.setattr(
+        hodge, "sample_candidates",
+        lambda g, h: itertools.repeat(Partition([1, 1])),
+    )
+    with pytest.raises(DomainError, match="singular interpolation system"):
+        elsv_inversion(1, 2)
 
 
 # --- string equation --------------------------------------------------------

@@ -239,6 +239,17 @@ def test_series_monomial_bookkeeping():
     assert prod_series.coefficient((3, 2, 1), 1) == 2 * 21
 
 
+def test_series_coefficients_convert_at_the_boundary():
+    # the series stores c / r!; callers only ever see c (here r = 10 and 11)
+    s = HurwitzSeries(6, 10)
+    s.set_coefficient((3, 2), 6, F(7, 3))
+    s.set_coefficient((1,), 9, -5)
+    assert s.coefficient((3, 2), 6) == F(7, 3)
+    assert s.coefficient((1,), 9) == -5
+    assert s.items() == [(((1,), 9), F(-5)), (((3, 2), 6), F(7, 3))]
+    assert s.coeffs[((3, 2), 6)] == F(7, 3) / factorial(11)
+
+
 def test_series_truncation_drops_terms():
     s = HurwitzSeries(3, 2)
     s.set_coefficient((2,), 1, 1)
