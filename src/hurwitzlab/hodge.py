@@ -17,12 +17,14 @@ and solves; no floating point anywhere.
 """
 
 from dataclasses import dataclass
+from functools import cache, partial
 from fractions import Fraction
 from itertools import islice, permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import ConsistencyError, DomainError, MissingBracketError
-from .hurwitz import BURNSIDE_MAX_D, connected_dfs, connected_via_transform
+from .hurwitz import (BURNSIDE_MAX_D, connected_dfs, connected_via_transform,
+                      disconnected_burnside)
 from .partitions import Partition, aut_size, partitions_of
 
 _TABLE_HEADER = "hurwitzlab-hodge-table v1"
@@ -178,13 +180,8 @@ def _exponent_multisets(total, h):
 def monomial_symmetric(exponents, values):
     """The monomial symmetric polynomial m_J evaluated at a tuple of values:
     the sum over distinct permutations of J of the corresponding monomial."""
-    total = Fraction(0)
-    for perm in set(permutations(exponents)):
-        term = Fraction(1)
-        for v, j in zip(values, perm):
-            term *= Fraction(v) ** j
-        total += term
-    return total
+    return Fraction(sum(prod(v**j for v, j in zip(values, perm))
+                        for perm in set(permutations(exponents))))
 
 
 def _prefactor(g, mu):
@@ -300,11 +297,15 @@ class InversionResult:
 
 def burnside_engine(cache_dir=None, max_d=BURNSIDE_MAX_D):
     """The default inversion engine: connected counts from the character-sum
-    engine through the log transform."""
+    engine through the log transform.
+
+    Each engine memoizes the disconnected counts by (chi, mu): the series of
+    the grid points share most of them (every one holds p_1 and p_1^2)."""
+    disconnected = cache(partial(disconnected_burnside, max_d=max_d,
+                                 cache_dir=cache_dir))
+
     def engine(g, mu):
-        return connected_via_transform(
-            g, mu, "burnside", burnside_max_d=max_d, cache_dir=cache_dir
-        )
+        return connected_via_transform(g, mu, disconnected)
     return engine
 
 

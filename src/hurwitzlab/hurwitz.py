@@ -338,7 +338,8 @@ class HurwitzSeries:
     exponents.  Products drop every term with |mu| > max_size or with
     r = e + |mu| > max_exp + max_size.  Both gradings are additive and
     nonnegative, so the dropped terms form an ideal: the truncated series is
-    a quotient ring, and log and exp invert each other exactly on it.  (A
+    a quotient ring; log and exp, one pass by the Euler derivation (which
+    keeps that ideal), are exact on it and invert each other there.  (A
     bound on e alone is not an ideal, because e can be negative: a dropped
     term times a later factor with e < 0 should have come back.)
 
@@ -424,44 +425,58 @@ class HurwitzSeries:
         keys = sorted(self.coeffs, key=lambda k: (sum(k[0]), k[0], k[1]))
         return [(k, self.coefficient(*k)) for k in keys]
 
-    def _power_bound(self):
-        # Every term of (S - 1) from cover data has e >= -|mu|, so the weight
-        # e + 2|mu| >= 1 is additive and bounded by max_exp + 2*max_size.
-        return self.max_exp + 2 * self.max_size + 1
+    def _weight_pieces(self):
+        """Nonconstant terms inside the truncation as {w: series}, by the weight
+        w = e + 2|mu| = r + |mu|: additive, 1 <= w <= max_exp + 2 max_size."""
+        max_r = self.max_exp + self.max_size
+        pieces = {}
+        for (parts, e), c in self.coeffs.items():
+            size = sum(parts)
+            if e + size < 0:
+                raise DomainError(f"exponent {e} below -|mu| = {-size}")
+            if (parts or e) and size <= self.max_size and size + e <= max_r:
+                pieces.setdefault(e + 2 * size, {})[(parts, e)] = c
+        return {w: HurwitzSeries(self.max_size, self.max_exp, piece)
+                for w, piece in pieces.items()}
 
     def log(self):
-        """Formal log of a series with constant term 1, within truncation."""
+        """Formal log of a series with constant term 1, within truncation.
+
+        L = log S solves D S = S * D L, D the Euler derivation (a term times
+        its weight), so (D L)_n = n S_n - sum_{0<j<n} (D L)_j S_(n-j): one
+        pass up to the top weight of the truncation, since log S reaches
+        higher weights than S.  D only rescales monomials, so it keeps the
+        truncation ideal and the recursion is exact on the quotient."""
         if self.coefficient((), 0) != 1:
             raise DomainError("invalid series: constant term must be exactly 1")
-        t = HurwitzSeries(self.max_size, self.max_exp, dict(self.coeffs))
-        t.set_coefficient((), 0, 0)
-        acc = HurwitzSeries(self.max_size, self.max_exp)
-        power = HurwitzSeries.one(self.max_size, self.max_exp)
-        for k in range(1, self._power_bound() + 1):
-            power = power * t
-            if power.is_zero():
-                return acc
-            acc = acc + Fraction((-1) ** (k + 1), k) * power
-        raise DomainError(
-            "series log does not terminate within truncation; a coefficient "
-            "violates e >= -|mu|"
-        )
+        pieces = self._weight_pieces()
+        zero = acc = HurwitzSeries(self.max_size, self.max_exp)
+        dlog = {}
+        for n in range(1, self.max_exp + 2 * self.max_size + 1):
+            piece = n * pieces.get(n, zero) - sum(
+                (dl * pieces[n - j] for j, dl in dlog.items() if n - j in pieces),
+                zero)
+            if not piece.is_zero():
+                dlog[n] = piece
+                acc = acc + Fraction(1, n) * piece
+        return acc
 
     def exp(self):
-        """Formal exp of a series with zero constant term, within truncation."""
+        """Formal exp of a series with zero constant term, within truncation:
+        E = exp T solves D E = E * D T, so n E_n = sum_{0<j<=n} (D T)_j E_(n-j),
+        one pass that is exact on the quotient for the reason given in ``log``."""
         if self.coefficient((), 0) != 0:
             raise DomainError("invalid series: constant term must be 0 for exp")
+        dt = {w: w * piece for w, piece in self._weight_pieces().items()}
         acc = HurwitzSeries.one(self.max_size, self.max_exp)
-        power = HurwitzSeries.one(self.max_size, self.max_exp)
-        for k in range(1, self._power_bound() + 1):
-            power = Fraction(1, k) * (power * self)
-            if power.is_zero():
-                return acc
-            acc = acc + power
-        raise DomainError(
-            "series exp does not terminate within truncation; a coefficient "
-            "violates e >= -|mu|"
-        )
+        done = {0: acc}
+        for n in range(1, self.max_exp + 2 * self.max_size + 1):
+            piece = sum((d * done[n - j] for j, d in dt.items() if n - j in done),
+                        HurwitzSeries(self.max_size, self.max_exp))
+            if not piece.is_zero():
+                done[n] = Fraction(1, n) * piece
+                acc = acc + done[n]
+        return acc
 
 
 def connected_from_disconnected(series):

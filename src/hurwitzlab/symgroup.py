@@ -11,7 +11,7 @@ module.
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, prod
 
 from .errors import ConsistencyError, DomainError, ResourceLimitError
@@ -91,17 +91,25 @@ class CharacterTable:
     partitions: tuple
     entries: tuple
 
+    @cached_property
+    def _positions(self):
+        return {p: i for i, p in enumerate(self.partitions)}
+
+    @cached_property
+    def _dim_column(self):
+        return self._index(Partition([1] * self.d))
+
     def _index(self, p):
         try:
-            return self.partitions.index(p)
-        except ValueError:
+            return self._positions[p]
+        except KeyError:
             raise DomainError(f"{p} is not a partition of {self.d}") from None
 
     def chi(self, nu, mu):
         return self.entries[self._index(nu)][self._index(mu)]
 
     def dim(self, nu):
-        return self.entries[self._index(nu)][self._index(Partition([1] * self.d))]
+        return self.entries[self._index(nu)][self._dim_column]
 
     def verify(self):
         """Check the row orthogonality relations exactly; raise on failure."""

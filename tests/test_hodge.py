@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
@@ -225,6 +226,23 @@ def test_spot_check_runs_at_second_smallest_grid_point():
 
     with pytest.raises(ConsistencyError):
         elsv_inversion(0, 5, hurwitz_engine=off_by_one_engine)
+
+
+def test_engine_memoizes_disconnected_counts(monkeypatch):
+    from hurwitzlab import hodge
+
+    calls = Counter()
+    original = hodge.disconnected_burnside
+
+    def counted(chi, mu, **opts):
+        calls[chi, mu] += 1
+        return original(chi, mu, **opts)
+
+    monkeypatch.setattr(hodge, "disconnected_burnside", counted)
+    result = elsv_inversion(2, 4)
+    assert calls and max(calls.values()) == 1
+    unmemoized = lambda g, mu: connected_via_transform(g, mu, "burnside")
+    assert result.brackets == elsv_invert(2, 4, hurwitz_engine=unmemoized)
 
 
 def test_singular_interpolation_is_bounded(monkeypatch):

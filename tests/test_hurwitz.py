@@ -320,6 +320,40 @@ def test_log_exp_round_trip_random_series(s):
     assert s.log().exp() == s
 
 
+def _power_sum(t, coefficient_of_power):
+    """sum_k c_k t^k from * and + alone: the power-series definition that the
+    weight-by-weight log and exp must reproduce.  Every term of t has weight
+    e + 2|mu| >= 1, so the powers vanish past the top weight."""
+    acc = HurwitzSeries(t.max_size, t.max_exp)
+    power = HurwitzSeries.one(t.max_size, t.max_exp)
+    for k in range(1, t.max_exp + 2 * t.max_size + 2):
+        power = power * t
+        acc = acc + coefficient_of_power(k) * power
+    assert power.is_zero()
+    return acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_series())
+@example(_series_with_negative_exponent())
+def test_log_and_exp_match_their_power_series(s):
+    t = s - HurwitzSeries.one(s.max_size, s.max_exp)
+    assert s.log() == _power_sum(t, lambda k: F((-1) ** (k + 1), k))
+    assert t.exp() == HurwitzSeries.one(s.max_size, s.max_exp) + _power_sum(
+        t, lambda k: F(1, factorial(k)))
+
+
+@pytest.mark.parametrize("key", [((), -1), ((1,), -2), ((3,), -4)])
+def test_log_and_exp_reject_exponent_below_minus_size(key):
+    # set_coefficient refuses such a term, so it is planted in coeffs
+    t = HurwitzSeries(4, 4, {key: F(1)})
+    s = HurwitzSeries.one(4, 4) + t
+    with pytest.raises(DomainError):
+        s.log()
+    with pytest.raises(DomainError):
+        t.exp()
+
+
 def test_log_exp_round_trip_other_direction():
     s = disconnected_series("burnside", max_size=3, max_exp=5)
     logged = s.log()

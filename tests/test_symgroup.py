@@ -153,6 +153,18 @@ def test_identity_column_is_dimension(d):
         assert character(nu, one_d) == dim_irrep(nu)
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_table_dim_is_identity_column(d):
+    t = build_table(d)
+    for nu in t.partitions:
+        assert t.dim(nu) == t.chi(nu, Partition([1] * d))
+
+
+def test_table_rejects_foreign_partition():
+    with pytest.raises(DomainError):
+        build_table(5).chi(Partition([3]), Partition([2, 1]))
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 def test_trivial_and_sign_rows(d):
     for mu in partitions_of(d):
