@@ -177,11 +177,16 @@ def _exponent_multisets(total, h):
     ]
 
 
+@cache
+def _distinct_permutations(exponents):
+    return tuple(set(permutations(exponents)))
+
+
 def monomial_symmetric(exponents, values):
     """The monomial symmetric polynomial m_J evaluated at a tuple of values:
     the sum over distinct permutations of J of the corresponding monomial."""
     return Fraction(sum(prod(v**j for v, j in zip(values, perm))
-                        for perm in set(permutations(exponents))))
+                        for perm in _distinct_permutations(tuple(exponents))))
 
 
 def _prefactor(g, mu):

@@ -33,6 +33,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
@@ -317,12 +318,9 @@ def disconnected_burnside(chi, mu, max_d=BURNSIDE_MAX_D, cache_dir=None):
     if d == 0:
         return Fraction(1 if r == 0 else 0)
     table = build_table(d, cache_dir=cache_dir, max_d=max_d)
-    d_fact = factorial(d)
-    total = Fraction(0)
-    for nu in table.partitions:
-        half_kappa = kappa(nu) // 2
-        total += Fraction(half_kappa**r * table.dim(nu) * table.chi(nu, mu), d_fact)
-    return total / z(mu)
+    total = sum((kappa(nu) // 2)**r * table.dim(nu) * table.chi(nu, mu)
+                for nu in table.partitions)
+    return Fraction(total, factorial(d) * z(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +341,12 @@ class HurwitzSeries:
     bound on e alone is not an ideal, because e can be negative: a dropped
     term times a later factor with e < 0 should have come back.)
 
+    ``divides``, when set to the parts of a partition mu, also drops every
+    p_nu that does not divide p_mu (parts not a sub-multiset of mu's), which
+    implies |nu| <= |mu|.  A multiple of a non-divisor is a non-divisor, so
+    these monomials form a second ideal and log and exp stay exact on the
+    quotient by both.  No dropped term can reach the coefficient of p_mu.
+
     The coefficient of a product picks up binom(r1 + r2, r1) with
     r = e + |mu| per factor: covers over a disjoint profile interleave their
     labelled simple branch points, so the grading is exponential in r.  (A
@@ -352,17 +356,24 @@ class HurwitzSeries:
     disconnected counts.  ``coeffs`` therefore stores c / r!, which turns the
     weighted product into the plain one; ``coefficient``, ``set_coefficient``
     and ``items`` convert at the boundary.  The map c -> c / r! is a ring
-    isomorphism that keeps both truncation gradings, so log and exp need no
-    conversion.
+    isomorphism that keeps all the truncation gradings, so log and exp need
+    no conversion.
     """
 
     max_size: int
     max_exp: int
     coeffs: dict = field(default_factory=dict)
+    divides: tuple = None
 
     @classmethod
-    def one(cls, max_size, max_exp):
-        return cls(max_size, max_exp, {((), 0): Fraction(1)})
+    def one(cls, max_size, max_exp, divides=None):
+        return cls(max_size, max_exp, {((), 0): Fraction(1)}, divides)
+
+    def _like(self, coeffs):
+        return HurwitzSeries(self.max_size, self.max_exp, coeffs, self.divides)
+
+    def _keeps(self, parts):
+        return self.divides is None or parts in _divisors(self.divides)
 
     def coefficient(self, mu, e):
         parts = mu.parts if isinstance(mu, Partition) else tuple(mu)
@@ -382,34 +393,34 @@ class HurwitzSeries:
             self.coeffs.pop((parts, e), None)
 
     def _compatible(self, other):
-        if (self.max_size, self.max_exp) != (other.max_size, other.max_exp):
+        if ((self.max_size, self.max_exp, self.divides)
+                != (other.max_size, other.max_exp, other.divides)):
             raise DomainError("cannot combine series with different truncations")
 
     def __add__(self, other):
         self._compatible(other)
-        return HurwitzSeries(self.max_size, self.max_exp,
-                             sparse.add(self.coeffs, other.coeffs))
+        return self._like(sparse.add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        return HurwitzSeries(self.max_size, self.max_exp,
-                             sparse.scale(self.coeffs, Fraction(scalar)))
+        return self._like(sparse.scale(self.coeffs, Fraction(scalar)))
 
     def __mul__(self, other):
         self._compatible(other)
         max_size, max_r = self.max_size, self.max_exp + self.max_size
+        keeps = self._keeps
 
         def key_mul(k1, k2):
             (p1, e1), (p2, e2) = k1, k2
             size = sum(p1) + sum(p2)
             if size > max_size or size + e1 + e2 > max_r:
                 return None
-            return tuple(sorted(p1 + p2, reverse=True)), e1 + e2
+            parts = tuple(sorted(p1 + p2, reverse=True))
+            return (parts, e1 + e2) if keeps(parts) else None
 
-        return HurwitzSeries(self.max_size, self.max_exp,
-                             sparse.mul(self.coeffs, other.coeffs, key_mul))
+        return self._like(sparse.mul(self.coeffs, other.coeffs, key_mul))
 
     def is_zero(self):
         return not self.coeffs
@@ -434,10 +445,10 @@ class HurwitzSeries:
             size = sum(parts)
             if e + size < 0:
                 raise DomainError(f"exponent {e} below -|mu| = {-size}")
-            if (parts or e) and size <= self.max_size and size + e <= max_r:
+            if ((parts or e) and size <= self.max_size and size + e <= max_r
+                    and self._keeps(parts)):
                 pieces.setdefault(e + 2 * size, {})[(parts, e)] = c
-        return {w: HurwitzSeries(self.max_size, self.max_exp, piece)
-                for w, piece in pieces.items()}
+        return {w: self._like(piece) for w, piece in pieces.items()}
 
     def log(self):
         """Formal log of a series with constant term 1, within truncation.
@@ -450,7 +461,7 @@ class HurwitzSeries:
         if self.coefficient((), 0) != 1:
             raise DomainError("invalid series: constant term must be exactly 1")
         pieces = self._weight_pieces()
-        zero = acc = HurwitzSeries(self.max_size, self.max_exp)
+        zero = acc = self._like({})
         dlog = {}
         for n in range(1, self.max_exp + 2 * self.max_size + 1):
             piece = n * pieces.get(n, zero) - sum(
@@ -468,11 +479,11 @@ class HurwitzSeries:
         if self.coefficient((), 0) != 0:
             raise DomainError("invalid series: constant term must be 0 for exp")
         dt = {w: w * piece for w, piece in self._weight_pieces().items()}
-        acc = HurwitzSeries.one(self.max_size, self.max_exp)
+        acc = HurwitzSeries.one(self.max_size, self.max_exp, self.divides)
         done = {0: acc}
         for n in range(1, self.max_exp + 2 * self.max_size + 1):
             piece = sum((d * done[n - j] for j, d in dt.items() if n - j in done),
-                        HurwitzSeries(self.max_size, self.max_exp))
+                        self._like({}))
             if not piece.is_zero():
                 done[n] = Fraction(1, n) * piece
                 acc = acc + done[n]
@@ -499,39 +510,33 @@ def _engine_callable(engine, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D,
     raise DomainError(f"unknown disconnected engine {engine!r}")
 
 
-def _submultisets(mu):
-    """All distinct nonempty sub-multisets of the parts of mu, as partitions."""
-    counts = sorted(Counter(mu.parts).items(), reverse=True)
+@lru_cache(maxsize=None)
+def _divisors(parts):
+    """The part tuples nu of the monomials p_nu that divide p_mu, mu = parts:
+    the distinct sub-multisets of ``parts``, () included."""
     subs = [()]
-    for value, mult in counts:
+    for value, mult in sorted(Counter(parts).items(), reverse=True):
         subs = [s + (value,) * k for s in subs for k in range(mult + 1)]
-    return [Partition(s) for s in subs if s]
+    return frozenset(subs)
 
 
 def disconnected_series(engine="burnside", max_size=6, max_exp=10,
                         submultisets_of=None, **engine_opts):
     """Assemble the disconnected generating series from an engine.
 
-    Includes every partition of size <= max_size (or, when
-    ``submultisets_of`` is given, only sub-multisets of that partition, which
-    is all the logarithm can consume for that target) and every admissible
+    Includes every partition of size <= max_size and every admissible
     r = e + |mu| <= max_exp + max_size, the truncation rule of
-    ``HurwitzSeries``.  The constant term is 1.
+    ``HurwitzSeries``.  When ``submultisets_of`` is a partition mu, the
+    series is also truncated to the divisors of p_mu (``divides``), which is
+    all the logarithm can consume for that target.  The constant term is 1.
     """
     eng = _engine_callable(engine, **engine_opts)
-    if submultisets_of is not None:
-        pool = [p for p in _submultisets(submultisets_of) if p.size <= max_size]
-    else:
-        pool = [p for s in range(1, max_size + 1) for p in partitions_of(s)]
-    series = HurwitzSeries.one(max_size, max_exp)
-    for part in pool:
-        d, h = part.size, part.length
-        for r in range(0, max_exp + max_size + 1):
-            if (r - d - h) % 2 != 0:
-                continue
-            value = eng(d + h - r, part)
-            if value:
-                series.set_coefficient(part, r - d, value)
+    divides = None if submultisets_of is None else submultisets_of.parts
+    series = HurwitzSeries.one(max_size, max_exp, divides)
+    for part in (p for s in range(1, max_size + 1) for p in partitions_of(s)):
+        if series._keeps(part.parts):
+            for e, value in phi_series(part, eng, max_exp + max_size).items():
+                series.set_coefficient(part, e, value)
     return series
 
 
@@ -539,7 +544,8 @@ def connected_via_transform(g, mu, engine="burnside", **engine_opts):
     """Connected cover count extracted from a disconnected engine through the
     exp/log transform.  Concretely: the coefficient of
     lambda^(2g-2+len(mu)) p_mu in the log of the disconnected series,
-    truncated at size |mu| and at r = e + |mu|, the query's own r."""
+    truncated to the divisors of p_mu (so at size |mu|) and at
+    r = e + |mu|, the query's own r."""
     d, h = mu.size, mu.length
     e = 2 * g - 2 + h
     if e + d < 0:

@@ -13,9 +13,10 @@ import tempfile
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial, prod
+from operator import mul
 
 from .errors import ConsistencyError, DomainError, ResourceLimitError
-from .partitions import Partition, class_size, partitions_of
+from .partitions import Partition, class_size, kappa, partitions_of
 
 #: Practical ceiling on the symmetric group degree.  Tables beyond this are
 #: rejected rather than attempted; override per call if you know better.
@@ -24,6 +25,7 @@ MAX_TABLE_D = 14
 _CACHE_HEADER = "hurwitzlab-chartable v1"
 
 _table_memo = {}
+_files_checked = set()  # (d, cache_dir) pairs whose cache file is known to exist
 
 
 def dim_irrep(nu):
@@ -117,11 +119,9 @@ class CharacterTable:
         d_fact = factorial(self.d)
         n = len(self.partitions)
         for i in range(n):
+            weighted = list(map(mul, sizes, self.entries[i]))
             for j in range(i, n):
-                inner = sum(
-                    sizes[k] * self.entries[i][k] * self.entries[j][k]
-                    for k in range(n)
-                )
+                inner = sum(map(mul, weighted, self.entries[j]))
                 expected = d_fact if i == j else 0
                 if inner != expected:
                     raise ConsistencyError(
@@ -183,8 +183,8 @@ def build_table(d, cache_dir=None, max_d=MAX_TABLE_D):
     """Build (or load from cache) the full character table for degree ``d``.
 
     Idempotent; the orthogonality relations are verified before the table is
-    returned or written, so a corrupt cache file can never leak bad values.
-    """
+    returned or written, and a cached table must match its identity and
+    transposition columns (``_check_known_columns``) too."""
     if d < 1:
         raise DomainError(f"character tables need d >= 1, got {d}")
     if d > max_d:
@@ -193,25 +193,28 @@ def build_table(d, cache_dir=None, max_d=MAX_TABLE_D):
         )
     if d in _table_memo:
         table = _table_memo[d]
-        if cache_dir and not os.path.exists(_cache_path(cache_dir, d)):
-            write_atomic(_cache_path(cache_dir, d), table.to_text())
+        if cache_dir and (d, cache_dir) not in _files_checked:
+            if not os.path.exists(_cache_path(cache_dir, d)):
+                write_atomic(_cache_path(cache_dir, d), table.to_text())
+            _files_checked.add((d, cache_dir))
         return table
 
     table = None
+    parts = tuple(partitions_of(d))
     if cache_dir:
         path = _cache_path(cache_dir, d)
         if os.path.exists(path):
             try:
                 with open(path, encoding="utf-8") as fh:
                     candidate = CharacterTable.from_text(fh.read())
-                if candidate.d == d and candidate.partitions == tuple(partitions_of(d)):
+                if candidate.d == d and candidate.partitions == parts:
+                    _check_known_columns(candidate)
                     candidate.verify()
                     table = candidate
             except (DomainError, ConsistencyError, ValueError):
                 table = None  # stale or corrupt cache: rebuild below
 
     if table is None:
-        parts = tuple(partitions_of(d))
         entries = tuple(
             tuple(character(nu, mu) for mu in parts) for nu in parts
         )
@@ -221,4 +224,20 @@ def build_table(d, cache_dir=None, max_d=MAX_TABLE_D):
             write_atomic(_cache_path(cache_dir, d), table.to_text())
 
     _table_memo[d] = table
+    if cache_dir:
+        _files_checked.add((d, cache_dir))
     return table
+
+
+def _check_known_columns(table):
+    """Permuting the rows keeps the orthogonality relations, so pin each row to
+    its label: dim_irrep(nu) at the identity and dim * kappa(nu) / (d(d-1)) at
+    a transposition (the second-last class; the identity again for d = 1).
+    Labels sharing (dim, kappa) can still be swapped unnoticed."""
+    d, ident = table.d, table.partitions[-1]
+    trans = table.partitions[-2] if d > 1 else ident
+    for nu in table.partitions:
+        dim = dim_irrep(nu)
+        if (table.chi(nu, ident) != dim
+                or d * (d - 1) * table.chi(nu, trans) != dim * kappa(nu)):
+            raise ConsistencyError(f"cached row {nu} does not match its label")

@@ -318,6 +318,35 @@ def test_unparsable_table_is_a_cache_miss(capsys, cache):
         assert "(1,1,[1],0) 1/24" in fh.read()
 
 
+def test_swapped_chartable_rows_do_not_change_a_count(capsys, cache,
+                                                     monkeypatch):
+    # rows 3,1 and 2,1,1 share their dimension, and swapping them keeps row
+    # orthogonality; read from such a file, the burnside engine printed 164
+    import hurwitzlab.symgroup as sg
+
+    monkeypatch.setattr(sg, "_table_memo", {})
+    run_cli(capsys, "chartable", "--d", "4", "--cache-dir", cache)
+    path = os.path.join(cache, "chartable-04.txt")
+    with open(path) as fh:
+        fresh = fh.read()
+    lines = fresh.splitlines()
+    labels = lines[2][len("partitions="):].split(";")
+    i, j = 3 + labels.index("3,1"), 3 + labels.index("2,1,1")
+    lines[i], lines[j] = lines[j], lines[i]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    sg.CharacterTable.from_text("\n".join(lines)).verify()  # still orthogonal
+    monkeypatch.setattr(sg, "_table_memo", {})
+    query = ("hurwitz", "--euler", "0", "--partition", "4", "--cache-dir", cache)
+    code, out, _ = run_cli(capsys, *query, "--engine", "burnside")
+    assert code == 0
+    assert out.splitlines()[0] == "H = 160"
+    _, out, _ = run_cli(capsys, *query, "--engine", "dp")
+    assert out.splitlines()[0] == "H = 160"
+    with open(path) as fh:
+        assert fh.read() == fresh  # the rebuilt table replaced the file
+
+
 def test_run_config_rejects_unknown_keys():
     with pytest.raises(DomainError):
         RunConfig.from_dict({"dfs_node_budget": 10, "bogus": 1})

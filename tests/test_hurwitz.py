@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import factorial
 
@@ -216,7 +218,7 @@ def test_empty_profile_edges():
 
 
 def test_dp_equals_burnside_small():
-    for size in range(1, 6):
+    for size in range(1, 8):
         for mu in partitions_of(size):
             d, h = mu.size, mu.length
             for r in range(0, 9):
@@ -256,6 +258,29 @@ def test_series_truncation_drops_terms():
     assert (s * s).coefficient((2, 2), 2) == 0  # size 4 > 3 truncated
 
 
+def test_divisor_truncation_drops_non_divisors():
+    # for mu = (3,2,1,1), p_3^2 has size 6 <= 7 but cannot divide p_mu
+    s = HurwitzSeries(7, 2, divides=(3, 2, 1, 1))
+    s.set_coefficient((3,), 0, 1)  # r = 3
+    s.set_coefficient((1,), 0, 1)  # r = 1
+    square = s * s
+    assert square.coefficient((3, 3), 0) == 0
+    assert square.coefficient((3, 1), 0) == 2 * 4  # binom(4, 1) interleavings
+    assert square.coefficient((1, 1), 0) == 2
+    size_only = HurwitzSeries(7, 2, dict(s.coeffs))
+    assert (size_only * size_only).coefficient((3, 3), 0) == 20  # binom(6, 3)
+
+
+def test_series_with_different_truncations_do_not_combine():
+    a = HurwitzSeries.one(4, 2, divides=(2, 1, 1))
+    for b in (HurwitzSeries.one(4, 2), HurwitzSeries.one(4, 2, divides=(3, 1)),
+              HurwitzSeries.one(4, 3, divides=(2, 1, 1))):
+        for combine in (lambda x, y: x + y, lambda x, y: x * y,
+                        lambda x, y: x == y):
+            with pytest.raises(DomainError):
+                combine(a, b)
+
+
 def test_series_rejects_impossible_exponent():
     s = HurwitzSeries(4, 4)
     with pytest.raises(DomainError):
@@ -288,14 +313,25 @@ def test_exp_log_round_trip():
     assert again == s
 
 
+#: Divisor truncations of size 4 for the random series below.
+DIVIDES = [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
 @st.composite
-def unit_series(draw):
-    """Random series with constant term 1 and only admissible exponents."""
-    s = HurwitzSeries.one(4, 4)
+def unit_series(draw, divides=None):
+    """Random series with constant term 1 and only admissible exponents; with
+    ``divides``, only monomials dividing p_divides and that truncation."""
+    s = HurwitzSeries.one(4, 4, divides)
     n_terms = draw(st.integers(min_value=1, max_value=6))
     for _ in range(n_terms):
         size = draw(st.integers(min_value=1, max_value=4))
         mu = draw(st.sampled_from(partitions_of(size)))
+        if divides is not None:  # keep the part of mu that divides p_divides
+            mu = Partition(sorted((Counter(mu.parts) & Counter(divides))
+                                  .elements(), reverse=True))
+            if not mu.parts:
+                continue
+            size = mu.size
         e = draw(st.integers(min_value=-size, max_value=4))
         num = draw(st.integers(min_value=-6, max_value=6))
         den = draw(st.integers(min_value=1, max_value=4))
@@ -324,8 +360,8 @@ def _power_sum(t, coefficient_of_power):
     """sum_k c_k t^k from * and + alone: the power-series definition that the
     weight-by-weight log and exp must reproduce.  Every term of t has weight
     e + 2|mu| >= 1, so the powers vanish past the top weight."""
-    acc = HurwitzSeries(t.max_size, t.max_exp)
-    power = HurwitzSeries.one(t.max_size, t.max_exp)
+    acc = HurwitzSeries(t.max_size, t.max_exp, divides=t.divides)
+    power = HurwitzSeries.one(t.max_size, t.max_exp, t.divides)
     for k in range(1, t.max_exp + 2 * t.max_size + 2):
         power = power * t
         acc = acc + coefficient_of_power(k) * power
@@ -341,6 +377,14 @@ def test_log_and_exp_match_their_power_series(s):
     assert s.log() == _power_sum(t, lambda k: F((-1) ** (k + 1), k))
     assert t.exp() == HurwitzSeries.one(s.max_size, s.max_exp) + _power_sum(
         t, lambda k: F(1, factorial(k)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(DIVIDES).flatmap(unit_series))
+def test_log_exp_round_trip_divisor_truncated(s):
+    assert s.log().exp() == s
+    t = s - HurwitzSeries.one(s.max_size, s.max_exp, s.divides)
+    assert s.log() == _power_sum(t, lambda k: F((-1) ** (k + 1), k))
 
 
 @pytest.mark.parametrize("key", [((), -1), ((1,), -2), ((3,), -4)])
@@ -373,6 +417,23 @@ def test_transform_cross_engine_small():
                 expected = connected_dfs(g, mu)
                 assert connected_via_transform(g, mu, "dp") == expected
                 assert connected_via_transform(g, mu, "burnside") == expected
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_divisor_truncated_transform_matches_size_only_and_dfs(size):
+    # the log read at p_mu is the same with or without the divisor truncation,
+    # and equals the character-free transitive count
+    burnside = cache(disconnected_burnside)
+    for mu in partitions_of(size):
+        for g in range(0, 3):
+            e = 2 * g - 2 + mu.length
+            series = disconnected_series(burnside, max_size=size, max_exp=e,
+                                         submultisets_of=mu)
+            assert series.divides == mu.parts
+            size_only = HurwitzSeries(size, e, dict(series.coeffs))
+            value = connected_via_transform(g, mu, burnside)
+            assert value == size_only.log().coefficient(mu, e), (g, mu)
+            assert value == connected_dfs(g, mu), (g, mu)
 
 
 def test_transform_rejects_empty_partition():

@@ -287,3 +287,27 @@ def test_failed_cache_write_keeps_previous_file(tmp_path, monkeypatch):
         build_table(4, cache_dir=str(tmp_path))
     assert path.read_text() == "previous contents\n"
     assert os.listdir(tmp_path) == ["chartable-04.txt"]
+
+
+def test_memo_hits_check_the_cache_file_once(tmp_path, monkeypatch):
+    import os
+
+    import hurwitzlab.symgroup as sg
+
+    monkeypatch.setattr(sg, "_table_memo", {})
+    monkeypatch.setattr(sg, "_files_checked", set())
+    first, second = tmp_path / "a", tmp_path / "b"
+    table = build_table(5, cache_dir=str(first))
+    stats = []
+    real_exists = os.path.exists
+    monkeypatch.setattr(os.path, "exists",
+                        lambda p: stats.append(p) or real_exists(p))
+    for _ in range(3):
+        assert build_table(5, cache_dir=str(first)) is table
+    assert stats == []
+    # a new cache dir is checked once, and its missing file is written
+    for _ in range(3):
+        assert build_table(5, cache_dir=str(second)) is table
+    assert stats.count(str(second / "chartable-05.txt")) == 1
+    assert CharacterTable.from_text(
+        (second / "chartable-05.txt").read_text()) == table
