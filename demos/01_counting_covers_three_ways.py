@@ -6,8 +6,9 @@ in S_d multiplying to a fixed permutation of cycle type mu.  This script
 computes the same counts by
 
   * a direct count of transitive transposition tuples (connected covers),
-  * convolving the transposition indicator vector in the group algebra
-    (disconnected covers, no representation theory), and
+  * the cut-and-join recursion on cycle types, where one transposition
+    joins two cycles or cuts one (disconnected covers, no representation
+    theory), and
   * the character sum over irreducibles (disconnected covers again),
 
 then splices the two disconnected engines through the exp/log transform and
@@ -40,7 +41,7 @@ for nu, row in zip(table.partitions, table.entries):
 print()
 
 print("Connected cover counts H(genus, mu), three routes each:")
-print(f"{'genus':>5} {'mu':>8} {'direct count':>14} {'convolution':>13} {'characters':>12}")
+print(f"{'genus':>5} {'mu':>8} {'direct count':>14} {'cut-and-join':>13} {'characters':>12}")
 for mu in [Partition([3]), Partition([2, 1]), Partition([1, 1, 1]), Partition([2, 2])]:
     for g in (0, 1):
         r = 2 * g - 2 + mu.size + mu.length
@@ -54,7 +55,7 @@ for mu in [Partition([3]), Partition([2, 1]), Partition([1, 1, 1]), Partition([2
 print()
 
 print("Disconnected counts carry an Euler-characteristic grading; the")
-print("convolution and character engines agree term by term:")
+print("cut-and-join and character engines agree term by term:")
 mu = Partition([3])
 for chi in (2, 0, -2):
     dp = disconnected_dp(chi, mu)

@@ -1,8 +1,8 @@
 """Exact branched-cover counts and the intersection numbers behind them.
 
 Everything is rational arithmetic: covering-surface counts come from three
-independent engines (a direct count of transitive factorizations,
-group-algebra convolution, and character sums), linear Hodge integrals are
+independent engines (a direct count of transitive factorizations, the
+cut-and-join recursion on cycle types, and character sums), linear Hodge integrals are
 extracted from those counts by exact polynomial interpolation, and a symbolic
 rank-one localization toolkit re-derives the bridge identity term by term.  Every number is produced by at
 least two independent routes and the routes must agree exactly.

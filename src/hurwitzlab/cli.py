@@ -27,13 +27,12 @@ from .hurwitz import (
     BURNSIDE_MAX_D,
     DFS_NODE_BUDGET,
     DP_MAX_D,
+    _engine_callable,
     connected_dfs,
     connected_via_transform,
-    disconnected_burnside,
-    disconnected_dp,
 )
 from .partitions import Partition
-from .symgroup import build_table, write_atomic
+from .symgroup import build_table, compute_table, write_atomic
 from .verify import run_suite
 
 CACHE_ENV_VAR = "HURWITZLAB_CACHE_DIR"
@@ -108,7 +107,8 @@ def _build_parser():
     common.add_argument("--budget-dfs-nodes", type=int, default=DFS_NODE_BUDGET,
                         help="budget of visited states for the dfs engine")
     common.add_argument("--budget-dp-max-d", type=int, default=DP_MAX_D,
-                        help="largest degree for the convolution engine")
+                        help="largest degree for the dp engine "
+                             "(cycle-type recursion)")
     common.add_argument("--budget-burnside-max-d", type=int,
                         default=BURNSIDE_MAX_D,
                         help="largest degree for the character-sum engine")
@@ -188,18 +188,18 @@ def _emit(record, config, text_lines):
 
 def _run_query(engine, genus, euler, mu, config):
     d, h = mu.size, mu.length
+    engine_opts = {
+        "dp_max_d": config.dp_max_d,
+        "burnside_max_d": config.burnside_max_d,
+        "cache_dir": config.cache_dir,
+    }
     started = time.perf_counter()
     if genus is not None:
         r = 2 * genus - 2 + d + h
         if engine == "dfs":
             value = connected_dfs(genus, mu, node_budget=config.dfs_node_budget)
         else:
-            value = connected_via_transform(
-                genus, mu, engine,
-                dp_max_d=config.dp_max_d,
-                burnside_max_d=config.burnside_max_d,
-                cache_dir=config.cache_dir,
-            )
+            value = connected_via_transform(genus, mu, engine, **engine_opts)
     else:
         r = -euler + d + h
         if engine == "dfs":
@@ -207,13 +207,7 @@ def _run_query(engine, genus, euler, mu, config):
                 "the dfs engine counts connected covers; "
                 "use --genus with it, or pick dp/burnside for --euler"
             )
-        if engine == "dp":
-            value = disconnected_dp(euler, mu, max_d=config.dp_max_d)
-        else:
-            value = disconnected_burnside(
-                euler, mu, max_d=config.burnside_max_d,
-                cache_dir=config.cache_dir,
-            )
+        value = _engine_callable(engine, **engine_opts)(euler, mu)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     record = {
         "result": str(value),
@@ -455,9 +449,9 @@ def _cmd_export(args, config):
     else:
         if args.degree is None:
             raise DomainError("--what chartable needs --d")
-        table = build_table(args.degree, cache_dir=config.cache_dir,
-                            max_d=config.burnside_max_d)
-        document = table.to_text()
+        # computed afresh: a cached table is only checked up to rows that
+        # share (dim, kappa), and those rows would print swapped
+        document = compute_table(args.degree, config.burnside_max_d).to_text()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(document)

@@ -291,16 +291,15 @@ def _char_poly(ws, scale):
     return out
 
 
-def grr_localization_check(fixed_points, claimed, method="exact", order=12):
+def grr_localization_check(fixed_points, claimed):
     """Verify the fixed-point expression for a pushforward character:
 
         sum_j (sum_l e^(y_jl)) / prod_k (1 - e^(-x_jk))  ==  claimed character
 
     ``fixed_points`` is a list of (tangent, fiber) weight multisets;
-    ``claimed`` is the virtual multiset H0 - H1.  The exact method
-    substitutes q = e^(u/D) with D the common weight denominator and compares
-    cleared-out Laurent polynomials in q; the series method (diagnostics)
-    expands both sides as truncated series in u.
+    ``claimed`` is the virtual multiset H0 - H1.  Both sides are compared
+    exactly: substitute q = e^(u/D) with D the common weight denominator and
+    compare cleared-out Laurent polynomials in q.
     """
     for tangent, fiber in fixed_points:
         for w, m in tangent.items():
@@ -310,14 +309,6 @@ def grr_localization_check(fixed_points, claimed, method="exact", order=12):
                 raise DomainError(
                     "invalid fixed point: tangent multiplicities must be positive"
                 )
-    if method == "exact":
-        return _grr_check_exact(fixed_points, claimed)
-    if method == "series":
-        return _grr_check_series(fixed_points, claimed, order)
-    raise DomainError(f"unknown GRR check method {method!r}")
-
-
-def _grr_check_exact(fixed_points, claimed):
     scale = _weight_denominator(fixed_points, claimed)
     numerators, denominators = [], []
     for tangent, fiber in fixed_points:
@@ -340,64 +331,6 @@ def _grr_check_exact(fixed_points, claimed):
     for den in denominators:
         rhs = rhs * den
     return lhs == rhs
-
-
-def _series_mul(a, b, order):
-    return sparse.mul(a, b, lambda e1, e2: e1 + e2 if e1 + e2 <= order else None)
-
-
-def _series_exp_term(c, order):
-    """e^(c*u) as a truncated series dict."""
-    out, term = {}, Fraction(1)
-    for n in range(order + 1):
-        if term:
-            out[n] = term
-        term = term * c / (n + 1)
-    return out
-
-
-def _char_series(ws, order):
-    """sum of mult * e^(w u) as a truncated series dict."""
-    out = {}
-    for w, m in ws.items():
-        out = sparse.add(out, sparse.scale(_series_exp_term(w, order), m))
-    return out
-
-
-def _series_reciprocal_one_plus(a, order):
-    """Reciprocal of a series with constant term 1."""
-    out = {0: Fraction(1)}
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            acc += a.get(k, Fraction(0)) * out.get(n - k, Fraction(0))
-        if acc:
-            out[n] = -acc
-    return out
-
-
-def _grr_check_series(fixed_points, claimed, order):
-    max_tangent = max(len(t) for t, _ in fixed_points)
-    work = order + max_tangent + 1
-    lhs = {}
-    for tangent, fiber in fixed_points:
-        term = _char_series(fiber, work)
-        for w, m in tangent.items():
-            # 1 - e^(-w u) = w u * g(u) with g(0) = 1
-            g = {
-                n: Fraction((-1) ** n) * w**n / factorial(n + 1)
-                for n in range(work + 1)
-            }
-            inv_g = _series_reciprocal_one_plus(g, work)
-            for _ in range(m):
-                term = _series_mul(term, inv_g, work)
-                term = {e - 1: c / w for e, c in term.items()}
-        lhs = sparse.add(lhs, term)
-    rhs = _char_series(claimed, work)
-    for e in range(min(min(lhs, default=0), 0), order + 1):
-        if lhs.get(e, Fraction(0)) != rhs.get(e, Fraction(0)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ Three independent engines compute the same numbers:
   at a time over (pending product, component labels) states: the
   Goulden-Jackson cut-and-join recursion at the level of permutations
   (connected covers, graded by genus; character-free);
-* ``disconnected_dp`` -- repeated convolution of the transposition class sum
-  in the group algebra, as a plain vector over all d! permutations
-  (disconnected covers, graded by Euler characteristic; character-free);
+* ``disconnected_dp`` -- the same cut-and-join recursion on cycle types,
+  one vector over the p(d) classes per factor (disconnected covers, graded
+  by Euler characteristic; character-free);
 * ``disconnected_burnside`` -- the character sum over irreducibles, with the
   transposition class acting through half the kappa statistic.
 
@@ -19,7 +19,9 @@ logarithm in Newton-polynomial variables.
 Conventions: the reference permutation for cycle type mu is the one with the
 cycles (1..mu_1)(mu_1+1..mu_1+mu_2)...; products compose right-to-left, i.e.
 the product sigma_1 ... sigma_r applies sigma_r first.  Counts are class
-functions, so neither choice affects any result (and the tests check both).
+functions, so neither choice affects any result: the tests run
+``connected_dfs`` in both conventions, and pin ``disconnected_dp`` to a
+permutation-level convolution in both.
 
 Note on the character-sum grading: the classical identity packages the tuple
 counts as an exponential generating series (a lambda^r / r! per count), while
@@ -29,12 +31,11 @@ lambda^(-d) -- so this module commits to the coefficient-level identity, which
 ``disconnected_dp`` verifies exactly.
 """
 
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial
 
 from . import sparse
@@ -42,26 +43,17 @@ from .errors import DomainError, ResourceLimitError
 from .partitions import Partition, kappa, partitions_of, z
 from .symgroup import MAX_TABLE_D, build_table
 
-logger = logging.getLogger(__name__)
-
 #: Default budgets, also the CLI defaults; every engine accepts overrides.
-#: The DFS budget counts the states ``connected_dfs`` visits.
+#: The DFS budget counts the states ``connected_dfs`` visits.  The dp
+#: recursion to r = 2d takes 0.02 s at d = 14 and 0.16 s at d = 20 (cold, one
+#: core), doubling every two degrees.
 DFS_NODE_BUDGET = 10**8
-DP_MAX_D = 7
+DP_MAX_D = 20
 BURNSIDE_MAX_D = MAX_TABLE_D
 
 
 # ---------------------------------------------------------------------------
 # permutation plumbing (tuples mapping i -> p[i] on {0, ..., d-1})
-
-def identity_perm(d):
-    return tuple(range(d))
-
-
-def compose(a, b):
-    """Right-to-left composition: (a o b)(x) = a(b(x))."""
-    return tuple(a[x] for x in b)
-
 
 def invert_perm(p):
     out = [0] * len(p)
@@ -111,16 +103,6 @@ def canonical_representative(mu):
             out[start + k] = start + (k + 1) % part
         start += part
     return tuple(out)
-
-
-def transpositions(d):
-    """All transpositions of {0..d-1} as (permutation, (i, j)) pairs."""
-    out = []
-    for i, j in combinations(range(d), 2):
-        p = list(range(d))
-        p[i], p[j] = j, i
-        out.append((tuple(p), (i, j)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,79 +204,77 @@ def _transitive_count(d, r, sigma, node_budget, composition):
 
 
 # ---------------------------------------------------------------------------
-# engine 2: group-algebra convolution
+# engines 2 and 3: disconnected counts
 
-@dataclass
-class _DPState:
-    perms: list
-    index: dict
-    moves: list           # moves[t][p] = index of perms[p] * transposition t
-    vectors: list = field(default_factory=list)
-
-
-_dp_states = {}
-
-
-def _dp_state(d, composition):
-    key = (d, composition)
-    state = _dp_states.get(key)
-    if state is None:
-        perms = list(permutations(range(d)))
-        index = {p: i for i, p in enumerate(perms)}
-        moves = []
-        for t_perm, _ in transpositions(d):
-            if composition == "rl":
-                moves.append([index[compose(p, t_perm)] for p in perms])
-            else:
-                moves.append([index[compose(t_perm, p)] for p in perms])
-        state = _DPState(perms=perms, index=index, moves=moves)
-        state.vectors.append([0] * len(perms))
-        state.vectors[0][index[identity_perm(d)]] = 1
-        _dp_states[key] = state
-    return state
-
-
-def _factorization_count_dp(d, r, target, composition):
-    state = _dp_state(d, composition)
-    while len(state.vectors) <= r:
-        prev = state.vectors[-1]
-        nxt = [0] * len(state.perms)
-        for move in state.moves:
-            for p, v in enumerate(prev):
-                if v:
-                    nxt[move[p]] += v
-        state.vectors.append(nxt)
-    return state.vectors[r][state.index[target]]
-
-
-def disconnected_dp(chi, mu, max_d=DP_MAX_D, composition="rl"):
-    """Disconnected cover count for Euler characteristic ``chi`` and profile
-    ``mu``, by r-fold convolution of the transposition indicator vector in the
-    group algebra (no transitivity condition, no characters).
-
-    r = -chi + |mu| + len(mu).  The count vanishes unless chi is even (the
-    sign of a product of r transpositions must match the sign of the class
-    representative); odd chi returns 0.
-    """
+def _disconnected(chi, mu, max_d, budget, tuple_count):
+    """The guard both disconnected engines share: r = -chi + |mu| + len(mu)
+    must be nonnegative; odd chi gives 0 (the sign of a product of r
+    transpositions must match the sign of the class); d is capped at
+    ``max_d``; the empty profile has one cover, at r = 0.  Otherwise the
+    count is ``tuple_count(d, r, mu)`` / z(mu)."""
     d, h = mu.size, mu.length
     r = -chi + d + h
     if r < 0:
         raise DomainError(f"invalid query: r = -chi+|mu|+len(mu) = {r} < 0")
     if chi % 2 != 0:
-        logger.debug("odd Euler characteristic %s: count is 0 by sign parity", chi)
         return Fraction(0)
     if d > max_d:
-        raise ResourceLimitError(
-            f"group-algebra DP budget is d <= {max_d}, got d = {d}"
-        )
-    if composition not in ("rl", "lr"):
-        raise DomainError(f"unknown composition convention {composition!r}")
-    count = _factorization_count_dp(d, r, canonical_representative(mu), composition)
-    return Fraction(count, z(mu))
+        raise ResourceLimitError(f"{budget} budget is d <= {max_d}, got d = {d}")
+    if d == 0:
+        return Fraction(1 if r == 0 else 0)
+    return Fraction(tuple_count(d, r, mu), z(mu))
 
 
-# ---------------------------------------------------------------------------
-# engine 3: character sum
+@lru_cache(maxsize=None)
+def _neighbours(parts):
+    """The cycle types sigma * t over the transpositions t, for a fixed sigma
+    of cycle type ``parts``, as (parts, number of t) pairs: t joins cycles of
+    lengths a and b in a * b ways, and cuts a cycle of length a into
+    {k, a - k} in a ways, a / 2 when k = a - k."""
+    out = Counter()
+    for i, a in enumerate(parts):
+        rest = parts[:i] + parts[i + 1:]
+        for k in range(1, a // 2 + 1):
+            out[tuple(sorted(rest + (k, a - k), reverse=True))] += (
+                a // 2 if 2 * k == a else a)
+        for j in range(i + 1, len(parts)):
+            b = parts[j]
+            joined = parts[:i] + parts[i + 1:j] + parts[j + 1:] + (a + b,)
+            out[tuple(sorted(joined, reverse=True))] += a * b
+    return tuple(out.items())
+
+
+_class_vectors = {}  # d -> [N_0, N_1, ...], each {parts: tuple count}
+
+
+def _class_tuple_count(d, r, mu):
+    """N_r(mu), the number of r-tuples of transpositions whose product is a
+    fixed permutation of type ``mu``: N_0(mu) = [mu = 1^d] and
+    N_r(mu) = sum over the neighbours nu of mu of m(mu -> nu) N_(r-1)(nu)."""
+    vectors = _class_vectors.get(d)
+    if vectors is None:
+        classes = [p.parts for p in partitions_of(d)]
+        vectors = _class_vectors[d] = [dict.fromkeys(classes, 0)]
+        vectors[0][(1,) * d] = 1
+    while len(vectors) <= r:
+        prev = vectors[-1]
+        vectors.append({
+            parts: sum(m * prev[nu] for nu, m in _neighbours(parts))
+            for parts in prev
+        })
+    return vectors[r][mu.parts]
+
+
+def disconnected_dp(chi, mu, max_d=DP_MAX_D):
+    """Disconnected cover count for Euler characteristic ``chi`` and profile
+    ``mu``: the number of r-tuples of transpositions with product a fixed
+    permutation of type mu, r = -chi + |mu| + len(mu), divided by z(mu).
+    The tuples are counted by the cut-and-join recursion on cycle types
+    (``_class_tuple_count``): no permutations, no transitivity condition,
+    no characters."""
+    return _disconnected(chi, mu, max_d, "cycle-type recursion",
+                         _class_tuple_count)
+
 
 def disconnected_burnside(chi, mu, max_d=BURNSIDE_MAX_D, cache_dir=None):
     """Disconnected cover count as a character sum: the same tuple count as
@@ -304,23 +284,13 @@ def disconnected_burnside(chi, mu, max_d=BURNSIDE_MAX_D, cache_dir=None):
                                          * chi_nu(C_mu)
 
     with r = -chi + |mu| + len(mu)."""
-    d, h = mu.size, mu.length
-    r = -chi + d + h
-    if r < 0:
-        raise DomainError(f"invalid query: r = -chi+|mu|+len(mu) = {r} < 0")
-    if chi % 2 != 0:
-        logger.debug("odd Euler characteristic %s: count is 0 by sign parity", chi)
-        return Fraction(0)
-    if d > max_d:
-        raise ResourceLimitError(
-            f"character-sum budget is d <= {max_d}, got d = {d}"
-        )
-    if d == 0:
-        return Fraction(1 if r == 0 else 0)
-    table = build_table(d, cache_dir=cache_dir, max_d=max_d)
-    total = sum((kappa(nu) // 2)**r * table.dim(nu) * table.chi(nu, mu)
-                for nu in table.partitions)
-    return Fraction(total, factorial(d) * z(mu))
+    def tuple_count(d, r, mu):
+        table = build_table(d, cache_dir=cache_dir, max_d=max_d)
+        total = sum((kappa(nu) // 2)**r * table.dim(nu) * table.chi(nu, mu)
+                    for nu in table.partitions)
+        return Fraction(total, factorial(d))
+
+    return _disconnected(chi, mu, max_d, "character-sum", tuple_count)
 
 
 # ---------------------------------------------------------------------------

@@ -179,18 +179,34 @@ def _cache_path(cache_dir, d):
     return os.path.join(cache_dir, f"chartable-{d:02d}.txt")
 
 
-def build_table(d, cache_dir=None, max_d=MAX_TABLE_D):
-    """Build (or load from cache) the full character table for degree ``d``.
-
-    Idempotent; the orthogonality relations are verified before the table is
-    returned or written, and a cached table must match its identity and
-    transposition columns (``_check_known_columns``) too."""
+def _check_degree(d, max_d):
     if d < 1:
         raise DomainError(f"character tables need d >= 1, got {d}")
     if d > max_d:
         raise ResourceLimitError(
             f"character table budget is d <= {max_d}, got d = {d}"
         )
+
+
+def compute_table(d, max_d=MAX_TABLE_D):
+    """The character table for degree ``d``, computed by Murnaghan-Nakayama
+    and verified by the orthogonality relations; it reads no memo and no
+    cache file."""
+    _check_degree(d, max_d)
+    parts = tuple(partitions_of(d))
+    entries = tuple(tuple(character(nu, mu) for mu in parts) for nu in parts)
+    table = CharacterTable(d=d, partitions=parts, entries=entries)
+    table.verify()
+    return table
+
+
+def build_table(d, cache_dir=None, max_d=MAX_TABLE_D):
+    """Build (or load from cache) the full character table for degree ``d``.
+
+    Idempotent; the orthogonality relations are verified before the table is
+    returned or written, and a cached table must match its identity and
+    transposition columns (``_check_known_columns``) too."""
+    _check_degree(d, max_d)
     if d in _table_memo:
         table = _table_memo[d]
         if cache_dir and (d, cache_dir) not in _files_checked:
@@ -215,11 +231,7 @@ def build_table(d, cache_dir=None, max_d=MAX_TABLE_D):
                 table = None  # stale or corrupt cache: rebuild below
 
     if table is None:
-        entries = tuple(
-            tuple(character(nu, mu) for mu in parts) for nu in parts
-        )
-        table = CharacterTable(d=d, partitions=parts, entries=entries)
-        table.verify()
+        table = compute_table(d, max_d)
         if cache_dir:
             write_atomic(_cache_path(cache_dir, d), table.to_text())
 

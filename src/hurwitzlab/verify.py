@@ -116,7 +116,7 @@ def _admissible_r(mu, r_max):
 
 
 def engine_agreement_checks(cache_dir=None):
-    """Three-way agreement: direct count, convolution + transform, character
+    """Three-way agreement: direct count, cut-and-join + transform, character
     sum + transform, for every profile of size <= 5 and admissible r <= 6."""
     out = []
     for size in range(1, 6):

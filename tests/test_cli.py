@@ -5,6 +5,7 @@ import pytest
 
 from hurwitzlab.cli import RunConfig, main
 from hurwitzlab.errors import DomainError
+from hurwitzlab.hurwitz import DP_MAX_D
 
 
 def run_cli(capsys, *argv):
@@ -114,9 +115,24 @@ def test_usage_error_exits_one_not_two(capsys, cache):
 def test_resource_limit_exits_two(capsys, cache):
     code, _, err = run_cli(
         capsys, "hurwitz", "--euler", "0", "--partition", "8,8",
-        "--engine", "dp", "--cache-dir", cache,
+        "--engine", "dp", "--budget-dp-max-d", "7", "--cache-dir", cache,
     )
     assert code == 2 and "d <= 7" in err
+    code, _, err = run_cli(
+        capsys, "hurwitz", "--euler", "0", "--partition", str(DP_MAX_D + 1),
+        "--engine", "dp", "--cache-dir", cache,
+    )
+    assert code == 2 and f"d <= {DP_MAX_D}" in err
+
+
+def test_dp_reaches_the_burnside_ceiling(capsys, cache):
+    query = ("hurwitz", "--euler", "0", "--partition", "7,7",
+             "--cache-dir", cache, "--format", "json")
+    code, dp, _ = run_cli(capsys, *query, "--engine", "dp")
+    assert code == 0
+    code, burnside, _ = run_cli(capsys, *query, "--engine", "burnside")
+    assert code == 0
+    assert json.loads(dp)["result"] == json.loads(burnside)["result"]
 
 
 def test_consistency_failure_exits_three(capsys, cache, monkeypatch):
@@ -345,6 +361,32 @@ def test_swapped_chartable_rows_do_not_change_a_count(capsys, cache,
     assert out.splitlines()[0] == "H = 160"
     with open(path) as fh:
         assert fh.read() == fresh  # the rebuilt table replaced the file
+
+
+def test_export_chartable_ignores_a_swapped_cache(capsys, cache, monkeypatch):
+    # rows 7,1^5 and 4,4,4 share (dim, kappa), so the load check of a cached
+    # table lets them through swapped; export printed that file as it was
+    import hurwitzlab.symgroup as sg
+
+    monkeypatch.setattr(sg, "_table_memo", {})
+    monkeypatch.setattr(sg, "_files_checked", set())
+    run_cli(capsys, "chartable", "--d", "12", "--cache-dir", cache)
+    path = os.path.join(cache, "chartable-12.txt")
+    with open(path) as fh:
+        fresh = fh.read()
+    lines = fresh.splitlines()
+    labels = lines[2][len("partitions="):].split(";")
+    i, j = 3 + labels.index("7,1,1,1,1,1"), 3 + labels.index("4,4,4")
+    lines[i], lines[j] = lines[j], lines[i]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    monkeypatch.setattr(sg, "_table_memo", {})
+    monkeypatch.setattr(sg, "_files_checked", set())
+    code, out, _ = run_cli(
+        capsys, "export", "--what", "chartable", "--d", "12", "--cache-dir", cache,
+    )
+    assert code == 0
+    assert out == fresh
 
 
 def test_run_config_rejects_unknown_keys():

@@ -128,21 +128,10 @@ def test_grr_line_and_cover_grids():
                 assert grr_localization_check(fp, h0 - h1), (k, a, d)
 
 
-def test_grr_series_mode_agrees():
-    fp = fixed_point_weights_cover(1, -2, 3)
-    h0, h1 = pushforward_char_cover(-2, 1, 3)
-    assert grr_localization_check(fp, h0 - h1, method="series")
-    assert grr_localization_check(fp, h0 - h1, method="series", order=20)
-
-
 def test_grr_rejects_perturbed_claim():
     fp = fixed_point_weights_p1(0, 1)
     h0, h1 = pushforward_char_p1(1, 0)
     assert grr_localization_check(fp, (h0 - h1) + WeightMultiset({7: 1})) is False
-    assert (
-        grr_localization_check(fp, (h0 - h1) + WeightMultiset({7: 1}), method="series")
-        is False
-    )
 
 
 def test_grr_zero_tangent_weight_rejected():

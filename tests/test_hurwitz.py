@@ -1,7 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 import pytest
@@ -11,7 +11,6 @@ from hurwitzlab.errors import DomainError, ResourceLimitError
 from hurwitzlab.hurwitz import (
     HurwitzSeries,
     canonical_representative,
-    compose,
     connected_dfs,
     connected_from_disconnected,
     connected_via_transform,
@@ -20,10 +19,8 @@ from hurwitzlab.hurwitz import (
     disconnected_burnside,
     disconnected_dp,
     disconnected_series,
-    identity_perm,
     invert_perm,
     phi_series,
-    transpositions,
 )
 from hurwitzlab.partitions import Partition, aut_size, partitions_of, z
 
@@ -31,6 +28,34 @@ F = Fraction
 
 
 # --- permutation plumbing ---------------------------------------------------
+
+
+def test_canonical_representative_cycles_in_order():
+    rep = canonical_representative(Partition([3, 2]))
+    assert rep == (1, 2, 0, 4, 3)
+    assert cycle_type(rep) == Partition([3, 2])
+
+
+# --- brute-force oracle for tuple counts ------------------------------------
+
+
+def identity_perm(d):
+    return tuple(range(d))
+
+
+def compose(a, b):
+    """Right-to-left composition: (a o b)(x) = a(b(x))."""
+    return tuple(a[x] for x in b)
+
+
+def transpositions(d):
+    """All transpositions of {0..d-1} as (permutation, (i, j)) pairs."""
+    out = []
+    for i, j in combinations(range(d), 2):
+        p = list(range(d))
+        p[i], p[j] = j, i
+        out.append((tuple(p), (i, j)))
+    return out
 
 
 def test_compose_is_right_to_left():
@@ -46,17 +71,8 @@ def test_inverse_and_cycle_type():
     assert cycle_type(p) == Partition([3, 2])
 
 
-def test_canonical_representative_cycles_in_order():
-    rep = canonical_representative(Partition([3, 2]))
-    assert rep == (1, 2, 0, 4, 3)
-    assert cycle_type(rep) == Partition([3, 2])
-
-
 def test_transpositions_count():
     assert len(transpositions(5)) == 10
-
-
-# --- brute-force oracle for tuple counts ------------------------------------
 
 
 def brute_counts(d, r, sigma):
@@ -150,13 +166,37 @@ def test_composition_convention_invariance(size):
             assert connected_dfs(g, mu, composition="rl") == connected_dfs(
                 g, mu, composition="lr"
             )
-        for r in range(0, 7):
-            if (r - d - h) % 2:
-                continue
-            chi = d + h - r
-            assert disconnected_dp(chi, mu, composition="rl") == disconnected_dp(
-                chi, mu, composition="lr"
-            )
+
+
+def convolution_counts(d, r_max, composition):
+    """The number of r-tuples of transpositions with each product, for
+    r = 0..r_max, as vectors over S_d: each step multiplies by every
+    transposition on the right ("rl") or on the left ("lr")."""
+    trans = [t for t, _ in transpositions(d)]
+    vector = {identity_perm(d): 1}
+    out = [vector]
+    for _ in range(r_max):
+        nxt = Counter()
+        for p, ways in vector.items():
+            for t in trans:
+                nxt[compose(p, t) if composition == "rl" else compose(t, p)] += ways
+        vector = nxt
+        out.append(vector)
+    return out
+
+
+@pytest.mark.parametrize("composition", ["rl", "lr"])
+@pytest.mark.parametrize("size", range(1, 6))
+def test_dp_matches_permutation_convolution(size, composition):
+    # the class recursion against the permutation-level definition, in both
+    # product conventions and at every r (odd chi included)
+    vectors = convolution_counts(size, 8, composition)
+    for mu in partitions_of(size):
+        d, h = mu.size, mu.length
+        sigma = canonical_representative(mu)
+        for r in range(0, 9):
+            expected = F(vectors[r].get(sigma, 0), z(mu))
+            assert disconnected_dp(d + h - r, mu) == expected, (mu, r)
 
 
 # --- disconnected engines ---------------------------------------------------
@@ -218,7 +258,7 @@ def test_empty_profile_edges():
 
 
 def test_dp_equals_burnside_small():
-    for size in range(1, 8):
+    for size in range(1, 13):
         for mu in partitions_of(size):
             d, h = mu.size, mu.length
             for r in range(0, 9):
