@@ -3,13 +3,16 @@
 Subcommands: hurwitz, hodge, elsv, verify, chartable, export.  Exit codes:
 0 success, 1 domain error, 2 resource limit, 3 internal consistency failure.
 Machine-readable output (json/csv) is byte-identical across runs for the same
-command, configuration, and cache state; timing is opt-in via --timing.
+command, configuration, and bracket-table file; timing is opt-in via
+--timing.  The cache directory holds only the default bracket table,
+hodge-table.txt: character values are computed on demand and never stored.
 """
 
 import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, fields
 
@@ -32,13 +35,29 @@ from .hurwitz import (
     connected_via_transform,
 )
 from .partitions import Partition
-from .symgroup import build_table, compute_table, write_atomic
+from .symgroup import build_table
 from .verify import run_suite
 
 CACHE_ENV_VAR = "HURWITZLAB_CACHE_DIR"
 
 ENGINES = ("dfs", "dp", "burnside")
 FORMATS = ("text", "json", "csv")
+
+
+def write_atomic(path, text):
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory and ``os.replace``, so a reader sees the old file or the new
+    one, never a partial write."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def default_cache_dir():
@@ -102,7 +121,8 @@ def _build_parser():
     common.add_argument("--format", default="text", choices=FORMATS,
                         help="output format (default text)")
     common.add_argument("--cache-dir", default="",
-                        help=f"cache directory (default ${CACHE_ENV_VAR} "
+                        help="directory of the default bracket table, "
+                             f"hodge-table.txt (default ${CACHE_ENV_VAR} "
                              "or ~/.cache/hurwitzlab)")
     common.add_argument("--budget-dfs-nodes", type=int, default=DFS_NODE_BUDGET,
                         help="budget of visited states for the dfs engine")
@@ -111,7 +131,8 @@ def _build_parser():
                              "(cycle-type recursion)")
     common.add_argument("--budget-burnside-max-d", type=int,
                         default=BURNSIDE_MAX_D,
-                        help="largest degree for the character-sum engine")
+                        help="largest degree for the character-sum engine, "
+                             "and for chartable and export --what chartable")
     common.add_argument("--timing", action="store_true",
                         help="include elapsed time in output (breaks "
                              "byte-for-byte determinism)")
@@ -147,7 +168,9 @@ def _build_parser():
                             "localization", "all"))
 
     p = sub.add_parser("chartable", parents=[common],
-                       help="build and cache a character table")
+                       help="build and verify a character table; its row "
+                            "check is O(p(d)^3): about 3 s at d = 18, "
+                            "10 s at d = 20")
     p.add_argument("--d", type=int, required=True, dest="degree")
 
     p = sub.add_parser("export", parents=[common],
@@ -191,7 +214,6 @@ def _run_query(engine, genus, euler, mu, config):
     engine_opts = {
         "dp_max_d": config.dp_max_d,
         "burnside_max_d": config.burnside_max_d,
-        "cache_dir": config.cache_dir,
     }
     started = time.perf_counter()
     if genus is not None:
@@ -308,16 +330,12 @@ def _load_table(path):
 
 def _invert_block(table, g, h, config):
     """Replace the (g, h) block of ``table`` by a fresh inversion."""
-    engine = burnside_engine(config.cache_dir, config.burnside_max_d)
+    engine = burnside_engine(config.burnside_max_d)
     result = elsv_inversion(g, h, hurwitz_engine=engine)
     table.drop(g, h)
     for bracket, value in result.brackets.items():
         table.add(bracket, value)
     return result
-
-
-def _save_table(table, path):
-    write_atomic(path, hodge_export(table))
 
 
 def _cmd_hodge(args, config):
@@ -329,7 +347,7 @@ def _cmd_hodge(args, config):
     path = _table_path(args, config)
     table = _load_table(path)
     result = _invert_block(table, args.genus, args.marks, config)
-    _save_table(table, path)
+    write_atomic(path, hodge_export(table))
 
     entries = sorted(result.brackets.items(), key=lambda kv: kv[0].sort_key())
     if config.output_format == "json":
@@ -369,7 +387,7 @@ def _cmd_elsv(args, config):
     if not (table.has_all_for(g, h) and elsv_evaluate(g, ones, table)
             == connected_dfs(g, ones, node_budget=config.dfs_node_budget)):
         _invert_block(table, g, h, config)
-        _save_table(table, path)
+        write_atomic(path, hodge_export(table))
     started = time.perf_counter()
     value = elsv_evaluate(g, mu, table)
     record = {
@@ -395,7 +413,7 @@ def _cmd_elsv(args, config):
 
 
 def _cmd_verify(args, config):
-    results = run_suite(args.suite, cache_dir=config.cache_dir)
+    results = run_suite(args.suite)
     if config.output_format == "json":
         print(json.dumps(
             [
@@ -418,21 +436,16 @@ def _cmd_verify(args, config):
 
 
 def _cmd_chartable(args, config):
-    table = build_table(args.degree, cache_dir=config.cache_dir,
-                        max_d=config.burnside_max_d)
-    record = {
-        "d": table.d,
-        "classes": len(table.partitions),
-        "cache_file": os.path.join(
-            config.cache_dir, f"chartable-{table.d:02d}.txt"
-        ),
-    }
+    table = build_table(args.degree, max_d=config.burnside_max_d)
+    # nothing is stored there, but scripts that prepared the cache directory
+    # with chartable (perfbench's set-up removes it afterwards) still find it
+    os.makedirs(config.cache_dir, exist_ok=True)
+    record = {"d": table.d, "classes": len(table.partitions)}
 
     def lines(rec):
         return [
             f"character table d = {rec['d']}: {rec['classes']} classes, "
             "row orthogonality verified",
-            f"cached at {rec['cache_file']}",
         ]
 
     _emit(record, config, lines)
@@ -449,12 +462,9 @@ def _cmd_export(args, config):
     else:
         if args.degree is None:
             raise DomainError("--what chartable needs --d")
-        # computed afresh: a cached table is only checked up to rows that
-        # share (dim, kappa), and those rows would print swapped
-        document = compute_table(args.degree, config.burnside_max_d).to_text()
+        document = build_table(args.degree, config.burnside_max_d).to_text()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(document)
+        write_atomic(args.output, document)
     else:
         sys.stdout.write(document)
     return 0

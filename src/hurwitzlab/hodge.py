@@ -300,14 +300,13 @@ class InversionResult:
     samples: dict        # profile -> engine value, for every profile queried
 
 
-def burnside_engine(cache_dir=None, max_d=BURNSIDE_MAX_D):
+def burnside_engine(max_d=BURNSIDE_MAX_D):
     """The default inversion engine: connected counts from the character-sum
     engine through the log transform.
 
     Each engine memoizes the disconnected counts by (chi, mu): the series of
     the grid points share most of them (every one holds p_1 and p_1^2)."""
-    disconnected = cache(partial(disconnected_burnside, max_d=max_d,
-                                 cache_dir=cache_dir))
+    disconnected = cache(partial(disconnected_burnside, max_d=max_d))
 
     def engine(g, mu):
         return connected_via_transform(g, mu, disconnected)

@@ -1,31 +1,28 @@
 """Exact irreducible characters of symmetric groups.
 
-Character values come from the Murnaghan-Nakayama recursion, implemented on
-beta-sets (first-column hook lengths): removing a border strip of size t from
-a shape is replacing a beta number b by b - t, and the strip height is the
-number of beta numbers jumped over.  Dimensions come from the hook length
-formula.  Everything is an exact integer; there is no floating point in this
-module.
+``column(mu)`` gives chi_nu(mu) for every irreducible nu at once, by the
+Murnaghan-Nakayama rule on beta-sets: p_mu is expanded in Schur functions one
+part k at a time, and adding a border strip of size k is moving a bead b to
+an empty b + k, with sign (-1)^(beads jumped over).  Each column is checked
+by exact relations before it is returned, and full tables are assembled from
+columns on demand.  Dimensions come from the hook length formula.
+Everything is an exact integer; there is no floating point in this module,
+and nothing is read from or written to disk.
 """
 
-import os
-import tempfile
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial, prod
 from operator import mul
 
 from .errors import ConsistencyError, DomainError, ResourceLimitError
-from .partitions import Partition, class_size, kappa, partitions_of
+from .partitions import Partition, class_size, kappa, partitions_of, z
 
-#: Practical ceiling on the symmetric group degree.  Tables beyond this are
-#: rejected rather than attempted; override per call if you know better.
+#: Default ceiling on the degree of a full table, whose row check costs
+#: O(p(d)^3); override per call if you know better.
 MAX_TABLE_D = 14
 
-_CACHE_HEADER = "hurwitzlab-chartable v1"
-
-_table_memo = {}
-_files_checked = set()  # (d, cache_dir) pairs whose cache file is known to exist
+_TEXT_HEADER = "hurwitzlab-chartable v1"
 
 
 def dim_irrep(nu):
@@ -44,29 +41,72 @@ def dim_irrep(nu):
 
 
 @lru_cache(maxsize=None)
-def _mn_character(shape, cycles):
-    # shape: weakly decreasing tuple without zeros; cycles: remaining cycle
-    # lengths to absorb, largest first.  Invariant: sum(shape) == sum(cycles).
-    if not cycles:
-        return 1
-    t, rest = cycles[0], cycles[1:]
-    m = len(shape)
-    beta = [shape[i] + m - 1 - i for i in range(m)]
-    taken = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - t
-        if nb < 0 or nb in taken:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        new_beta = sorted((c for c in beta if c != b), reverse=True)
-        new_beta.append(nb)
-        new_beta.sort(reverse=True)
-        new_shape = tuple(c - (m - 1 - i) for i, c in enumerate(new_beta))
-        while new_shape and new_shape[-1] == 0:
-            new_shape = new_shape[:-1]
-        total += (-1) ** height * _mn_character(new_shape, rest)
-    return total
+def irreps(d):
+    """The irreducible labels of S_d in ``partitions_of(d)`` order, as
+    (nu, dim_irrep(nu), kappa(nu)) triples."""
+    return tuple((nu, dim_irrep(nu), kappa(nu)) for nu in partitions_of(d))
+
+
+@lru_cache(maxsize=None)
+def _bead_masks(d):
+    """Each nu in ``partitions_of(d)`` as a beta-set on d beads: the bitmask
+    with bead nu_i + d - i for i = 1..d, the parts padded with zeros."""
+    return tuple(
+        sum(1 << (p + d - 1 - i)
+            for i, p in enumerate(nu.parts + (0,) * (d - nu.length)))
+        for nu in partitions_of(d)
+    )
+
+
+def _schur_coefficients(mu):
+    """The coefficients of p_mu in the Schur basis, in ``partitions_of``
+    order.  Starting from s_() (beads 0..d-1), each part k multiplies by p_k:
+    a bead b moves to an empty b + k with sign (-1)^(beads strictly
+    between).  Each step holds one dict of at most p(d) shapes."""
+    d = mu.size
+    shapes = {(1 << d) - 1: 1}
+    for k in mu.parts:
+        between = (1 << (k - 1)) - 1
+        step = {}
+        for mask, coef in shapes.items():
+            movable = mask & ~(mask >> k)
+            while movable:
+                low = movable & -movable
+                movable ^= low
+                shape = mask ^ low ^ (low << k)
+                jumped = (mask & ((between * low) << 1)).bit_count()
+                step[shape] = step.get(shape, 0) + (-coef if jumped & 1 else coef)
+        shapes = {mask: coef for mask, coef in step.items() if coef}
+    return tuple(shapes.get(mask, 0) for mask in _bead_masks(d))
+
+
+def column(mu):
+    """chi_nu(mu) for every nu of size d = |mu|, in ``partitions_of(d)``
+    order: p_mu = sum over nu of chi_nu(mu) s_nu (Murnaghan-Nakayama).
+
+    Before it is returned the column must satisfy, exactly,
+    sum chi_nu(mu)^2 = z(mu), sum dim_nu chi_nu(mu) = d! [mu = 1^d], and
+    sum dim_nu kappa(nu) chi_nu(mu) = d(d-1) z(mu) [mu = (2, 1^(d-2))].  The
+    first, like row orthogonality, holds for any order of the values; the
+    other two tie each value to its label."""
+    values = _schur_coefficients(mu)
+    d, length, z_mu = mu.size, mu.length, z(mu)
+    labels = irreps(d)
+    relations = (
+        ("sum of squares", sum(c * c for c in values), z_mu),
+        ("dimension", sum(dim * c for (_, dim, _), c in zip(labels, values)),
+         factorial(d) if length == d else 0),
+        ("transposition",
+         sum(dim * k * c for (_, dim, k), c in zip(labels, values)),
+         d * (d - 1) * z_mu if length == d - 1 else 0),
+    )
+    for name, got, want in relations:
+        if got != want:
+            raise ConsistencyError(
+                f"character column {mu} fails the {name} relation: "
+                f"{got} != {want}"
+            )
+    return values
 
 
 def character(nu, mu):
@@ -77,7 +117,7 @@ def character(nu, mu):
         raise DomainError(
             f"dimension mismatch: |nu| = {nu.size} but |mu| = {mu.size}"
         )
-    return _mn_character(nu.parts, mu.parts)
+    return column(mu)[partitions_of(mu.size).index(nu)]
 
 
 @dataclass(frozen=True)
@@ -132,7 +172,7 @@ class CharacterTable:
 
     def to_text(self):
         lines = [
-            _CACHE_HEADER,
+            _TEXT_HEADER,
             f"d={self.d}",
             "partitions=" + ";".join(str(p) for p in self.partitions),
         ]
@@ -142,10 +182,10 @@ class CharacterTable:
     @classmethod
     def from_text(cls, text):
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != _CACHE_HEADER:
-            raise DomainError("unrecognized character-table cache format")
+        if not lines or lines[0] != _TEXT_HEADER:
+            raise DomainError("unrecognized character-table format")
         if not lines[1].startswith("d=") or not lines[2].startswith("partitions="):
-            raise DomainError("malformed character-table cache")
+            raise DomainError("malformed character-table text")
         d = int(lines[1][2:])
         parts = tuple(
             Partition.from_string(tok)
@@ -155,101 +195,22 @@ class CharacterTable:
             tuple(int(tok) for tok in ln.split()) for ln in lines[3 : 3 + len(parts)]
         )
         if len(rows) != len(parts) or any(len(r) != len(parts) for r in rows):
-            raise DomainError("malformed character-table cache: bad matrix shape")
+            raise DomainError("malformed character-table text: bad matrix shape")
         return cls(d=d, partitions=parts, entries=rows)
 
 
-def write_atomic(path, text):
-    """Write ``text`` to ``path`` through a temporary file in the same
-    directory and ``os.replace``, so a reader sees the old file or the new
-    one, never a partial write."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _cache_path(cache_dir, d):
-    return os.path.join(cache_dir, f"chartable-{d:02d}.txt")
-
-
-def _check_degree(d, max_d):
+def build_table(d, max_d=MAX_TABLE_D):
+    """The full character table for degree ``d``, assembled from ``column``
+    and verified by the row orthogonality relations; it reads no memo and no
+    file."""
     if d < 1:
         raise DomainError(f"character tables need d >= 1, got {d}")
     if d > max_d:
         raise ResourceLimitError(
             f"character table budget is d <= {max_d}, got d = {d}"
         )
-
-
-def compute_table(d, max_d=MAX_TABLE_D):
-    """The character table for degree ``d``, computed by Murnaghan-Nakayama
-    and verified by the orthogonality relations; it reads no memo and no
-    cache file."""
-    _check_degree(d, max_d)
     parts = tuple(partitions_of(d))
-    entries = tuple(tuple(character(nu, mu) for mu in parts) for nu in parts)
+    entries = tuple(zip(*(column(mu) for mu in parts)))
     table = CharacterTable(d=d, partitions=parts, entries=entries)
     table.verify()
     return table
-
-
-def build_table(d, cache_dir=None, max_d=MAX_TABLE_D):
-    """Build (or load from cache) the full character table for degree ``d``.
-
-    Idempotent; the orthogonality relations are verified before the table is
-    returned or written, and a cached table must match its identity and
-    transposition columns (``_check_known_columns``) too."""
-    _check_degree(d, max_d)
-    if d in _table_memo:
-        table = _table_memo[d]
-        if cache_dir and (d, cache_dir) not in _files_checked:
-            if not os.path.exists(_cache_path(cache_dir, d)):
-                write_atomic(_cache_path(cache_dir, d), table.to_text())
-            _files_checked.add((d, cache_dir))
-        return table
-
-    table = None
-    parts = tuple(partitions_of(d))
-    if cache_dir:
-        path = _cache_path(cache_dir, d)
-        if os.path.exists(path):
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    candidate = CharacterTable.from_text(fh.read())
-                if candidate.d == d and candidate.partitions == parts:
-                    _check_known_columns(candidate)
-                    candidate.verify()
-                    table = candidate
-            except (DomainError, ConsistencyError, ValueError):
-                table = None  # stale or corrupt cache: rebuild below
-
-    if table is None:
-        table = compute_table(d, max_d)
-        if cache_dir:
-            write_atomic(_cache_path(cache_dir, d), table.to_text())
-
-    _table_memo[d] = table
-    if cache_dir:
-        _files_checked.add((d, cache_dir))
-    return table
-
-
-def _check_known_columns(table):
-    """Permuting the rows keeps the orthogonality relations, so pin each row to
-    its label: dim_irrep(nu) at the identity and dim * kappa(nu) / (d(d-1)) at
-    a transposition (the second-last class; the identity again for d = 1).
-    Labels sharing (dim, kappa) can still be swapped unnoticed."""
-    d, ident = table.d, table.partitions[-1]
-    trans = table.partitions[-2] if d > 1 else ident
-    for nu in table.partitions:
-        dim = dim_irrep(nu)
-        if (table.chi(nu, ident) != dim
-                or d * (d - 1) * table.chi(nu, trans) != dim * kappa(nu)):
-            raise ConsistencyError(f"cached row {nu} does not match its label")

@@ -75,19 +75,19 @@ _inversion_memo = {}
 _fresh_memo = {}
 
 
-def _inversion(g, h, cache_dir=None):
+def _inversion(g, h):
     key = (g, h)
     if key not in _inversion_memo:
         _inversion_memo[key] = elsv_inversion(
-            g, h, hurwitz_engine=burnside_engine(cache_dir)
+            g, h, hurwitz_engine=burnside_engine()
         )
     return _inversion_memo[key]
 
 
-def _fresh_samples(g, h, cache_dir=None):
+def _fresh_samples(g, h):
     key = (g, h)
     if key not in _fresh_memo:
-        grid = set(_inversion(g, h, cache_dir).grid)
+        grid = set(_inversion(g, h).grid)
         stream = sample_candidates(g, h)
         fresh = []
         while len(fresh) < FRESH_SAMPLES_PER_PAIR:
@@ -98,10 +98,10 @@ def _fresh_samples(g, h, cache_dir=None):
     return _fresh_memo[key]
 
 
-def _full_table(cache_dir=None):
+def _full_table():
     table = HodgeTable()
     for g, h in ROUND_TRIP_PAIRS:
-        for bracket, value in _inversion(g, h, cache_dir).brackets.items():
+        for bracket, value in _inversion(g, h).brackets.items():
             table.add(bracket, value)
     return table
 
@@ -115,7 +115,7 @@ def _admissible_r(mu, r_max):
     return [r for r in range(0, r_max + 1) if (r - d - h) % 2 == 0]
 
 
-def engine_agreement_checks(cache_dir=None):
+def engine_agreement_checks():
     """Three-way agreement: direct count, cut-and-join + transform, character
     sum + transform, for every profile of size <= 5 and admissible r <= 6."""
     out = []
@@ -129,9 +129,7 @@ def engine_agreement_checks(cache_dir=None):
                     continue
                 a = connected_dfs(g, mu)
                 b = connected_via_transform(g, mu, "dp")
-                c = connected_via_transform(
-                    g, mu, "burnside", cache_dir=cache_dir
-                )
+                c = connected_via_transform(g, mu, "burnside")
                 genera.append(g)
                 if not (a == b == c):
                     ok = False
@@ -152,7 +150,7 @@ def engine_agreement_checks(cache_dir=None):
     return out
 
 
-def disconnected_agreement_checks(cache_dir=None):
+def disconnected_agreement_checks():
     """Exact dp == character-sum for every profile of size <= 6, r <= 10,
     plus the two hand-countable anchor values."""
     out = []
@@ -163,7 +161,7 @@ def disconnected_agreement_checks(cache_dir=None):
             for r in _admissible_r(mu, 10):
                 chi = d + h - r
                 a = disconnected_dp(chi, mu)
-                b = disconnected_burnside(chi, mu, cache_dir=cache_dir)
+                b = disconnected_burnside(chi, mu)
                 if a != b:
                     mismatches.append((r, a, b))
             out.append(
@@ -185,7 +183,21 @@ def disconnected_agreement_checks(cache_dir=None):
     return out
 
 
-def grading_convention_checks(cache_dir=None):
+def _egf_coefficient(mu, r):
+    """The lambda^r coefficient at p_mu of the textbook character series:
+    sum over nu of chi_nu(mu)/z(mu) * (kappa(nu)/2)^r/r! * dim_nu/d!."""
+    table = build_table(mu.size)
+    return sum(
+        (
+            Fraction(table.chi(nu, mu) * (kappa(nu) // 2) ** r * table.dim(nu),
+                     z(mu) * factorial(r) * factorial(mu.size))
+            for nu in table.partitions
+        ),
+        Fraction(0),
+    )
+
+
+def grading_convention_checks():
     """The character-sum series in its textbook exponential form does not
     carry the Euler-characteristic grading: the degree-one probe differs by
     exactly lambda^(-d), and matching coefficients needs an r! rescale.  The
@@ -193,20 +205,9 @@ def grading_convention_checks(cache_dir=None):
     out = []
     # definitional side at d = 1: the only cover is the trivial one at r = 0
     defn = phi_series(Partition([1]), "dp", max_r=6)
-    char_side = {}  # exponent -> coefficient of the printed character series
-    table = build_table(1, cache_dir=cache_dir)
-    for r in range(0, 7):
-        coef = sum(
-            (
-                Fraction(table.chi(nu, Partition([1])), z(Partition([1])))
-                * Fraction((kappa(nu) // 2) ** r, factorial(r))
-                * Fraction(table.dim(nu), factorial(1))
-                for nu in table.partitions
-            ),
-            Fraction(0),
-        )
-        if coef:
-            char_side[r] = coef
+    # exponent -> coefficient of the printed character series
+    char_side = {r: c for r in range(0, 7)
+                 if (c := _egf_coefficient(Partition([1]), r))}
     shifted = {e - 1: c for e, c in char_side.items()}  # multiply by lambda^(-d)
     out.append(
         CheckResult(
@@ -216,24 +217,13 @@ def grading_convention_checks(cache_dir=None):
         )
     )
     # coefficient level: count identity H*(r) == r! * [EGF coefficient], d <= 3
-    ok = True
-    for size in range(1, 4):
-        for mu in partitions_of(size):
-            d, h = mu.size, mu.length
-            tab = build_table(d, cache_dir=cache_dir)
-            for r in _admissible_r(mu, 8):
-                egf = sum(
-                    (
-                        Fraction(tab.chi(nu, mu), z(mu))
-                        * Fraction((kappa(nu) // 2) ** r, factorial(r))
-                        * tab.dim(nu)
-                        / factorial(d)
-                        for nu in tab.partitions
-                    ),
-                    Fraction(0),
-                )
-                if disconnected_dp(d + h - r, mu) != factorial(r) * egf:
-                    ok = False
+    ok = all(
+        disconnected_dp(mu.size + mu.length - r, mu)
+        == factorial(r) * _egf_coefficient(mu, r)
+        for size in range(1, 4)
+        for mu in partitions_of(size)
+        for r in _admissible_r(mu, 8)
+    )
     out.append(
         CheckResult(
             "burnside", "coefficient-level identity (r! made explicit)", ok,
@@ -247,8 +237,8 @@ def grading_convention_checks(cache_dir=None):
 # elsv suite
 
 
-def seed_checks(cache_dir=None):
-    brackets = _inversion(0, 3, cache_dir).brackets
+def seed_checks():
+    brackets = _inversion(0, 3).brackets
     only = list(brackets.items())
     passed = (
         len(only) == 1
@@ -263,7 +253,7 @@ def seed_checks(cache_dir=None):
     ]
 
 
-def genus_one_checks(cache_dir=None):
+def genus_one_checks():
     out = []
     h11 = connected_dfs(1, Partition([1]))
     h12 = connected_dfs(1, Partition([2]))
@@ -273,7 +263,7 @@ def genus_one_checks(cache_dir=None):
             h11 == 0 and h12 == Fraction(1, 2), f"got {h11}, {h12}",
         )
     )
-    brackets = {str(b): v for b, v in _inversion(1, 1, cache_dir).brackets.items()}
+    brackets = {str(b): v for b, v in _inversion(1, 1).brackets.items()}
     forced = (
         brackets.get("(1,1,[1],0)") == Fraction(1, 24)
         and brackets.get("(1,1,[0],1)") == Fraction(1, 24)
@@ -284,10 +274,10 @@ def genus_one_checks(cache_dir=None):
             forced, str(brackets),
         )
     )
-    table = _full_table(cache_dir)
+    table = _full_table()
     for mu in (Partition([3]), Partition([2, 1])):
         direct = elsv_evaluate(1, mu, table)
-        engine = connected_via_transform(1, mu, "burnside", cache_dir=cache_dir)
+        engine = connected_via_transform(1, mu, "burnside")
         out.append(
             CheckResult(
                 "elsv", f"evaluation matches character engine at (1, {mu})",
@@ -297,17 +287,17 @@ def genus_one_checks(cache_dir=None):
     return out
 
 
-def round_trip_checks(cache_dir=None):
+def round_trip_checks():
     """Forward evaluation must reproduce the engine on fresh profiles that
     took no part in the interpolation."""
     out = []
-    table = _full_table(cache_dir)
+    table = _full_table()
     for g, h in ROUND_TRIP_PAIRS:
-        fresh = _fresh_samples(g, h, cache_dir)
+        fresh = _fresh_samples(g, h)
         bad = []
         for mu in fresh:
             direct = elsv_evaluate(g, mu, table)
-            engine = connected_via_transform(g, mu, "burnside", cache_dir=cache_dir)
+            engine = connected_via_transform(g, mu, "burnside")
             if direct != engine:
                 bad.append((mu, direct, engine))
         out.append(
@@ -324,7 +314,7 @@ def round_trip_checks(cache_dir=None):
 # grr suite
 
 
-def grr_grid_checks(cache_dir=None):
+def grr_grid_checks():
     out = []
     known_lists = (
         ("known weight list: line, k=1, a=0",
@@ -380,7 +370,7 @@ def grr_grid_checks(cache_dir=None):
 # localization suite
 
 
-def point_class_checks(cache_dir=None):
+def point_class_checks():
     failures = []
     for r in range(1, 9):
         ring = EquivariantPolyRing(r)
@@ -398,12 +388,12 @@ def point_class_checks(cache_dir=None):
 _U_SAMPLES = (Fraction(1), Fraction(2), Fraction(-3, 5))
 
 
-def localization_rederivation_checks(cache_dir=None):
+def localization_rederivation_checks():
     out = []
-    table = _full_table(cache_dir)
+    table = _full_table()
     for g, h in ROUND_TRIP_PAIRS:
-        profiles = list(_inversion(g, h, cache_dir).grid) + list(
-            _fresh_samples(g, h, cache_dir)
+        profiles = list(_inversion(g, h).grid) + list(
+            _fresh_samples(g, h)
         )
         bad = []
         for mu in profiles:
@@ -430,8 +420,8 @@ def localization_rederivation_checks(cache_dir=None):
 # string suite
 
 
-def string_equation_checks(cache_dir=None):
-    table = _full_table(cache_dir)
+def string_equation_checks():
+    table = _full_table()
     report = string_equation_check(table)
     out = [
         CheckResult(
@@ -471,7 +461,7 @@ _SUITES = {
 }
 
 
-def run_suite(name, cache_dir=None):
+def run_suite(name):
     """Run one named suite (or "all") and return the list of CheckResults."""
     if name == "all":
         names = SUITE_NAMES
@@ -484,5 +474,5 @@ def run_suite(name, cache_dir=None):
     results = []
     for suite in names:
         for fn in _SUITES[suite]:
-            results.extend(fn(cache_dir=cache_dir))
+            results.extend(fn())
     return results

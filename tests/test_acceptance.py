@@ -9,14 +9,7 @@ ceilings (2 minutes for the engine-agreement sweep, 5 minutes for the
 round-trip sweep).
 """
 
-import pytest
-
 from hurwitzlab import verify
-
-
-@pytest.fixture(scope="module")
-def cache_dir(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("acceptance-cache"))
 
 
 def _criterion(number, name, results):
@@ -31,43 +24,43 @@ def _criterion(number, name, results):
     )
 
 
-def test_criterion_01_engine_agreement(cache_dir):
+def test_criterion_01_engine_agreement():
     """Three-way exact agreement (direct count / convolution+transform /
     character-sum+transform) for every |mu| <= 5 and admissible r <= 6."""
-    results = verify.engine_agreement_checks(cache_dir=cache_dir)
+    results = verify.engine_agreement_checks()
     assert len(results) >= 18  # every partition of size 1..5 is covered
     _criterion(1, "engine agreement, |mu| <= 5, r <= 6", results)
 
 
-def test_criterion_02_disconnected_agreement(cache_dir):
+def test_criterion_02_disconnected_agreement():
     """Convolution equals character sum for all |mu| <= 6, r <= 10, plus the
     two hand-countable anchors 1/2 and 81."""
-    results = verify.disconnected_agreement_checks(cache_dir=cache_dir)
+    results = verify.disconnected_agreement_checks()
     assert len(results) == 29 + 2  # every partition of size 1..6, plus anchors
     _criterion(2, "disconnected agreement, |mu| <= 6, r <= 10", results)
 
 
-def test_criterion_03_seed_reproduction(cache_dir):
+def test_criterion_03_seed_reproduction():
     """The three-marked-point sphere inversion returns exactly the seed 1."""
-    _criterion(3, "seed reproduction at (0,3)", verify.seed_checks(cache_dir=cache_dir))
+    _criterion(3, "seed reproduction at (0,3)", verify.seed_checks())
 
 
-def test_criterion_04_genus_one_forcing(cache_dir):
+def test_criterion_04_genus_one_forcing():
     """H(1,(1)) = 0 and H(1,(2)) = 1/2 force both genus-one brackets to 1/24,
     and the forward evaluation then reproduces the character-engine values at
     (1,(3)) and (1,(2,1)) exactly."""
-    _criterion(4, "genus-one forcing", verify.genus_one_checks(cache_dir=cache_dir))
+    _criterion(4, "genus-one forcing", verify.genus_one_checks())
 
 
-def test_criterion_05_round_trip(cache_dir):
+def test_criterion_05_round_trip():
     """For each inverted (g,h) pair the forward evaluation matches the engine
     on 5 fresh profiles that took no part in the interpolation."""
-    results = verify.round_trip_checks(cache_dir=cache_dir)
+    results = verify.round_trip_checks()
     assert len(results) == len(verify.ROUND_TRIP_PAIRS)
     _criterion(5, "forward/backward round trip on fresh profiles", results)
 
 
-def test_criterion_06_grading_convention(cache_dir):
+def test_criterion_06_grading_convention():
     """The character-sum series in its textbook exponential form does NOT carry the
     Euler-characteristic grading: the degree-one probe shows the lambda^(-d)
     shift, and matching coefficients takes an explicit r!.  The artifact
@@ -75,37 +68,37 @@ def test_criterion_06_grading_convention(cache_dir):
     check documents the discrepancy."""
     _criterion(
         6, "grading-convention probe (coefficient-level substitute)",
-        verify.grading_convention_checks(cache_dir=cache_dir),
+        verify.grading_convention_checks(),
     )
 
 
-def test_criterion_07_grr_identities(cache_dir):
+def test_criterion_07_grr_identities():
     """Fixed-point character identities for all (k,a) in [-5,5]x[-3,3] at
     degree 1 and for all degrees d <= 4, plus the known weight lists."""
-    results = verify.grr_grid_checks(cache_dir=cache_dir)
+    results = verify.grr_grid_checks()
     _criterion(7, "pushforward character identities", results)
 
 
-def test_criterion_08_point_class_integration(cache_dir):
+def test_criterion_08_point_class_integration():
     """The equivariant point class integrates to exactly 1 for all r <= 8."""
     _criterion(
-        8, "point-class integration", verify.point_class_checks(cache_dir=cache_dir)
+        8, "point-class integration", verify.point_class_checks()
     )
 
 
-def test_criterion_09_localization_rederivation(cache_dir):
+def test_criterion_09_localization_rederivation():
     """The symbolic localization chain equals the direct table evaluation on
     every profile of the round-trip grid, the selected top-degree expression
     is constant in the equivariant parameter, and substituting any nonzero
     rational for it beforehand gives the same answer."""
-    results = verify.localization_rederivation_checks(cache_dir=cache_dir)
+    results = verify.localization_rederivation_checks()
     assert len(results) == len(verify.ROUND_TRIP_PAIRS)
     _criterion(9, "localization re-derivation", results)
 
 
-def test_criterion_10_string_equation(cache_dir):
+def test_criterion_10_string_equation():
     """Every applicable string-equation identity holds exactly on the
     inverted tables through (1,2) and (0,5)."""
     _criterion(
-        10, "string equation suite", verify.string_equation_checks(cache_dir=cache_dir)
+        10, "string equation suite", verify.string_equation_checks()
     )

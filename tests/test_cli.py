@@ -6,6 +6,7 @@ import pytest
 from hurwitzlab.cli import RunConfig, main
 from hurwitzlab.errors import DomainError
 from hurwitzlab.hurwitz import DP_MAX_D
+from hurwitzlab.symgroup import CharacterTable, build_table
 
 
 def run_cli(capsys, *argv):
@@ -140,7 +141,7 @@ def test_consistency_failure_exits_three(capsys, cache, monkeypatch):
 
     monkeypatch.setattr(
         "hurwitzlab.cli.run_suite",
-        lambda name, cache_dir=None: [CheckResult("grr", "broken", False, "boom")],
+        lambda name: [CheckResult("grr", "broken", False, "boom")],
     )
     code, out, _ = run_cli(capsys, "verify", "--suite", "grr", "--cache-dir", cache)
     assert code == 3
@@ -185,8 +186,7 @@ def test_hodge_command_writes_table(capsys, cache):
 
 
 def test_failed_table_write_keeps_previous_file(capsys, cache, monkeypatch):
-    # (0, 4) caches every character table that (1, 1) needs, so the only
-    # write left in the second run is the bracket table itself
+    # the only write of the second run is the bracket table itself
     run_cli(capsys, "hodge", "--genus", "0", "--marks", "4", "--cache-dir", cache)
     table_path = os.path.join(cache, "hodge-table.txt")
     with open(table_path) as fh:
@@ -222,7 +222,8 @@ def test_elsv_command_bootstraps_table(capsys, cache):
 def test_chartable_and_export(capsys, cache):
     code, out, _ = run_cli(capsys, "chartable", "--d", "4", "--cache-dir", cache)
     assert code == 0
-    assert os.path.exists(os.path.join(cache, "chartable-04.txt"))
+    assert "5 classes" in out
+    assert os.listdir(cache) == []  # the directory is made, nothing stored
     code, out, _ = run_cli(
         capsys, "export", "--what", "chartable", "--d", "4", "--cache-dir", cache,
     )
@@ -334,59 +335,100 @@ def test_unparsable_table_is_a_cache_miss(capsys, cache):
         assert "(1,1,[1],0) 1/24" in fh.read()
 
 
-def test_swapped_chartable_rows_do_not_change_a_count(capsys, cache,
-                                                     monkeypatch):
+def _plant_chartable(cache, d, text):
+    os.makedirs(cache, exist_ok=True)
+    with open(os.path.join(cache, f"chartable-{d:02d}.txt"), "w") as fh:
+        fh.write(text)
+
+
+def _swapped_rows(d, a, b):
+    """The text of the degree-d table with rows ``a`` and ``b`` swapped."""
+    lines = build_table(d).to_text().splitlines()
+    labels = lines[2][len("partitions="):].split(";")
+    i, j = 3 + labels.index(a), 3 + labels.index(b)
+    lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+def test_swapped_chartable_rows_do_not_change_a_count(capsys, cache):
     # rows 3,1 and 2,1,1 share their dimension, and swapping them keeps row
     # orthogonality; read from such a file, the burnside engine printed 164
-    import hurwitzlab.symgroup as sg
-
-    monkeypatch.setattr(sg, "_table_memo", {})
-    run_cli(capsys, "chartable", "--d", "4", "--cache-dir", cache)
-    path = os.path.join(cache, "chartable-04.txt")
-    with open(path) as fh:
-        fresh = fh.read()
-    lines = fresh.splitlines()
-    labels = lines[2][len("partitions="):].split(";")
-    i, j = 3 + labels.index("3,1"), 3 + labels.index("2,1,1")
-    lines[i], lines[j] = lines[j], lines[i]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    sg.CharacterTable.from_text("\n".join(lines)).verify()  # still orthogonal
-    monkeypatch.setattr(sg, "_table_memo", {})
+    swapped = _swapped_rows(4, "3,1", "2,1,1")
+    CharacterTable.from_text(swapped).verify()  # still orthogonal
+    _plant_chartable(cache, 4, swapped)
     query = ("hurwitz", "--euler", "0", "--partition", "4", "--cache-dir", cache)
     code, out, _ = run_cli(capsys, *query, "--engine", "burnside")
     assert code == 0
     assert out.splitlines()[0] == "H = 160"
     _, out, _ = run_cli(capsys, *query, "--engine", "dp")
     assert out.splitlines()[0] == "H = 160"
-    with open(path) as fh:
-        assert fh.read() == fresh  # the rebuilt table replaced the file
 
 
-def test_export_chartable_ignores_a_swapped_cache(capsys, cache, monkeypatch):
+def test_export_chartable_ignores_a_swapped_cache(capsys, cache):
     # rows 7,1^5 and 4,4,4 share (dim, kappa), so the load check of a cached
-    # table lets them through swapped; export printed that file as it was
-    import hurwitzlab.symgroup as sg
-
-    monkeypatch.setattr(sg, "_table_memo", {})
-    monkeypatch.setattr(sg, "_files_checked", set())
-    run_cli(capsys, "chartable", "--d", "12", "--cache-dir", cache)
-    path = os.path.join(cache, "chartable-12.txt")
-    with open(path) as fh:
-        fresh = fh.read()
-    lines = fresh.splitlines()
-    labels = lines[2][len("partitions="):].split(";")
-    i, j = 3 + labels.index("7,1,1,1,1,1"), 3 + labels.index("4,4,4")
-    lines[i], lines[j] = lines[j], lines[i]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    monkeypatch.setattr(sg, "_table_memo", {})
-    monkeypatch.setattr(sg, "_files_checked", set())
+    # table let them through swapped; export printed that file as it was
+    fresh = build_table(12).to_text()
+    _plant_chartable(cache, 12, _swapped_rows(12, "7,1,1,1,1,1", "4,4,4"))
     code, out, _ = run_cli(
         capsys, "export", "--what", "chartable", "--d", "12", "--cache-dir", cache,
     )
     assert code == 0
     assert out == fresh
+
+
+def test_garbage_chartable_files_change_no_count(capsys, cache, tmp_path):
+    query = ("hurwitz", "--euler", "0", "--partition", "3,1", "--engine",
+             "burnside", "--format", "json")
+    _, clean, _ = run_cli(capsys, *query, "--cache-dir", str(tmp_path / "clean"))
+    for d in range(1, 15):
+        _plant_chartable(cache, d, "hurwitzlab-chartable v1\nd=4\n9 9 9\n")
+    code, out, _ = run_cli(capsys, *query, "--cache-dir", cache)
+    assert code == 0 and out == clean
+    code, out, _ = run_cli(capsys, "export", "--what", "chartable", "--d", "4",
+                           "--cache-dir", cache)
+    assert code == 0 and out == build_table(4).to_text()
+
+
+def test_character_paths_write_no_chartable_files(capsys, cache):
+    for argv in (
+        ("hurwitz", "--euler", "0", "--partition", "3,2", "--engine", "burnside"),
+        ("hodge", "--genus", "0", "--marks", "4"),
+        ("chartable", "--d", "6"),
+    ):
+        code, _, _ = run_cli(capsys, *argv, "--cache-dir", cache)
+        assert code == 0
+    assert os.listdir(cache) == ["hodge-table.txt"]
+
+
+def test_burnside_reaches_degree_sixteen(capsys, cache):
+    query = ("hurwitz", "--euler", "0", "--partition", "8,8",
+             "--cache-dir", cache, "--format", "json")
+    code, burnside, _ = run_cli(capsys, *query, "--engine", "burnside")
+    assert code == 0
+    assert json.loads(burnside)["result"] == "4156144136553467215872"
+    _, dp, _ = run_cli(capsys, *query, "--engine", "dp")
+    assert json.loads(dp)["result"] == json.loads(burnside)["result"]
+
+
+def test_failed_export_write_keeps_previous_file(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "out" / "table.txt"
+    target.parent.mkdir()
+    target.write_text("previous contents\n")
+
+    def failing_replace(src, dst):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        main(["export", "--what", "chartable", "--d", "5",
+              "--output", str(target)])
+    assert target.read_text() == "previous contents\n"
+    assert os.listdir(target.parent) == ["table.txt"]
+    monkeypatch.undo()
+    code, _, _ = run_cli(capsys, "export", "--what", "chartable", "--d", "5",
+                         "--output", str(target))
+    assert code == 0
+    assert target.read_text() == build_table(5).to_text()
 
 
 def test_run_config_rejects_unknown_keys():

@@ -268,6 +268,17 @@ def test_dp_equals_burnside_small():
                 assert disconnected_dp(chi, mu) == disconnected_burnside(chi, mu)
 
 
+@pytest.mark.parametrize("d", range(15, 19))
+def test_dp_equals_burnside_above_the_old_table_ceiling(d):
+    # every 8th profile of d = 15..18, at its five smallest admissible r
+    # (r = d - len(mu) is the fewest transpositions): 690 values
+    for mu in partitions_of(d)[::8]:
+        h = mu.length
+        for r in range(d - h, d - h + 10, 2):
+            chi = d + h - r
+            assert disconnected_dp(chi, mu) == disconnected_burnside(chi, mu)
+
+
 # --- generating series ------------------------------------------------------
 
 

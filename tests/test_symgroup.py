@@ -4,9 +4,11 @@ from math import factorial
 
 import pytest
 
-from hurwitzlab.errors import DomainError, ResourceLimitError
+import hurwitzlab.symgroup as sg
+from hurwitzlab.errors import ConsistencyError, DomainError, ResourceLimitError
 from hurwitzlab.partitions import Partition, class_size, partitions_of
-from hurwitzlab.symgroup import CharacterTable, build_table, character, dim_irrep
+from hurwitzlab.symgroup import (CharacterTable, build_table, character, column,
+                                 dim_irrep)
 
 
 # --- independent oracles ----------------------------------------------------
@@ -231,83 +233,55 @@ def test_table_round_trip_text():
     assert again == t
 
 
-def test_disk_cache_round_trip(tmp_path):
-    import hurwitzlab.symgroup as sg
-
-    sg._table_memo.pop(5, None)
-    t = build_table(5, cache_dir=str(tmp_path))
-    path = tmp_path / "chartable-05.txt"
-    assert path.exists()
-    sg._table_memo.pop(5, None)
-    t2 = build_table(5, cache_dir=str(tmp_path))
-    assert t2 == t
+# --- the column check ---------------------------------------------------------
+# Each corruption below breaks exactly one of the three relations that
+# ``column`` checks, so each test fails if its relation is dropped.
 
 
-def test_corrupt_cache_is_rebuilt(tmp_path):
-    import hurwitzlab.symgroup as sg
-
-    path = tmp_path / "chartable-04.txt"
-    path.write_text("not a table\n")
-    sg._table_memo.pop(4, None)
-    t = build_table(4, cache_dir=str(tmp_path))
-    t.verify()
-    # the rebuilt table must have replaced the garbage
-    assert CharacterTable.from_text(path.read_text()) == t
+def _corrupt(monkeypatch, edit):
+    real = sg._schur_coefficients
+    monkeypatch.setattr(sg, "_schur_coefficients",
+                        lambda mu: tuple(edit(mu, list(real(mu)))))
 
 
-def test_tampered_cache_values_do_not_leak(tmp_path):
-    import hurwitzlab.symgroup as sg
-
-    sg._table_memo.pop(3, None)
-    t = build_table(3, cache_dir=str(tmp_path))
-    path = tmp_path / "chartable-03.txt"
-    text = t.to_text().splitlines()
-    text[3] = "9 9 9"  # break a row
-    path.write_text("\n".join(text) + "\n")
-    sg._table_memo.pop(3, None)
-    rebuilt = build_table(3, cache_dir=str(tmp_path))
-    rebuilt.verify()
-    sg._table_memo.pop(3, None)
+def _at(mu, label):
+    return partitions_of(mu.size).index(Partition(label))
 
 
-def test_failed_cache_write_keeps_previous_file(tmp_path, monkeypatch):
-    import os
-
-    import hurwitzlab.symgroup as sg
-
-    path = tmp_path / "chartable-04.txt"
-    path.write_text("previous contents\n")
-    sg._table_memo.pop(4, None)
-
-    def failing_replace(src, dst):
-        raise OSError("simulated crash before the rename")
-
-    monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError):
-        build_table(4, cache_dir=str(tmp_path))
-    assert path.read_text() == "previous contents\n"
-    assert os.listdir(tmp_path) == ["chartable-04.txt"]
+def test_column_check_catches_a_scaled_column(monkeypatch):
+    # at mu = (3,1) both weighted sums are 0 and stay 0; the squares double
+    _corrupt(monkeypatch, lambda mu, v: [2 * c for c in v])
+    with pytest.raises(ConsistencyError, match="sum of squares"):
+        column(Partition([3, 1]))
 
 
-def test_memo_hits_check_the_cache_file_once(tmp_path, monkeypatch):
-    import os
+def test_column_check_catches_a_wrong_sign(monkeypatch):
+    # kappa(2,1) = 0, so negating that entry of the identity column keeps the
+    # squares and the kappa-weighted sum, and changes sum dim * chi
+    def edit(mu, v):
+        v[_at(mu, [2, 1])] *= -1
+        return v
 
-    import hurwitzlab.symgroup as sg
+    _corrupt(monkeypatch, edit)
+    with pytest.raises(ConsistencyError, match="dimension"):
+        column(Partition([1, 1, 1]))
 
-    monkeypatch.setattr(sg, "_table_memo", {})
-    monkeypatch.setattr(sg, "_files_checked", set())
-    first, second = tmp_path / "a", tmp_path / "b"
-    table = build_table(5, cache_dir=str(first))
-    stats = []
-    real_exists = os.path.exists
-    monkeypatch.setattr(os.path, "exists",
-                        lambda p: stats.append(p) or real_exists(p))
-    for _ in range(3):
-        assert build_table(5, cache_dir=str(first)) is table
-    assert stats == []
-    # a new cache dir is checked once, and its missing file is written
-    for _ in range(3):
-        assert build_table(5, cache_dir=str(second)) is table
-    assert stats.count(str(second / "chartable-05.txt")) == 1
-    assert CharacterTable.from_text(
-        (second / "chartable-05.txt").read_text()) == table
+
+def test_column_check_catches_swapped_rows_of_equal_dimension(monkeypatch):
+    # 3,1 and 2,1,1 share their dimension, so only the kappa weight tells
+    # their values apart; the swap keeps the squares and row orthogonality
+    def edit(mu, v):
+        i, j = _at(mu, [3, 1]), _at(mu, [2, 1, 1])
+        v[i], v[j] = v[j], v[i]
+        return v
+
+    _corrupt(monkeypatch, edit)
+    with pytest.raises(ConsistencyError, match="transposition"):
+        column(Partition([4]))
+
+
+@pytest.mark.parametrize("d", range(13, 17))
+def test_every_column_passes_its_check(d):
+    # dp = burnside reads every column to d = 12; the engine reads them to 20
+    for mu in partitions_of(d):
+        assert len(column(mu)) == len(partitions_of(d))
