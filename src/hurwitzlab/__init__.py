@@ -1,8 +1,9 @@
 """Exact branched-cover counts and the intersection numbers behind them.
 
-Everything is rational arithmetic: covering-surface counts come from three
+Everything is rational arithmetic: covering-surface counts come from four
 independent engines (a direct count of transitive factorizations, the
-cut-and-join recursion on cycle types, and character sums), linear Hodge integrals are
+cut-and-join recursion on cycle types for connected and for disconnected
+covers, and character sums), linear Hodge integrals are
 extracted from those counts by exact polynomial interpolation, and a symbolic
 rank-one localization toolkit re-derives the bridge identity term by term.  Every number is produced by at
 least two independent routes and the routes must agree exactly.
@@ -20,6 +21,7 @@ from .symgroup import CharacterTable, build_table, character, dim_irrep
 from .hurwitz import (
     HurwitzSeries,
     connected_dfs,
+    connected_dp,
     connected_from_disconnected,
     connected_via_transform,
     disconnected_burnside,

@@ -32,6 +32,7 @@ from .hurwitz import (
     DP_MAX_D,
     _engine_callable,
     connected_dfs,
+    connected_dp,
     connected_via_transform,
 )
 from .partitions import Partition
@@ -385,7 +386,7 @@ def _cmd_elsv(args, config):
     # changes this value: a stored block must match the character-free count
     ones = next(sample_candidates(g, h))
     if not (table.has_all_for(g, h) and elsv_evaluate(g, ones, table)
-            == connected_dfs(g, ones, node_budget=config.dfs_node_budget)):
+            == connected_dp(g, ones, max_d=config.dp_max_d)):
         _invert_block(table, g, h, config)
         write_atomic(path, hodge_export(table))
     started = time.perf_counter()

@@ -23,7 +23,7 @@ from itertools import islice, permutations
 from math import comb, factorial, prod
 
 from .errors import ConsistencyError, DomainError, MissingBracketError
-from .hurwitz import (BURNSIDE_MAX_D, connected_dfs, connected_via_transform,
+from .hurwitz import (BURNSIDE_MAX_D, connected_dp, connected_via_transform,
                       disconnected_burnside)
 from .partitions import Partition, aut_size, partitions_of
 
@@ -323,10 +323,10 @@ def elsv_inversion(g, h, hurwitz_engine=None):
 
     Samples the normalized count on a grid of profiles, solves for the
     monomial-symmetric coefficients in the degree band
-    [2g-3+h, 3g-3+h], and reads brackets off the band.  The two smallest grid
-    points are always re-derived by the transitive-factorization count
-    (``connected_dfs``), which uses no characters and no transform; a
-    disagreement raises ConsistencyError.
+    [2g-3+h, 3g-3+h], and reads brackets off the band.  Every grid point is
+    re-derived by the cut-and-join count of transitive factorizations on
+    cycle types (``connected_dp``), which uses no characters and no
+    transform; a disagreement raises ConsistencyError.
     """
     engine = hurwitz_engine if hurwitz_engine is not None else burnside_engine()
     unknowns = required_brackets(g, h)
@@ -349,8 +349,8 @@ def elsv_inversion(g, h, hurwitz_engine=None):
         [normalized_count(g, mu, samples[mu]) for mu in grid]
     )
 
-    for mu in sorted(grid, key=lambda p: (p.size, p.parts))[:2]:
-        check = connected_dfs(g, mu)
+    for mu in grid:
+        check = connected_dp(g, mu)
         if check != samples[mu]:
             raise ConsistencyError(
                 f"engine disagreement at (g={g}, mu={mu}): the transitive "

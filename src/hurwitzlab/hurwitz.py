@@ -1,15 +1,18 @@
 """Branched-cover counts by transposition factorizations.
 
-Three independent engines compute the same numbers:
+Four independent engines compute the same numbers:
 
 * ``connected_dfs`` -- a count of transposition tuples whose product is a
   fixed permutation and whose support graph is connected, advanced one factor
   at a time over (pending product, component labels) states: the
   Goulden-Jackson cut-and-join recursion at the level of permutations
   (connected covers, graded by genus; character-free);
-* ``disconnected_dp`` -- the same cut-and-join recursion on cycle types,
-  one vector over the p(d) classes per factor (disconnected covers, graded
-  by Euler characteristic; character-free);
+* ``connected_dp`` -- the same connected count by the cut-and-join recursion
+  on cycle types, where the last factor either keeps the tuple transitive or
+  joins two orbits (character-free, transform-free);
+* ``disconnected_dp`` -- the cut-and-join recursion on cycle types without
+  the transitivity condition, one vector over the p(d) classes per factor
+  (disconnected covers, graded by Euler characteristic; character-free);
 * ``disconnected_burnside`` -- the character sum over irreducibles, with the
   transposition class acting through half the kappa statistic.
 
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 from . import sparse
 from .errors import DomainError, ResourceLimitError
@@ -277,6 +280,89 @@ def disconnected_dp(chi, mu, max_d=DP_MAX_D):
                          _class_tuple_count)
 
 
+@lru_cache(maxsize=None)
+def _splits(parts):
+    """The ways to deal ``parts`` out to two sides, as (A, B, weight): A takes
+    k_v of the m_v parts equal to v, in prod binom(m_v, k_v) ways.  A runs
+    over the distinct sub-multisets, () included; A and B sort descending."""
+    out = [((), (), 1)]
+    for value, mult in sorted(Counter(parts).items(), reverse=True):
+        out = [(a + (value,) * k, b + (value,) * (mult - k), w * comb(mult, k))
+               for a, b, w in out for k in range(mult + 1)]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _divisors(parts):
+    """The part tuples nu of the monomials p_nu that divide p_mu, mu = parts."""
+    return frozenset(a for a, _, _ in _splits(parts))
+
+
+def _min_r(parts):
+    """The genus-0 length r = |mu| + len(mu) - 2 of a transitive tuple."""
+    return sum(parts) + len(parts) - 2
+
+
+@lru_cache(maxsize=None)
+def _orbit_pairs(parts):
+    """The orbit types (left <= right) that a factor t joining two orbits
+    leaves behind, for a fixed sigma of type ``parts``, with the number of
+    such t and each side's ``_min_r``: t cuts a cycle of length a (any of
+    the m_a equal ones) into k and a - k in a ways (a / 2 when k = a - k),
+    and the other cycles go to the two orbits (``_splits``)."""
+    out = Counter()
+    for i, a in enumerate(parts):
+        if i and parts[i - 1] == a:
+            continue
+        rest = parts[:i] + parts[i + 1:]
+        for k in range(1, a // 2 + 1):
+            ways = parts.count(a) * (a // 2 if 2 * k == a else a)
+            for left, right, w in _splits(rest):
+                sides = (tuple(sorted(side + (piece,), reverse=True))
+                         for side, piece in ((left, k), (right, a - k)))
+                out[tuple(sorted(sides))] += ways * w
+    return tuple((left, right, m, _min_r(left), _min_r(right))
+                 for (left, right), m in out.items())
+
+
+@lru_cache(maxsize=None)
+def _transitive_class_count(parts, r):
+    """C_r(parts), the number of transitive r-tuples of transpositions whose
+    product is a fixed permutation of type ``parts``; C_0 = [parts = (1)].
+    Drop the last factor t.  Either the first r - 1 are still transitive
+    (the ``_neighbours`` sum), or t joins their two orbits
+    (``_orbit_pairs``), whose factors interleave in binom(r - 1, r1) ways."""
+    if r < _min_r(parts) or (r - _min_r(parts)) % 2:
+        return 0  # below genus 0, or the wrong sign
+    if r == 0:
+        return int(parts == (1,))
+    total = sum(m * _transitive_class_count(nu, r - 1)
+                for nu, m in _neighbours(parts))
+    for left, right, m, lo, lo_right in _orbit_pairs(parts):
+        total += m * sum(comb(r - 1, r1) * _transitive_class_count(left, r1)
+                         * _transitive_class_count(right, r - 1 - r1)
+                         for r1 in range(lo, r - lo_right, 2))
+    return total
+
+
+def connected_dp(g, mu, max_d=DP_MAX_D):
+    """The connected cover count ``connected_dfs`` gives, by the
+    cut-and-join recursion on cycle types (``_transitive_class_count``): no
+    permutations, no characters, no transform.  The tuple counts stay
+    memoized for the life of the process, shared by every caller."""
+    if g < 0:
+        raise DomainError(f"genus must be nonnegative, got {g}")
+    r = 2 * g - 2 + mu.size + mu.length
+    if r < 0:
+        raise DomainError(f"invalid query: r = 2g-2+|mu|+len(mu) = {r} < 0")
+    if mu.size > max_d:
+        raise ResourceLimitError(
+            f"cycle-type recursion budget is d <= {max_d}, got d = {mu.size}")
+    for lower in range(g, -1, -1):  # genus by genus keeps the recursion shallow
+        count = _transitive_class_count(mu.parts, r - 2 * lower)
+    return Fraction(count, z(mu))
+
+
 def disconnected_burnside(chi, mu, max_d=BURNSIDE_MAX_D, cache_dir=None):
     """Disconnected cover count as a character sum: the same tuple count as
     ``disconnected_dp``, obtained as
@@ -481,16 +567,6 @@ def _engine_callable(engine, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D,
             chi, mu, max_d=burnside_max_d
         )
     raise DomainError(f"unknown disconnected engine {engine!r}")
-
-
-@lru_cache(maxsize=None)
-def _divisors(parts):
-    """The part tuples nu of the monomials p_nu that divide p_mu, mu = parts:
-    the distinct sub-multisets of ``parts``, () included."""
-    subs = [()]
-    for value, mult in sorted(Counter(parts).items(), reverse=True):
-        subs = [s + (value,) * k for s in subs for k in range(mult + 1)]
-    return frozenset(subs)
 
 
 def disconnected_series(engine="burnside", max_size=6, max_exp=10,

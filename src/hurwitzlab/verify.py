@@ -3,7 +3,8 @@ from the CLI (``verify --suite ...``) and mirrored by the acceptance tests.
 
 Suites:
 
-* ``burnside`` -- three-way engine agreement through the exp/log transform,
+* ``burnside`` -- four-way agreement of the connected counts (two direct,
+  two through the exp/log transform),
   exact dp/character-sum agreement, and the grading probe documenting why the
   character-sum series needs its lambda^(-d) shift and factorial weights;
 * ``elsv`` -- seed reproduction, the genus-one forcing, and forward/backward
@@ -30,6 +31,7 @@ from .hodge import (
 )
 from .hurwitz import (
     connected_dfs,
+    connected_dp,
     connected_via_transform,
     disconnected_burnside,
     disconnected_dp,
@@ -116,8 +118,9 @@ def _admissible_r(mu, r_max):
 
 
 def engine_agreement_checks():
-    """Three-way agreement: direct count, cut-and-join + transform, character
-    sum + transform, for every profile of size <= 5 and admissible r <= 6."""
+    """Four-way agreement: direct count, cut-and-join on connected cycle
+    types, cut-and-join + transform, character sum + transform, for every
+    profile of size <= 5 and admissible r <= 6."""
     out = []
     for size in range(1, 6):
         for mu in partitions_of(size):
@@ -130,13 +133,15 @@ def engine_agreement_checks():
                 a = connected_dfs(g, mu)
                 b = connected_via_transform(g, mu, "dp")
                 c = connected_via_transform(g, mu, "burnside")
+                e = connected_dp(g, mu)
                 genera.append(g)
-                if not (a == b == c):
+                if not (a == b == c == e):
                     ok = False
                     out.append(
                         CheckResult(
                             "burnside", f"engine-agreement mu={mu}", False,
-                            f"g={g}: dfs {a}, dp {b}, charsum {c}",
+                            f"g={g}: dfs {a}, dp {b}, charsum {c}, "
+                            f"connected dp {e}",
                         )
                     )
                     break

@@ -301,6 +301,24 @@ def test_elsv_reinverts_a_tampered_block(capsys, cache):
         assert "(1,1,[1],0) 1/24" in fh.read()
 
 
+def test_elsv_read_back_makes_no_dfs_call(capsys, cache, monkeypatch):
+    from hurwitzlab import cli, hurwitz
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("connected_dfs called")
+
+    path = _tampered_table(capsys, cache)
+    monkeypatch.setattr(hurwitz, "connected_dfs", refuse)
+    monkeypatch.setattr(cli, "connected_dfs", refuse)
+    for _ in range(2):  # re-invert the tampered block, then read it back
+        code, out, _ = run_cli(
+            capsys, "elsv", "--genus", "1", "--partition", "3", "--cache-dir", cache,
+        )
+        assert code == 0 and out.splitlines()[0] == "H = 9"
+    with open(path) as fh:
+        assert "(1,1,[1],0) 1/24" in fh.read()
+
+
 def test_hodge_replaces_a_tampered_block(capsys, cache):
     path = _tampered_table(capsys, cache)
     code, out, _ = run_cli(

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import factorial, prod
 
 import pytest
@@ -216,16 +217,41 @@ def test_spot_check_catches_bad_engine():
         elsv_inversion(1, 1, hurwitz_engine=corrupt_engine)
 
 
-def test_spot_check_runs_at_second_smallest_grid_point():
-    # (2,1,1,1,1) is the second smallest (0, 5) grid point, with r = 9
-    bad = Partition([2, 1, 1, 1, 1])
+def _off_by_one_at(bad):
+    """The default engine, but one too high at the profile ``bad``."""
+    exact = cache(lambda g, mu: connected_via_transform(g, mu, "burnside"))
 
-    def off_by_one_engine(g, mu):
-        value = connected_via_transform(g, mu, "burnside")
-        return value + 1 if mu == bad else value
+    def engine(g, mu):
+        return exact(g, mu) + 1 if mu == bad else exact(g, mu)
+    return engine
 
-    with pytest.raises(ConsistencyError):
-        elsv_inversion(0, 5, hurwitz_engine=off_by_one_engine)
+
+@pytest.mark.parametrize("g,h", [(0, 5), (1, 3)])
+def test_spot_check_runs_at_every_grid_point(g, h):
+    # (0, 5) has the grid (1^5), (2,1^4); (1, 3) has five points
+    grid = elsv_inversion(g, h).grid
+    for bad in grid:
+        with pytest.raises(ConsistencyError):
+            elsv_inversion(g, h, hurwitz_engine=_off_by_one_at(bad))
+
+
+def test_spot_check_runs_at_largest_grid_point():
+    # the two smallest points alone would let this engine through
+    grid = elsv_inversion(2, 4).grid
+    bad = max(grid, key=lambda p: (p.size, p.parts))
+    with pytest.raises(ConsistencyError, match=f"mu={bad}"):
+        elsv_inversion(2, 4, hurwitz_engine=_off_by_one_at(bad))
+
+
+def test_inversion_makes_no_dfs_call(monkeypatch):
+    from hurwitzlab import hodge, hurwitz
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("connected_dfs called")
+
+    monkeypatch.setattr(hurwitz, "connected_dfs", refuse)
+    monkeypatch.setattr(hodge, "connected_dfs", refuse, raising=False)
+    assert len(elsv_inversion(1, 5).grid) == 12
 
 
 def test_engine_memoizes_disconnected_counts(monkeypatch):

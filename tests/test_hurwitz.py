@@ -9,9 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from hurwitzlab.errors import DomainError, ResourceLimitError
 from hurwitzlab.hurwitz import (
+    DP_MAX_D,
     HurwitzSeries,
     canonical_representative,
     connected_dfs,
+    connected_dp,
     connected_from_disconnected,
     connected_via_transform,
     conjugate_perm,
@@ -141,6 +143,64 @@ def test_connected_dfs_invalid_and_budget():
         connected_dfs(0, Partition())  # r = -2
     with pytest.raises(ResourceLimitError):
         connected_dfs(0, Partition([2, 2, 1]), node_budget=10)
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_connected_dp_matches_dfs(size):
+    # the cycle-type recursion against the permutation-level count, at every
+    # admissible r <= 10
+    for mu in partitions_of(size):
+        for g in range(0, 5):
+            r = 2 * g - 2 + mu.size + mu.length
+            if 0 <= r <= 10:
+                assert connected_dp(g, mu) == connected_dfs(g, mu), (g, mu)
+
+
+def test_connected_dp_matches_transform_past_the_dfs():
+    # every fourth profile of each size 7..10, genus <= 2
+    for size in range(7, 11):
+        for mu in partitions_of(size)[::4]:
+            for g in range(0, 3):
+                assert connected_dp(g, mu) == connected_via_transform(
+                    g, mu, "dp"), (g, mu)
+
+
+def test_connected_dp_known_values():
+    assert connected_dp(0, Partition([1, 1, 1])) == 4
+    assert connected_dp(1, Partition([2])) == F(1, 2)
+    # genus 0: r!/aut * prod(m^m/m!) * d^(h-3)
+    for parts in ([5], [8], [11], [3, 2], [4, 4], [6, 6], [9, 2]):
+        mu = Partition(parts)
+        d, h = mu.size, mu.length
+        expected = F(factorial(d + h - 2), aut_size(mu)) * F(d) ** (h - 3)
+        for p in parts:
+            expected *= F(p**p, factorial(p))
+        assert connected_dp(0, mu) == expected, mu
+
+
+@pytest.mark.parametrize("g,parts", [(0, []), (-1, [1]), (-1, [2, 1]), (1, [])])
+def test_connected_dp_edges_match_dfs(g, parts):
+    mu = Partition(parts)
+    try:
+        expected = connected_dfs(g, mu)
+    except DomainError:
+        with pytest.raises(DomainError):
+            connected_dp(g, mu)
+    else:
+        assert connected_dp(g, mu) == expected
+
+
+def test_connected_dp_stays_shallow_at_high_genus():
+    # r = 401: one recursion from the top alone passes Python's depth limit
+    mu = Partition([2, 1])
+    assert connected_dp(200, mu) == connected_dfs(200, mu)
+
+
+def test_connected_dp_budget():
+    with pytest.raises(ResourceLimitError):
+        connected_dp(0, Partition([DP_MAX_D + 1]))
+    with pytest.raises(ResourceLimitError):
+        connected_dp(0, Partition([2, 2]), max_d=3)
 
 
 @settings(max_examples=25, deadline=None)
