@@ -226,6 +226,12 @@ def _off_by_one_at(bad):
     return engine
 
 
+def test_spot_check_runs_at_second_smallest_grid_point():
+    # (2,1,1,1,1) is the second smallest (0, 5) grid point, with r = 9
+    with pytest.raises(ConsistencyError):
+        elsv_inversion(0, 5, hurwitz_engine=_off_by_one_at(Partition([2, 1, 1, 1, 1])))
+
+
 @pytest.mark.parametrize("g,h", [(0, 5), (1, 3)])
 def test_spot_check_runs_at_every_grid_point(g, h):
     # (0, 5) has the grid (1^5), (2,1^4); (1, 3) has five points
