@@ -14,12 +14,11 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, fields
+from functools import partial
 
 from .errors import ConsistencyError, DomainError, HurwitzlabError, ResourceLimitError
 from .hodge import (
     HodgeTable,
-    burnside_engine,
     elsv_evaluate,
     elsv_inversion,
     hodge_export,
@@ -61,37 +60,10 @@ def write_atomic(path, text):
         raise
 
 
-def default_cache_dir():
-    return os.environ.get(CACHE_ENV_VAR) or os.path.join(
+def _cache_dir(args):
+    return args.cache_dir or os.environ.get(CACHE_ENV_VAR) or os.path.join(
         os.path.expanduser("~"), ".cache", "hurwitzlab"
     )
-
-
-@dataclass
-class RunConfig:
-    dfs_node_budget: int = DFS_NODE_BUDGET
-    dp_max_d: int = DP_MAX_D
-    burnside_max_d: int = BURNSIDE_MAX_D
-    cache_dir: str = ""
-    output_format: str = "text"
-    timing: bool = False
-
-    def __post_init__(self):
-        if not self.cache_dir:
-            self.cache_dir = default_cache_dir()
-        for name in ("dfs_node_budget", "dp_max_d", "burnside_max_d"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"budget {name} must be positive")
-        if self.output_format not in FORMATS:
-            raise DomainError(f"unknown output format {self.output_format!r}")
-
-    @classmethod
-    def from_dict(cls, data):
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise DomainError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        return cls(**data)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,6 +84,15 @@ def _parse_partition(text):
     return Partition(parts)
 
 
+def _positive(text):
+    """The argparse type of the budget flags; _Parser.error turns a
+    rejection into a DomainError that names the flag."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _build_parser():
     parser = _Parser(
         prog="hurwitzlab",
@@ -125,15 +106,16 @@ def _build_parser():
                         help="directory of the default bracket table, "
                              f"hodge-table.txt (default ${CACHE_ENV_VAR} "
                              "or ~/.cache/hurwitzlab)")
-    common.add_argument("--budget-dfs-nodes", type=int, default=DFS_NODE_BUDGET,
+    common.add_argument("--budget-dfs-nodes", type=_positive,
+                        default=DFS_NODE_BUDGET,
                         help="budget of visited states for the dfs engine")
-    common.add_argument("--budget-dp-max-d", type=int, default=DP_MAX_D,
-                        help="largest degree for the dp engine "
-                             "(cycle-type recursion)")
-    common.add_argument("--budget-burnside-max-d", type=int,
+    common.add_argument("--budget-dp-max-d", type=_positive, default=DP_MAX_D,
+                        help="largest degree for the dp engines, and for "
+                             "the grid-point check of hodge and elsv")
+    common.add_argument("--budget-burnside-max-d", type=_positive,
                         default=BURNSIDE_MAX_D,
-                        help="largest degree for the character-sum engine, "
-                             "and for chartable and export --what chartable")
+                        help="largest degree for the character-sum engine "
+                             "(also in hodge and elsv) and for chartable")
     common.add_argument("--timing", action="store_true",
                         help="include elapsed time in output (breaks "
                              "byte-for-byte determinism)")
@@ -186,22 +168,11 @@ def _build_parser():
     return parser
 
 
-def _config_from_args(args):
-    return RunConfig(
-        dfs_node_budget=args.budget_dfs_nodes,
-        dp_max_d=args.budget_dp_max_d,
-        burnside_max_d=args.budget_burnside_max_d,
-        cache_dir=args.cache_dir,
-        output_format=args.format,
-        timing=args.timing,
-    )
-
-
-def _emit(record, config, text_lines):
-    """Render one result record in the configured format."""
-    if config.output_format == "json":
+def _emit(record, args, text_lines):
+    """Render one result record in the format of ``--format``."""
+    if args.format == "json":
         print(json.dumps(record, sort_keys=True))
-    elif config.output_format == "csv":
+    elif args.format == "csv":
         keys = sorted(record)
         print(",".join(keys))
         print(",".join(str(record[k]) for k in keys))
@@ -210,17 +181,17 @@ def _emit(record, config, text_lines):
             print(line)
 
 
-def _run_query(engine, genus, euler, mu, config):
+def _run_query(engine, genus, euler, mu, args):
     d, h = mu.size, mu.length
     engine_opts = {
-        "dp_max_d": config.dp_max_d,
-        "burnside_max_d": config.burnside_max_d,
+        "dp_max_d": args.budget_dp_max_d,
+        "burnside_max_d": args.budget_burnside_max_d,
     }
     started = time.perf_counter()
     if genus is not None:
         r = 2 * genus - 2 + d + h
         if engine == "dfs":
-            value = connected_dfs(genus, mu, node_budget=config.dfs_node_budget)
+            value = connected_dfs(genus, mu, node_budget=args.budget_dfs_nodes)
         else:
             value = connected_via_transform(genus, mu, engine, **engine_opts)
     else:
@@ -243,20 +214,20 @@ def _run_query(engine, genus, euler, mu, config):
         record["genus"] = genus
     else:
         record["euler"] = euler
-    if config.timing:
+    if args.timing:
         record["elapsed_ms"] = round(elapsed_ms, 3)
     return record
 
 
-def _cmd_hurwitz(args, config):
+def _cmd_hurwitz(args):
     if args.batch:
-        return _cmd_hurwitz_batch(args, config)
+        return _cmd_hurwitz_batch(args)
     if args.genus is None and args.euler is None:
         raise DomainError("provide exactly one of --genus or --euler")
     if not args.partition:
         raise DomainError("--partition is required")
     mu = _parse_partition(args.partition)
-    record = _run_query(args.engine, args.genus, args.euler, mu, config)
+    record = _run_query(args.engine, args.genus, args.euler, mu, args)
 
     def lines(rec):
         out = [f"H = {rec['result']}"]
@@ -270,14 +241,14 @@ def _cmd_hurwitz(args, config):
             out.append(f"elapsed = {rec['elapsed_ms']} ms")
         return out
 
-    _emit(record, config, lines)
+    _emit(record, args, lines)
     return 0
 
 
 _BATCH_KEYS = {"engine", "genus", "euler", "partition"}
 
 
-def _cmd_hurwitz_batch(args, config):
+def _cmd_hurwitz_batch(args):
     try:
         with open(args.batch, encoding="utf-8") as fh:
             records = json.load(fh)
@@ -302,10 +273,10 @@ def _cmd_hurwitz_batch(args, config):
         mu = _parse_partition(rec.get("partition", ""))
         out = dict(rec)
         out.update(
-            _run_query(engine, rec.get("genus"), rec.get("euler"), mu, config)
+            _run_query(engine, rec.get("genus"), rec.get("euler"), mu, args)
         )
         results.append(out)
-    if config.output_format == "csv":
+    if args.format == "csv":
         keys = sorted({k for rec in results for k in rec})
         print(",".join(keys))
         for rec in results:
@@ -315,8 +286,8 @@ def _cmd_hurwitz_batch(args, config):
     return 0
 
 
-def _table_path(args, config):
-    return args.table_file or os.path.join(config.cache_dir, "hodge-table.txt")
+def _table_path(args):
+    return args.table_file or os.path.join(_cache_dir(args), "hodge-table.txt")
 
 
 def _load_table(path):
@@ -329,29 +300,33 @@ def _load_table(path):
         return HodgeTable()
 
 
-def _invert_block(table, g, h, config):
-    """Replace the (g, h) block of ``table`` by a fresh inversion."""
-    engine = burnside_engine(config.burnside_max_d)
-    result = elsv_inversion(g, h, hurwitz_engine=engine)
+def _invert_block(table, g, h, args):
+    """Replace the (g, h) block of ``table`` by a fresh inversion: the
+    character-sum engine runs to ``--budget-burnside-max-d``, the grid-point
+    check to ``--budget-dp-max-d``."""
+    engine = partial(connected_via_transform,
+                     burnside_max_d=args.budget_burnside_max_d)
+    result = elsv_inversion(g, h, hurwitz_engine=engine,
+                            dp_max_d=args.budget_dp_max_d)
     table.drop(g, h)
     for bracket, value in result.brackets.items():
         table.add(bracket, value)
     return result
 
 
-def _cmd_hodge(args, config):
+def _cmd_hodge(args):
     if 2 * args.genus - 2 + args.marks <= 0:
         raise DomainError(
             f"unstable (g, h) = ({args.genus}, {args.marks}): no moduli to "
             "integrate over"
         )
-    path = _table_path(args, config)
+    path = _table_path(args)
     table = _load_table(path)
-    result = _invert_block(table, args.genus, args.marks, config)
+    result = _invert_block(table, args.genus, args.marks, args)
     write_atomic(path, hodge_export(table))
 
     entries = sorted(result.brackets.items(), key=lambda kv: kv[0].sort_key())
-    if config.output_format == "json":
+    if args.format == "json":
         print(json.dumps(
             {
                 "genus": args.genus,
@@ -363,7 +338,7 @@ def _cmd_hodge(args, config):
             },
             sort_keys=True,
         ))
-    elif config.output_format == "csv":
+    elif args.format == "csv":
         print("bracket,value")
         for b, v in entries:
             print(f"{b},{v}")
@@ -375,19 +350,19 @@ def _cmd_hodge(args, config):
     return 0
 
 
-def _cmd_elsv(args, config):
+def _cmd_elsv(args):
     mu = _parse_partition(args.partition)
     g, h = args.genus, mu.length
     if 2 * g - 2 + h <= 0:
         raise DomainError(f"unstable (g, h) = ({g}, {h})")
-    path = _table_path(args, config)
+    path = _table_path(args)
     table = _load_table(path)
     # every m_J is positive at the all-ones profile, so a changed bracket
     # changes this value: a stored block must match the character-free count
     ones = next(sample_candidates(g, h))
     if not (table.has_all_for(g, h) and elsv_evaluate(g, ones, table)
-            == connected_dp(g, ones, max_d=config.dp_max_d)):
-        _invert_block(table, g, h, config)
+            == connected_dp(g, ones, max_d=args.budget_dp_max_d)):
+        _invert_block(table, g, h, args)
         write_atomic(path, hodge_export(table))
     started = time.perf_counter()
     value = elsv_evaluate(g, mu, table)
@@ -399,7 +374,7 @@ def _cmd_elsv(args, config):
         "r": 2 * g - 2 + mu.size + h,
         "genus": g,
     }
-    if config.timing:
+    if args.timing:
         record["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
 
     def lines(rec):
@@ -409,13 +384,13 @@ def _cmd_elsv(args, config):
             f"  genus = {rec['genus']}",
         ]
 
-    _emit(record, config, lines)
+    _emit(record, args, lines)
     return 0
 
 
-def _cmd_verify(args, config):
+def _cmd_verify(args):
     results = run_suite(args.suite)
-    if config.output_format == "json":
+    if args.format == "json":
         print(json.dumps(
             [
                 {
@@ -436,11 +411,11 @@ def _cmd_verify(args, config):
     return 0 if all(r.passed for r in results) else 3
 
 
-def _cmd_chartable(args, config):
-    table = build_table(args.degree, max_d=config.burnside_max_d)
+def _cmd_chartable(args):
+    table = build_table(args.degree, max_d=args.budget_burnside_max_d)
     # nothing is stored there, but scripts that prepared the cache directory
     # with chartable (perfbench's set-up removes it afterwards) still find it
-    os.makedirs(config.cache_dir, exist_ok=True)
+    os.makedirs(_cache_dir(args), exist_ok=True)
     record = {"d": table.d, "classes": len(table.partitions)}
 
     def lines(rec):
@@ -449,13 +424,13 @@ def _cmd_chartable(args, config):
             "row orthogonality verified",
         ]
 
-    _emit(record, config, lines)
+    _emit(record, args, lines)
     return 0
 
 
-def _cmd_export(args, config):
+def _cmd_export(args):
     if args.what == "hodge":
-        path = _table_path(args, config)
+        path = _table_path(args)
         if not os.path.exists(path):
             raise DomainError(f"no bracket table at {path}; run 'hodge' first")
         with open(path, encoding="utf-8", errors="replace") as fh:
@@ -463,7 +438,7 @@ def _cmd_export(args, config):
     else:
         if args.degree is None:
             raise DomainError("--what chartable needs --d")
-        document = build_table(args.degree, config.burnside_max_d).to_text()
+        document = build_table(args.degree, args.budget_burnside_max_d).to_text()
     if args.output:
         write_atomic(args.output, document)
     else:
@@ -485,8 +460,7 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

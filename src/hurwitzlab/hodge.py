@@ -17,14 +17,13 @@ and solves; no floating point anywhere.
 """
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import combinations_with_replacement, islice, permutations
 from math import comb, factorial, prod
 
 from .errors import ConsistencyError, DomainError, MissingBracketError
-from .hurwitz import (BURNSIDE_MAX_D, connected_dp, connected_via_transform,
-                      disconnected_burnside)
+from .hurwitz import DP_MAX_D, connected_dp, connected_via_transform
 from .partitions import Partition, aut_size, partitions_of
 
 _TABLE_HEADER = "hurwitzlab-hodge-table v1"
@@ -263,7 +262,7 @@ def sample_candidates(g, h):
     radius = max(3 * g - 1 + h, 1)
     while True:
         batch = []
-        for tup in _weakly_increasing_tuples(h, radius):
+        for tup in combinations_with_replacement(range(1, radius + 1), h):
             if tup in seen:
                 continue
             strict = 0 if len(set(tup)) == len(tup) else 1
@@ -272,17 +271,6 @@ def sample_candidates(g, h):
             seen.add(tup)
             yield Partition(sorted(tup, reverse=True))
         radius += 1
-
-
-def _weakly_increasing_tuples(h, radius):
-    def rec(prefix, lo):
-        if len(prefix) == h:
-            yield prefix
-            return
-        for v in range(lo, radius + 1):
-            yield from rec(prefix + (v,), v)
-
-    yield from rec((), 1)
 
 
 def normalized_count(g, mu, hurwitz_value):
@@ -300,35 +288,25 @@ class InversionResult:
     samples: dict        # profile -> engine value, for every profile queried
 
 
-def burnside_engine(max_d=BURNSIDE_MAX_D):
-    """The default inversion engine: connected counts from the character-sum
-    engine through the log transform.
-
-    Each engine memoizes the disconnected counts by (chi, mu): the series of
-    the grid points share most of them (every one holds p_1 and p_1^2)."""
-    disconnected = cache(partial(disconnected_burnside, max_d=max_d))
-
-    def engine(g, mu):
-        return connected_via_transform(g, mu, disconnected)
-    return engine
-
-
 #: How far past its initial radius the candidate pool may grow before a
 #: rank-deficient grid counts as a singular interpolation system.
 _MAX_RADIUS_GROWTH = 20
 
 
-def elsv_inversion(g, h, hurwitz_engine=None):
+def elsv_inversion(g, h, hurwitz_engine=None, dp_max_d=DP_MAX_D):
     """Recover all (g, h) brackets by exact interpolation against an engine.
 
     Samples the normalized count on a grid of profiles, solves for the
     monomial-symmetric coefficients in the degree band
-    [2g-3+h, 3g-3+h], and reads brackets off the band.  Every grid point is
-    re-derived by the cut-and-join count of transitive factorizations on
-    cycle types (``connected_dp``), which uses no characters and no
-    transform; a disagreement raises ConsistencyError.
+    [2g-3+h, 3g-3+h], and reads brackets off the band.  The engine
+    ``hurwitz_engine(g, mu)`` defaults to ``connected_via_transform`` over
+    the character sums.  Every grid point is re-derived by the cut-and-join
+    count of transitive factorizations on cycle types
+    (``connected_dp(g, mu, max_d=dp_max_d)``), which uses no characters and
+    no transform; a disagreement raises ConsistencyError.
     """
-    engine = hurwitz_engine if hurwitz_engine is not None else burnside_engine()
+    # looked up per call, so a wrapper installed on the module name applies
+    engine = connected_via_transform if hurwitz_engine is None else hurwitz_engine
     unknowns = required_brackets(g, h)
     radius = max(3 * g - 1 + h, 1) + _MAX_RADIUS_GROWTH
     pool = islice(sample_candidates(g, h), comb(radius + h - 1, h))
@@ -350,7 +328,7 @@ def elsv_inversion(g, h, hurwitz_engine=None):
     )
 
     for mu in grid:
-        check = connected_dp(g, mu)
+        check = connected_dp(g, mu, max_d=dp_max_d)
         if check != samples[mu]:
             raise ConsistencyError(
                 f"engine disagreement at (g={g}, mu={mu}): the transitive "
@@ -368,11 +346,11 @@ def elsv_invert(g, h, hurwitz_engine=None):
     return elsv_inversion(g, h, hurwitz_engine=hurwitz_engine).brackets
 
 
-def invert_into(table, g, h, hurwitz_engine=None, provenance=INVERTED):
+def invert_into(table, g, h, hurwitz_engine=None):
     """Run the inversion and merge the results into ``table``."""
     brackets = elsv_invert(g, h, hurwitz_engine=hurwitz_engine)
     for bracket, value in brackets.items():
-        table.add(bracket, value, provenance)
+        table.add(bracket, value)
     return brackets
 
 

@@ -42,18 +42,16 @@ from itertools import combinations
 from math import comb, factorial
 
 from . import sparse
-from .errors import DomainError, ResourceLimitError
+from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .partitions import Partition, partitions_of, z
-from .symgroup import column, irreps
+from .symgroup import BURNSIDE_MAX_D, column, irreps
 
 #: Default budgets, also the CLI defaults; every engine accepts overrides.
 #: The DFS budget counts the states ``connected_dfs`` visits.  The dp
 #: recursion to r = 2d takes 0.02 s at d = 14 and 0.16 s at d = 20 (cold, one
-#: core), doubling every two degrees.  One character column takes 0.4 ms at
-#: d = 14 and 2 ms at d = 20 on average, 12 ms at worst (same machine).
+#: core), doubling every two degrees.
 DFS_NODE_BUDGET = 10**8
 DP_MAX_D = 20
-BURNSIDE_MAX_D = 20
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +369,25 @@ def disconnected_burnside(chi, mu, max_d=BURNSIDE_MAX_D, cache_dir=None):
                                          * chi_nu(C_mu)
 
     with r = -chi + |mu| + len(mu), over the one checked character column
-    ``symgroup.column(mu)``."""
+    ``symgroup.column(mu)``.  The sums stay memoized for the life of the
+    process (``_character_tuple_count``)."""
     # cache_dir is ignored; it stays accepted while perfbench passes it
-    def tuple_count(d, r, mu):
-        total = sum((k // 2)**r * dim * c
-                    for (_, dim, k), c in zip(irreps(d), column(mu)))
-        return Fraction(total, factorial(d))
+    return _disconnected(chi, mu, max_d, "character-sum",
+                         _character_tuple_count)
 
-    return _disconnected(chi, mu, max_d, "character-sum", tuple_count)
+
+@lru_cache(maxsize=None)
+def _character_tuple_count(d, r, mu):
+    """The tuple count of ``disconnected_burnside``.  The series of an
+    inversion's grid points share most of their terms (every one holds p_1
+    and p_1^2), so each sum is kept, as an int: held as Fractions, the sums
+    raise the peak RSS of the benchmark's batch workload by 0.1 MB."""
+    total = sum((k // 2)**r * dim * c
+                for (_, dim, k), c in zip(irreps(d), column(mu)))
+    count, rest = divmod(total, factorial(d))
+    if rest:
+        raise ConsistencyError(f"{d}! does not divide the sum at {mu}, r = {r}")
+    return count
 
 
 # ---------------------------------------------------------------------------

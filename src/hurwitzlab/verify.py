@@ -23,7 +23,6 @@ from math import factorial
 from .errors import DomainError
 from .hodge import (
     HodgeTable,
-    burnside_engine,
     elsv_evaluate,
     elsv_inversion,
     sample_candidates,
@@ -80,9 +79,7 @@ _fresh_memo = {}
 def _inversion(g, h):
     key = (g, h)
     if key not in _inversion_memo:
-        _inversion_memo[key] = elsv_inversion(
-            g, h, hurwitz_engine=burnside_engine()
-        )
+        _inversion_memo[key] = elsv_inversion(g, h)
     return _inversion_memo[key]
 
 

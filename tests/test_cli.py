@@ -3,8 +3,7 @@ import os
 
 import pytest
 
-from hurwitzlab.cli import RunConfig, main
-from hurwitzlab.errors import DomainError
+from hurwitzlab.cli import main
 from hurwitzlab.hurwitz import DP_MAX_D
 from hurwitzlab.symgroup import CharacterTable, build_table
 
@@ -124,6 +123,16 @@ def test_resource_limit_exits_two(capsys, cache):
         "--engine", "dp", "--cache-dir", cache,
     )
     assert code == 2 and f"d <= {DP_MAX_D}" in err
+
+
+def test_hodge_budgets_reach_their_engines(capsys, cache):
+    # the (1, 5) grid runs from |mu| = 5 to 10: the character sums and the
+    # grid-point check must each stop at their own budget
+    for flag, budget in (("--budget-dp-max-d", "cycle-type recursion"),
+                         ("--budget-burnside-max-d", "character-sum")):
+        code, _, err = run_cli(capsys, "hodge", "--genus", "1", "--marks", "5",
+                               flag, "4", "--cache-dir", cache)
+        assert code == 2 and f"{budget} budget is d <= 4" in err
 
 
 def test_dp_reaches_the_burnside_ceiling(capsys, cache):
@@ -449,10 +458,14 @@ def test_failed_export_write_keeps_previous_file(capsys, tmp_path, monkeypatch):
     assert target.read_text() == build_table(5).to_text()
 
 
-def test_run_config_rejects_unknown_keys():
-    with pytest.raises(DomainError):
-        RunConfig.from_dict({"dfs_node_budget": 10, "bogus": 1})
-    with pytest.raises(DomainError):
-        RunConfig.from_dict({"dp_max_d": -1})
-    cfg = RunConfig.from_dict({"dp_max_d": 5})
-    assert cfg.dp_max_d == 5 and cfg.cache_dir
+def test_budget_flags_must_be_positive(capsys, cache):
+    for flag in ("--budget-dfs-nodes", "--budget-dp-max-d",
+                 "--budget-burnside-max-d"):
+        code, _, err = run_cli(capsys, "hurwitz", "--genus", "0",
+                               "--partition", "3", flag, "0",
+                               "--cache-dir", cache)
+        assert code == 1 and flag in err and "positive" in err
+    code, out, _ = run_cli(capsys, "hurwitz", "--genus", "0", "--partition",
+                           "3", "--budget-dp-max-d", "5", "--engine", "dp",
+                           "--cache-dir", cache)
+    assert code == 0 and out.splitlines()[0] == "H = 1"

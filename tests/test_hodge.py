@@ -261,20 +261,29 @@ def test_inversion_makes_no_dfs_call(monkeypatch):
 
 
 def test_engine_memoizes_disconnected_counts(monkeypatch):
-    from hurwitzlab import hodge
+    # each (chi, mu) the inversion asks for costs one character column
+    from hurwitzlab import hurwitz
 
-    calls = Counter()
-    original = hodge.disconnected_burnside
+    requests, columns = Counter(), Counter()
+    burnside, column = hurwitz.disconnected_burnside, hurwitz.column
 
-    def counted(chi, mu, **opts):
-        calls[chi, mu] += 1
-        return original(chi, mu, **opts)
+    def requested(chi, mu, **opts):
+        requests[chi, mu] += 1
+        return burnside(chi, mu, **opts)
 
-    monkeypatch.setattr(hodge, "disconnected_burnside", counted)
+    def counted(mu):
+        columns[mu] += 1
+        return column(mu)
+
+    monkeypatch.setattr(hurwitz, "disconnected_burnside", requested)
+    monkeypatch.setattr(hurwitz, "column", counted)
+    hurwitz._character_tuple_count.cache_clear()
     result = elsv_inversion(2, 4)
-    assert calls and max(calls.values()) == 1
-    unmemoized = lambda g, mu: connected_via_transform(g, mu, "burnside")
-    assert result.brackets == elsv_invert(2, 4, hurwitz_engine=unmemoized)
+    assert max(requests.values()) > 1
+    assert sum(columns.values()) == len(requests)
+    monkeypatch.undo()
+    hurwitz._character_tuple_count.cache_clear()
+    assert elsv_inversion(2, 4).brackets == result.brackets
 
 
 def test_singular_interpolation_is_bounded(monkeypatch):

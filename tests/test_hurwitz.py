@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hurwitzlab.errors import DomainError, ResourceLimitError
+from hurwitzlab.errors import ConsistencyError, DomainError, ResourceLimitError
 from hurwitzlab.hurwitz import (
     DP_MAX_D,
     HurwitzSeries,
@@ -272,6 +272,20 @@ def test_disconnected_burnside_known_values():
     assert disconnected_burnside(2, Partition([2])) == F(1, 2)
     assert disconnected_burnside(-2, Partition([3])) == 81
     assert disconnected_burnside(4, Partition([1, 1])) == F(1, 2)
+
+
+def test_character_sum_must_count_tuples(monkeypatch):
+    # chi = 0 at (2, 1) is r = 5, a sum of 3^5 + 3^5 = 81 * 3!; raising the
+    # value of the trivial character to 2 adds 3^5, no multiple of 3!
+    from hurwitzlab import hurwitz
+
+    column = hurwitz.column
+    monkeypatch.setattr(hurwitz, "column", lambda mu: (2,) + column(mu)[1:])
+    hurwitz._character_tuple_count.cache_clear()
+    with pytest.raises(ConsistencyError, match="does not divide"):
+        disconnected_burnside(0, Partition([2, 1]))
+    monkeypatch.undo()
+    assert disconnected_burnside(0, Partition([2, 1])) == F(81, 2)
 
 
 def test_disconnected_matches_brute_force():

@@ -7,8 +7,8 @@ import pytest
 import hurwitzlab.symgroup as sg
 from hurwitzlab.errors import ConsistencyError, DomainError, ResourceLimitError
 from hurwitzlab.partitions import Partition, class_size, partitions_of
-from hurwitzlab.symgroup import (CharacterTable, build_table, character, column,
-                                 dim_irrep)
+from hurwitzlab.symgroup import (BURNSIDE_MAX_D, CharacterTable, build_table,
+                                 character, column, dim_irrep)
 
 
 # --- independent oracles ----------------------------------------------------
@@ -222,7 +222,7 @@ def test_build_table_rejects_bad_degree():
     with pytest.raises(DomainError):
         build_table(0)
     with pytest.raises(ResourceLimitError):
-        build_table(15)
+        build_table(BURNSIDE_MAX_D + 1)
     with pytest.raises(ResourceLimitError):
         build_table(9, max_d=8)
 
