@@ -68,4 +68,4 @@ print("One-variable series for mu = (2) (exponent = branch points minus degree):
 print(" ", phi_series(Partition([2]), "dp", max_r=7))
 print()
 print("The trivial profile mu = (1) admits only the identity cover:")
-print(" ", phi_series(Partition([1]), "dfs", max_r=6))
+print(" ", phi_series(Partition([1]), "dp", max_r=6))

@@ -12,11 +12,9 @@ from hurwitzlab import (
     EquivariantPolyRing,
     ab_integrate,
     fixed_point_weights_cover,
-    fixed_point_weights_p1,
     grr_localization_check,
     point_class,
     pushforward_char_cover,
-    pushforward_char_p1,
 )
 from hurwitzlab.eqcoh import WeightMultiset
 
@@ -24,7 +22,7 @@ print(__doc__)
 
 print("Cohomology weights of O(k) on the line (lift weight a = 0):")
 for k in (3, 1, 0, -1, -3):
-    h0, h1 = pushforward_char_p1(k, 0)
+    h0, h1 = pushforward_char_cover(k, 0, 1)  # the line is the degree-1 cover
     print(f"  k = {k:>2}:  H0 = {sorted(w for w, _ in h0.items())}"
           f"   H1 = {sorted(w for w, _ in h1.items())}")
 print()
@@ -41,12 +39,8 @@ print("poles equals the claimed virtual character, as cleared polynomials:")
 for d in (1, 2, 3, 4):
     ok = all(
         grr_localization_check(
-            fixed_point_weights_cover(a, k, d) if d > 1
-            else fixed_point_weights_p1(a, k),
-            (lambda hh: hh[0] - hh[1])(
-                pushforward_char_cover(k, a, d) if d > 1
-                else pushforward_char_p1(k, a)
-            ),
+            fixed_point_weights_cover(a, k, d),
+            (lambda hh: hh[0] - hh[1])(pushforward_char_cover(k, a, d)),
         )
         for k in range(-5, 6)
         for a in range(-3, 4)
@@ -55,8 +49,8 @@ for d in (1, 2, 3, 4):
 print()
 
 print("A perturbed claim is caught:")
-fp = fixed_point_weights_p1(0, 1)
-h0, h1 = pushforward_char_p1(1, 0)
+fp = fixed_point_weights_cover(0, 1, 1)
+h0, h1 = pushforward_char_cover(1, 0, 1)
 print("  verdict:", grr_localization_check(fp, (h0 - h1) + WeightMultiset({9: 1})))
 print()
 

@@ -22,7 +22,6 @@ from .hurwitz import (
     HurwitzSeries,
     connected_dfs,
     connected_dp,
-    connected_from_disconnected,
     connected_via_transform,
     disconnected_burnside,
     disconnected_dp,
@@ -34,7 +33,6 @@ from .hodge import (
     HodgeTable,
     elsv_evaluate,
     elsv_inversion,
-    elsv_invert,
     hodge_export,
     hodge_import,
     invert_into,
@@ -50,14 +48,12 @@ from .eqcoh import (
     elsv_via_localization,
     fixed_locus_data,
     fixed_point_weights_cover,
-    fixed_point_weights_p1,
     format_hodge_class,
     grr_localization_check,
     inverse_euler_normal,
     parse_hodge_class,
     point_class,
     pushforward_char_cover,
-    pushforward_char_p1,
 )
 
 __version__ = "0.1.0"

@@ -20,9 +20,9 @@ from .errors import ConsistencyError, DomainError, HurwitzlabError, ResourceLimi
 from .hodge import (
     HodgeTable,
     elsv_evaluate,
-    elsv_inversion,
     hodge_export,
     hodge_import,
+    invert_into,
     sample_candidates,
 )
 from .hurwitz import (
@@ -99,30 +99,37 @@ def _build_parser():
         description="Exact branched-cover counts, bracket tables, and "
                     "verification suites.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", default="text", choices=FORMATS,
-                        help="output format (default text)")
-    common.add_argument("--cache-dir", default="",
-                        help="directory of the default bracket table, "
-                             f"hodge-table.txt (default ${CACHE_ENV_VAR} "
-                             "or ~/.cache/hurwitzlab)")
-    common.add_argument("--budget-dfs-nodes", type=_positive,
-                        default=DFS_NODE_BUDGET,
-                        help="budget of visited states for the dfs engine")
-    common.add_argument("--budget-dp-max-d", type=_positive, default=DP_MAX_D,
-                        help="largest degree for the dp engines, and for "
-                             "the grid-point check of hodge and elsv")
-    common.add_argument("--budget-burnside-max-d", type=_positive,
-                        default=BURNSIDE_MAX_D,
-                        help="largest degree for the character-sum engine "
-                             "(also in hodge and elsv) and for chartable")
-    common.add_argument("--timing", action="store_true",
-                        help="include elapsed time in output (breaks "
-                             "byte-for-byte determinism)")
+
+    def flag(*args, **kwargs):  # a subcommand takes only the flags it reads
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*args, **kwargs)
+        return parent
+
+    fmt = flag("--format", default="text", choices=FORMATS,
+               help="output format (default text)")
+    cache = flag("--cache-dir", default="",
+                 help="directory of the default bracket table, "
+                      f"hodge-table.txt (default ${CACHE_ENV_VAR} "
+                      "or ~/.cache/hurwitzlab)")
+    dfs = flag("--budget-dfs-nodes", type=_positive, default=DFS_NODE_BUDGET,
+               help="budget of visited states for the dfs engine")
+    dp = flag("--budget-dp-max-d", type=_positive, default=DP_MAX_D,
+              help="largest degree for the dp engines, and for the "
+                   "grid-point check of hodge and elsv")
+    burnside = flag("--budget-burnside-max-d", type=_positive,
+                    default=BURNSIDE_MAX_D,
+                    help="largest degree for the character-sum engine "
+                         "(also in hodge and elsv) and for character tables")
+    timing = flag("--timing", action="store_true",
+                  help="include elapsed time in output (breaks "
+                       "byte-for-byte determinism)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hurwitz", parents=[common],
+    # verify and hurwitz store nothing; they take --cache-dir because the
+    # benchmark harness passes it to every command
+    p = sub.add_parser("hurwitz",
+                       parents=[fmt, cache, dfs, dp, burnside, timing],
                        help="compute one cover count")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--genus", type=int, help="connected count of this genus")
@@ -132,31 +139,32 @@ def _build_parser():
     p.add_argument("--engine", default="burnside", choices=ENGINES)
     p.add_argument("--batch", help="JSON file with a list of query records")
 
-    p = sub.add_parser("hodge", parents=[common],
+    p = sub.add_parser("hodge", parents=[fmt, cache, dp, burnside],
                        help="invert the bracket table for one (genus, marks)")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--marks", type=int, required=True)
     p.add_argument("--table-file", default="",
                    help="bracket table to update (default in the cache dir)")
 
-    p = sub.add_parser("elsv", parents=[common],
+    p = sub.add_parser("elsv", parents=[fmt, cache, dp, burnside, timing],
                        help="forward-evaluate a cover count from the bracket table")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--table-file", default="")
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[fmt, cache],
+                       help="run a verification suite")
     p.add_argument("--suite", default="all",
                    choices=("elsv", "burnside", "grr", "string",
                             "localization", "all"))
 
-    p = sub.add_parser("chartable", parents=[common],
+    p = sub.add_parser("chartable", parents=[fmt, cache, burnside],
                        help="build and verify a character table; its row "
                             "check is O(p(d)^3): about 3 s at d = 18, "
                             "10 s at d = 20")
     p.add_argument("--d", type=int, required=True, dest="degree")
 
-    p = sub.add_parser("export", parents=[common],
+    p = sub.add_parser("export", parents=[cache, burnside],
                        help="print a stored table in its canonical format")
     p.add_argument("--what", required=True, choices=("hodge", "chartable"))
     p.add_argument("--d", type=int, dest="degree",
@@ -168,7 +176,19 @@ def _build_parser():
     return parser
 
 
-def _emit(record, args, text_lines):
+def _count_lines(rec):
+    """The text rendering of a cover-count record."""
+    grading = (f"genus = {rec['genus']}" if "genus" in rec
+               else f"euler = {rec['euler']}")
+    out = [f"H = {rec['result']}",
+           f"engine = {rec['engine']}   d = {rec['d']}  h = {rec['h']}  "
+           f"r = {rec['r']}  {grading}"]
+    if "elapsed_ms" in rec:
+        out.append(f"elapsed = {rec['elapsed_ms']} ms")
+    return out
+
+
+def _emit(record, args, text_lines=_count_lines):
     """Render one result record in the format of ``--format``."""
     if args.format == "json":
         print(json.dumps(record, sort_keys=True))
@@ -227,25 +247,35 @@ def _cmd_hurwitz(args):
     if not args.partition:
         raise DomainError("--partition is required")
     mu = _parse_partition(args.partition)
-    record = _run_query(args.engine, args.genus, args.euler, mu, args)
-
-    def lines(rec):
-        out = [f"H = {rec['result']}"]
-        meta = f"engine = {rec['engine']}   d = {rec['d']}  h = {rec['h']}  r = {rec['r']}"
-        if "genus" in rec:
-            meta += f"  genus = {rec['genus']}"
-        else:
-            meta += f"  euler = {rec['euler']}"
-        out.append(meta)
-        if "elapsed_ms" in rec:
-            out.append(f"elapsed = {rec['elapsed_ms']} ms")
-        return out
-
-    _emit(record, args, lines)
+    _emit(_run_query(args.engine, args.genus, args.euler, mu, args), args)
     return 0
 
 
 _BATCH_KEYS = {"engine", "genus", "euler", "partition"}
+
+
+def _batch_query(rec, args):
+    """Check one batch record, which is outside input, and run it."""
+    if not isinstance(rec, dict):
+        raise DomainError(f"not a JSON object: {json.dumps(rec)}")
+    unknown = set(rec) - _BATCH_KEYS
+    if unknown:
+        raise DomainError(f"unknown keys {', '.join(sorted(unknown))}")
+    if ("genus" in rec) == ("euler" in rec):
+        raise DomainError("provide exactly one of genus/euler")
+    key = "genus" if "genus" in rec else "euler"
+    if type(rec[key]) is not int:  # a JSON bool is not an integer
+        raise DomainError(f"{key} is not an integer: {json.dumps(rec[key])}")
+    partition = rec.get("partition", "")
+    if not isinstance(partition, str):
+        raise DomainError(
+            f"partition is not a string such as \"3,1\": {json.dumps(partition)}")
+    engine = rec.get("engine", "burnside")
+    if engine not in ENGINES:
+        raise DomainError(f"unknown engine {engine!r}")
+    mu = _parse_partition(partition)
+    return {**rec, **_run_query(engine, rec.get("genus"), rec.get("euler"),
+                                mu, args)}
 
 
 def _cmd_hurwitz_batch(args):
@@ -260,22 +290,10 @@ def _cmd_hurwitz_batch(args):
         raise DomainError("batch file must hold a JSON list of records")
     results = []
     for i, rec in enumerate(records):
-        unknown = set(rec) - _BATCH_KEYS
-        if unknown:
-            raise DomainError(
-                f"record {i}: unknown keys {', '.join(sorted(unknown))}"
-            )
-        if ("genus" in rec) == ("euler" in rec):
-            raise DomainError(f"record {i}: provide exactly one of genus/euler")
-        engine = rec.get("engine", "burnside")
-        if engine not in ENGINES:
-            raise DomainError(f"record {i}: unknown engine {engine!r}")
-        mu = _parse_partition(rec.get("partition", ""))
-        out = dict(rec)
-        out.update(
-            _run_query(engine, rec.get("genus"), rec.get("euler"), mu, args)
-        )
-        results.append(out)
+        try:
+            results.append(_batch_query(rec, args))
+        except DomainError as exc:
+            raise DomainError(f"record {i}: {exc}") from exc
     if args.format == "csv":
         keys = sorted({k for rec in results for k in rec})
         print(",".join(keys))
@@ -301,17 +319,13 @@ def _load_table(path):
 
 
 def _invert_block(table, g, h, args):
-    """Replace the (g, h) block of ``table`` by a fresh inversion: the
-    character-sum engine runs to ``--budget-burnside-max-d``, the grid-point
-    check to ``--budget-dp-max-d``."""
+    """``invert_into`` with the budgets: the character-sum engine runs to
+    ``--budget-burnside-max-d``, the grid-point check to
+    ``--budget-dp-max-d``."""
     engine = partial(connected_via_transform,
                      burnside_max_d=args.budget_burnside_max_d)
-    result = elsv_inversion(g, h, hurwitz_engine=engine,
-                            dp_max_d=args.budget_dp_max_d)
-    table.drop(g, h)
-    for bracket, value in result.brackets.items():
-        table.add(bracket, value)
-    return result
+    return invert_into(table, g, h, hurwitz_engine=engine,
+                       dp_max_d=args.budget_dp_max_d)
 
 
 def _cmd_hodge(args):
@@ -376,15 +390,7 @@ def _cmd_elsv(args):
     }
     if args.timing:
         record["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-
-    def lines(rec):
-        return [
-            f"H = {rec['result']}",
-            f"engine = elsv   d = {rec['d']}  h = {rec['h']}  r = {rec['r']}"
-            f"  genus = {rec['genus']}",
-        ]
-
-    _emit(record, args, lines)
+    _emit(record, args)
     return 0
 
 

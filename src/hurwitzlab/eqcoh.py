@@ -5,9 +5,10 @@ Pieces:
 * ``WeightMultiset`` -- finite multisets of rational torus weights, with
   integer (possibly negative) multiplicities for virtual sums;
 * fixed-point weight data and cohomology-pushforward characters for line
-  bundles on the projective line and on its degree-d cyclic covers, checked
-  against each other by ``grr_localization_check`` as exact rational-function
-  identities (substitute q = e^(u/D) and clear denominators);
+  bundles on the degree-d cyclic covers of the projective line (d = 1 is the
+  line itself), checked against each other by ``grr_localization_check`` as
+  exact rational-function identities (substitute q = e^(u/D) and clear
+  denominators);
 * ``EquivariantPolyRing`` -- the two-variable polynomial ring in u and the
   hyperplane class H modulo the monic relation prod(H + a_i u), with
   ``ab_integrate`` summing fixed-point residues;
@@ -216,18 +217,11 @@ class WeightMultiset:
         return f"WeightMultiset({{{inner}}})"
 
 
-def fixed_point_weights_p1(a, k):
-    """Tangent and twisted-line weights (in units of u) at the two torus-fixed
-    points of the projective line, for the lift of O(k) with weight a at the
-    zero pole: tangent (1, -1), fiber (a, a - k)."""
-    zero_pole = (WeightMultiset({1: 1}), WeightMultiset({a: 1}))
-    infinity_pole = (WeightMultiset({-1: 1}), WeightMultiset({a - k: 1}))
-    return (zero_pole, infinity_pole)
-
-
 def fixed_point_weights_cover(a, k, d):
-    """Same data pulled back through the degree-d cyclic cover z -> z^d:
-    tangent weights shrink to (1/d, -1/d), fiber weights are unchanged."""
+    """Tangent and twisted-line weights (in units of u) at the two
+    torus-fixed points of the degree-d cyclic cover z -> z^d of the
+    projective line, for the lift of O(k) with weight a at the zero pole:
+    tangent (1/d, -1/d), fiber (a, a - k).  d = 1 is the line itself."""
     if d < 1:
         raise DomainError(f"cover degree must be positive, got {d}")
     zero_pole = (WeightMultiset({Fraction(1, d): 1}), WeightMultiset({a: 1}))
@@ -238,25 +232,11 @@ def fixed_point_weights_cover(a, k, d):
     return (zero_pole, infinity_pole)
 
 
-def pushforward_char_p1(k, a):
-    """Weights of the cohomology of O(k) on the projective line under the
-    weight-a lift: H0 = {a - i : i = 0..k} for k >= 0, H1 = {a + i :
-    i = 1..-k-1} for k < -1, and both vanish at k = -1."""
-    if k >= 0:
-        return (
-            WeightMultiset.from_weights(a - i for i in range(k + 1)),
-            WeightMultiset(),
-        )
-    return (
-        WeightMultiset(),
-        WeightMultiset.from_weights(a + i for i in range(1, -k - 1 + 1)),
-    )
-
-
 def pushforward_char_cover(k, a, d):
     """Weights of the cohomology of the pullback of O(k) along the degree-d
     cyclic cover: H0 = {a - i/d : i = 0..kd} for k >= 0,
-    H1 = {a + i/d : i = 1..-kd-1} for k < 0."""
+    H1 = {a + i/d : i = 1..-kd-1} for k < 0.  d = 1 is the line itself,
+    where both vanish at k = -1."""
     if d < 1:
         raise DomainError(f"cover degree must be positive, got {d}")
     if k >= 0:
@@ -351,22 +331,20 @@ class EquivariantPolyRing:
         self.weights = tuple(int(a) for a in weights)
         if len(self.weights) != r + 1:
             raise DomainError(f"need {r + 1} lift weights, got {len(self.weights)}")
-        # elementary symmetric functions of the weights: the modulus is
-        # H^(r+1) + sum_k esym[k] u^k H^(r+1-k)
-        esym = [1] + [0] * (r + 1)
+        one = Laurent.constant(1)
+        modulus = {0: one}  # prod_i (H + a_i u) by power of H, monic
         for a in self.weights:
-            for k in range(r + 1, 0, -1):
-                esym[k] = esym[k] + a * esym[k - 1]
-        self._esym = esym
+            factor = sparse.add({1: one}, {0: Laurent.monomial(1, a)})
+            modulus = sparse.mul(modulus, factor, add)
+        del modulus[r + 1]
+        self._top = sparse.scale(modulus, -1)  # H^(r+1), which _reduce rewrites
 
     def element(self, coeffs):
-        coeffs = list(coeffs)
-        if len(coeffs) > self.r + 1:
-            coeffs = self._reduce(coeffs)
-        out = [Laurent() for _ in range(self.r + 1)]
-        for i, c in enumerate(coeffs):
-            out[i] = c if isinstance(c, Laurent) else Laurent.constant(c)
-        return RingElement(self, tuple(out))
+        """The element sum_i coeffs[i] H^i."""
+        terms = (c if isinstance(c, Laurent) else Laurent.constant(c)
+                 for c in coeffs)
+        return RingElement(self, self._reduce(
+            {i: c for i, c in enumerate(terms) if c}))
 
     @property
     def one(self):
@@ -383,48 +361,41 @@ class EquivariantPolyRing:
     def u(self, exp=1, coef=1):
         return self.element([Laurent.monomial(exp, coef)])
 
-    def _reduce(self, coeffs):
-        coeffs = [c if isinstance(c, Laurent) else Laurent.constant(c) for c in coeffs]
-        for deg in range(len(coeffs) - 1, self.r, -1):
-            c = coeffs[deg]
-            if c.is_zero():
-                continue
-            coeffs[deg] = Laurent()
-            for k in range(1, self.r + 2):
-                shift = Laurent.monomial(k, -self._esym[k])
-                coeffs[deg - k] = coeffs[deg - k] + shift * c
-        return coeffs[: self.r + 1]
+    def _reduce(self, terms):
+        """Rewrite each H^deg with deg > r by the relation, top degree first."""
+        for deg in range(max(terms, default=0), self.r, -1):
+            if deg in terms:
+                head = {deg - self.r - 1: terms.pop(deg)}
+                terms = sparse.add(terms, sparse.mul(head, self._top, add))
+        return terms
 
 
 class RingElement:
-    __slots__ = ("ring", "coeffs")
+    """{power of H: Laurent polynomial in u}, powers 0..r, no zero entries."""
 
-    def __init__(self, ring, coeffs):
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring, terms):
         self.ring = ring
-        self.coeffs = coeffs
+        self.terms = terms
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
             if other.ring is not self.ring:
                 raise DomainError("elements of different rings")
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.element([other])
-        if isinstance(other, Laurent):
+        if isinstance(other, (int, Fraction, Laurent)):
             return self.ring.element([other])
         raise DomainError(f"cannot coerce {other!r} into the ring")
 
     def __add__(self, other):
         other = self._coerce(other)
-        return RingElement(
-            self.ring,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return RingElement(self.ring, sparse.add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElement(self.ring, tuple(-c for c in self.coeffs))
+        return RingElement(self.ring, sparse.scale(self.terms, -1))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -434,16 +405,8 @@ class RingElement:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        n = self.ring.r + 1
-        prod_coeffs = [Laurent() for _ in range(2 * n - 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                prod_coeffs[i + j] = prod_coeffs[i + j] + a * b
-        return RingElement(self.ring, tuple(self.ring._reduce(prod_coeffs)))
+        product = sparse.mul(self.terms, other.terms, add)
+        return RingElement(self.ring, self.ring._reduce(product))
 
     __rmul__ = __mul__
 
@@ -456,13 +419,11 @@ class RingElement:
     def __eq__(self, other):
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self.ring is other.ring and self.coeffs == other.coeffs
+        return self.ring is other.ring and self.terms == other.terms
 
     def __repr__(self):
         pieces = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
+        for i, c in sorted(self.terms.items()):
             head = f"({c})"
             pieces.append(head if i == 0 else f"{head} H^{i}")
         return " + ".join(pieces) or "0"
@@ -480,7 +441,7 @@ def ab_integrate(ring, element):
     total = Laurent()
     for i, a_i in enumerate(weights):
         restricted = Laurent()
-        for k, c in enumerate(element.coeffs):
+        for k, c in element.terms.items():
             restricted = restricted + c * Laurent.monomial(k, Fraction(-a_i) ** k)
         euler_scalar = prod(a_j - a_i for j, a_j in enumerate(weights) if j != i)
         total = total + restricted.scaled(Fraction(1, euler_scalar)).shifted(-ring.r)

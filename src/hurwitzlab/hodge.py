@@ -9,11 +9,11 @@ the connected cover count factors as
 where P is a symmetric polynomial in the parts whose homogeneous piece of
 degree 3g - 3 + h - i carries, with sign (-1)^i, exactly the brackets
 <psi_1^{j_1} ... psi_h^{j_h} lambda_i>.  ``elsv_evaluate`` runs this forward
-from a bracket table; ``elsv_invert`` samples an engine on a grid of part
+from a bracket table; ``elsv_inversion`` samples an engine on a grid of part
 tuples and solves the exact linear system in the monomial-symmetric basis to
-recover the brackets.  The linear algebra is one incremental Gaussian
-elimination over the rationals, which both picks the independent grid rows
-and solves; no floating point anywhere.
+recover the brackets, and ``invert_into`` puts them in a table.  The linear
+algebra is one incremental Gaussian elimination over the rationals, which
+both picks the independent grid rows and solves; no floating point anywhere.
 """
 
 from dataclasses import dataclass
@@ -154,6 +154,8 @@ class HodgeTable:
 
 def required_brackets(g, h):
     """Every bracket the (g, h) forward evaluation touches."""
+    if g < 0:
+        raise DomainError(f"genus must be nonnegative, got {g}")
     if 2 * g - 2 + h <= 0:
         raise DomainError(f"unsupported range: unstable (g, h) = ({g}, {h})")
     n = 3 * g - 3 + h
@@ -340,18 +342,15 @@ def elsv_inversion(g, h, hurwitz_engine=None, dp_max_d=DP_MAX_D):
                            samples=samples)
 
 
-def elsv_invert(g, h, hurwitz_engine=None):
-    """All linear Hodge brackets for (g, h), as a dict from bracket to exact
-    rational.  See ``elsv_inversion`` for the mechanism and metadata."""
-    return elsv_inversion(g, h, hurwitz_engine=hurwitz_engine).brackets
-
-
-def invert_into(table, g, h, hurwitz_engine=None):
-    """Run the inversion and merge the results into ``table``."""
-    brackets = elsv_invert(g, h, hurwitz_engine=hurwitz_engine)
-    for bracket, value in brackets.items():
+def invert_into(table, g, h, hurwitz_engine=None, dp_max_d=DP_MAX_D):
+    """Replace the (g, h) block of ``table`` by a fresh ``elsv_inversion``
+    and return its ``InversionResult``; other blocks and the seed stay."""
+    result = elsv_inversion(g, h, hurwitz_engine=hurwitz_engine,
+                            dp_max_d=dp_max_d)
+    table.drop(g, h)
+    for bracket, value in result.brackets.items():
         table.add(bracket, value)
-    return brackets
+    return result
 
 
 # ---------------------------------------------------------------------------

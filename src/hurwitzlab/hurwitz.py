@@ -16,8 +16,9 @@ Four independent engines compute the same numbers:
 * ``disconnected_burnside`` -- the character sum over irreducibles, with the
   transposition class acting through half the kappa statistic.
 
-``connected_from_disconnected`` converts between the two gradings by a formal
-logarithm in Newton-polynomial variables.
+``connected_via_transform`` turns either disconnected engine into connected
+counts by ``HurwitzSeries.log``, a formal logarithm in Newton-polynomial
+variables.
 
 Conventions: the reference permutation for cycle type mu is the one with the
 cycles (1..mu_1)(mu_1+1..mu_1+mu_2)...; products compose right-to-left, i.e.
@@ -110,6 +111,17 @@ def canonical_representative(mu):
 # ---------------------------------------------------------------------------
 # engine 1: layered count of transitive factorizations
 
+def _connected_r(g, mu):
+    """The tuple length r = 2g - 2 + |mu| + len(mu) of a connected query;
+    every connected engine rejects g < 0 and r < 0 here."""
+    if g < 0:
+        raise DomainError(f"genus must be nonnegative, got {g}")
+    r = 2 * g - 2 + mu.size + mu.length
+    if r < 0:
+        raise DomainError(f"invalid query: r = 2g-2+|mu|+len(mu) = {r} < 0")
+    return r
+
+
 def connected_dfs(g, mu, node_budget=DFS_NODE_BUDGET, sigma_inf=None,
                   composition="rl"):
     """Connected cover count for genus ``g`` and ramification profile ``mu``.
@@ -127,12 +139,7 @@ def connected_dfs(g, mu, node_budget=DFS_NODE_BUDGET, sigma_inf=None,
     selects the product convention, "rl" (apply rightmost first) or "lr".
     ``node_budget`` bounds the number of states visited.
     """
-    if g < 0:
-        raise DomainError(f"genus must be nonnegative, got {g}")
-    d, h = mu.size, mu.length
-    r = 2 * g - 2 + d + h
-    if r < 0:
-        raise DomainError(f"invalid query: r = 2g-2+|mu|+len(mu) = {r} < 0")
+    d, r = mu.size, _connected_r(g, mu)
     if composition not in ("rl", "lr"):
         raise DomainError(f"unknown composition convention {composition!r}")
 
@@ -348,11 +355,7 @@ def connected_dp(g, mu, max_d=DP_MAX_D):
     cut-and-join recursion on cycle types (``_transitive_class_count``): no
     permutations, no characters, no transform.  The tuple counts stay
     memoized for the life of the process, shared by every caller."""
-    if g < 0:
-        raise DomainError(f"genus must be nonnegative, got {g}")
-    r = 2 * g - 2 + mu.size + mu.length
-    if r < 0:
-        raise DomainError(f"invalid query: r = 2g-2+|mu|+len(mu) = {r} < 0")
+    r = _connected_r(g, mu)
     if mu.size > max_d:
         raise ResourceLimitError(
             f"cycle-type recursion budget is d <= {max_d}, got d = {mu.size}")
@@ -557,13 +560,6 @@ class HurwitzSeries:
         return acc
 
 
-def connected_from_disconnected(series):
-    """Formal logarithm turning the disconnected generating series into the
-    connected one, inverting exp(sum over nonempty mu of Phi_mu p_mu) =
-    sum over mu of Phi*_mu p_mu within the truncation orders."""
-    return series.log()
-
-
 def _engine_callable(engine, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D,
                      cache_dir=None):
     # cache_dir is ignored; it stays accepted while perfbench passes it
@@ -603,46 +599,28 @@ def connected_via_transform(g, mu, engine="burnside", **engine_opts):
     exp/log transform.  Concretely: the coefficient of
     lambda^(2g-2+len(mu)) p_mu in the log of the disconnected series,
     truncated to the divisors of p_mu (so at size |mu|) and at
-    r = e + |mu|, the query's own r."""
-    d, h = mu.size, mu.length
-    e = 2 * g - 2 + h
-    if e + d < 0:
-        raise DomainError(f"invalid query: r = {e + d} < 0")
+    r = e + |mu|, the query's own r.  The log inverts
+    exp(sum over nonempty mu of Phi_mu p_mu) = sum over mu of Phi*_mu p_mu
+    within the truncation orders."""
+    d = mu.size
+    e = _connected_r(g, mu) - d
     if d == 0:
         raise DomainError("the empty partition has no connected covers")
     series = disconnected_series(
         engine, max_size=d, max_exp=e, submultisets_of=mu, **engine_opts
     )
-    return connected_from_disconnected(series).coefficient(mu, e)
+    return series.log().coefficient(mu, e)
 
 
-def phi_series(mu, engine="dfs", max_r=10, **engine_opts):
-    """One-variable generating series for the profile ``mu``: a map from the
-    exponent e to the cover count, with e = 2g - 2 + len(mu) for the
-    connected series (engine "dfs") and e = -chi + len(mu) for the
-    disconnected ones (engines "dp" and "burnside").  Either way e = r - |mu|,
-    and terms run over all admissible r <= max_r."""
+def phi_series(mu, engine="dp", max_r=10, **engine_opts):
+    """One-variable generating series of the disconnected counts for the
+    profile ``mu`` (engines "dp" and "burnside", or a callable
+    ``engine(chi, mu)``): a map from the exponent e = -chi + len(mu)
+    = r - |mu| to the cover count, over all admissible r <= max_r."""
     d, h = mu.size, mu.length
+    eng = _engine_callable(engine, **engine_opts)
     terms = {}
-    if engine == "dfs":
-        g = 0
-        while True:
-            r = 2 * g - 2 + d + h
-            if r > max_r:
-                break
-            if r >= 0:
-                value = connected_dfs(g, mu, **engine_opts)
-                if value:
-                    terms[r - d] = value
-            g += 1
-    elif engine in ("dp", "burnside") or callable(engine):
-        eng = _engine_callable(engine, **engine_opts)
-        for r in range(0, max_r + 1):
-            if (r - d - h) % 2 != 0:
-                continue
-            value = eng(d + h - r, mu)
-            if value:
-                terms[r - d] = value
-    else:
-        raise DomainError(f"unknown engine {engine!r}")
+    for r in range((d + h) % 2, max_r + 1, 2):
+        if value := eng(d + h - r, mu):
+            terms[r - d] = value
     return terms

@@ -1,11 +1,11 @@
 """Sparse polynomials as dicts from monomial to coefficient.
 
-The one add / scale / multiply loop behind the sparse exact algebras of the
-package: the Hurwitz series, Laurent polynomials in u, the weight multisets
-and the truncated psi/lambda algebra.  (``eqcoh.RingElement``, a dense
-coefficient vector, has its own loop.)  A dict here never stores a zero
-coefficient.  Monomials are any hashable keys; coefficients are anything
-with +, * and truth (ints, Fractions, Laurent polynomials).
+The one add / scale / multiply loop behind every exact algebra of the
+package: the Hurwitz series, Laurent polynomials in u, the weight multisets,
+the truncated psi/lambda algebra and the equivariant ring of
+``eqcoh.RingElement``.  A dict here never stores a zero coefficient.
+Monomials are any hashable keys; coefficients are anything with +, * and
+truth (ints, Fractions, Laurent polynomials).
 """
 
 

@@ -18,6 +18,8 @@ Suites:
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import islice
 from math import factorial
 
 from .errors import DomainError
@@ -42,11 +44,9 @@ from .eqcoh import (
     ab_integrate,
     elsv_via_localization,
     fixed_point_weights_cover,
-    fixed_point_weights_p1,
     grr_localization_check,
     point_class,
     pushforward_char_cover,
-    pushforward_char_p1,
 )
 from .partitions import Partition, kappa, partitions_of, z
 from .symgroup import build_table
@@ -72,29 +72,17 @@ class CheckResult:
         return f"{status}  {self.suite}:{self.name}{tail}"
 
 
-_inversion_memo = {}
-_fresh_memo = {}
-
-
+@cache
 def _inversion(g, h):
-    key = (g, h)
-    if key not in _inversion_memo:
-        _inversion_memo[key] = elsv_inversion(g, h)
-    return _inversion_memo[key]
+    return elsv_inversion(g, h)
 
 
+@cache
 def _fresh_samples(g, h):
-    key = (g, h)
-    if key not in _fresh_memo:
-        grid = set(_inversion(g, h).grid)
-        stream = sample_candidates(g, h)
-        fresh = []
-        while len(fresh) < FRESH_SAMPLES_PER_PAIR:
-            mu = next(stream)
-            if mu not in grid:
-                fresh.append(mu)
-        _fresh_memo[key] = tuple(fresh)
-    return _fresh_memo[key]
+    """The first profiles of the sample stream that the grid did not use."""
+    grid = set(_inversion(g, h).grid)
+    fresh = (mu for mu in sample_candidates(g, h) if mu not in grid)
+    return tuple(islice(fresh, FRESH_SAMPLES_PER_PAIR))
 
 
 def _full_table():
@@ -320,13 +308,13 @@ def grr_grid_checks():
     out = []
     known_lists = (
         ("known weight list: line, k=1, a=0",
-         pushforward_char_p1(1, 0)[0] == WeightMultiset({0: 1, -1: 1})
-         and pushforward_char_p1(1, 0)[1].is_empty()),
+         pushforward_char_cover(1, 0, 1)[0] == WeightMultiset({0: 1, -1: 1})
+         and pushforward_char_cover(1, 0, 1)[1].is_empty()),
         ("known weight list: line, k=-1, a=0",
-         pushforward_char_p1(-1, 0)[0].is_empty()
-         and pushforward_char_p1(-1, 0)[1].is_empty()),
+         pushforward_char_cover(-1, 0, 1)[0].is_empty()
+         and pushforward_char_cover(-1, 0, 1)[1].is_empty()),
         ("known weight list: line, k=-3, a=0",
-         pushforward_char_p1(-3, 0)[1] == WeightMultiset({1: 1, 2: 1})),
+         pushforward_char_cover(-3, 0, 1)[1] == WeightMultiset({1: 1, 2: 1})),
         ("known weight list: cover, k=1, a=0, d=2",
          pushforward_char_cover(1, 0, 2)[0]
          == WeightMultiset({0: 1, Fraction(-1, 2): 1, -1: 1})),
@@ -340,12 +328,8 @@ def grr_grid_checks():
         failures = []
         for k in range(-5, 6):
             for a in range(-3, 4):
-                if d == 1:
-                    fp = fixed_point_weights_p1(a, k)
-                    h0, h1 = pushforward_char_p1(k, a)
-                else:
-                    fp = fixed_point_weights_cover(a, k, d)
-                    h0, h1 = pushforward_char_cover(k, a, d)
+                fp = fixed_point_weights_cover(a, k, d)
+                h0, h1 = pushforward_char_cover(k, a, d)
                 if not grr_localization_check(fp, h0 - h1):
                     failures.append((k, a))
         out.append(
@@ -356,8 +340,8 @@ def grr_grid_checks():
             )
         )
 
-    fp = fixed_point_weights_p1(0, 1)
-    h0, h1 = pushforward_char_p1(1, 0)
+    fp = fixed_point_weights_cover(0, 1, 1)
+    h0, h1 = pushforward_char_cover(1, 0, 1)
     perturbed = (h0 - h1) + WeightMultiset({Fraction(7): 1})
     out.append(
         CheckResult(

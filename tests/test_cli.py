@@ -469,3 +469,46 @@ def test_budget_flags_must_be_positive(capsys, cache):
                            "3", "--budget-dp-max-d", "5", "--engine", "dp",
                            "--cache-dir", cache)
     assert code == 0 and out.splitlines()[0] == "H = 1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "grr", "--budget-dp-max-d", "1"),
+    ("hodge", "--genus", "1", "--marks", "1", "--budget-dfs-nodes", "1"),
+    ("hodge", "--genus", "1", "--marks", "1", "--timing"),
+    ("chartable", "--d", "3", "--budget-dp-max-d", "1"),
+    ("export", "--what", "chartable", "--d", "3", "--format", "json"),
+    ("export", "--what", "chartable", "--d", "3", "--timing"),
+])
+def test_subcommands_reject_flags_they_do_not_read(capsys, cache, argv):
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", cache)
+    assert code == 1 and "unrecognized arguments" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("record", [
+    5,
+    {"euler": "x", "partition": "2"},
+    {"euler": 2, "partition": 5},
+    {"genus": 1.5, "partition": "2"},
+    {"euler": True, "partition": "2"},  # a JSON bool is not an integer
+    {"euler": 2, "partition": ""},  # the parse error names the record too
+])
+def test_batch_rejects_malformed_records(capsys, cache, tmp_path, record):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([{"euler": 2, "partition": "2"}, record]))
+    code, out, err = run_cli(capsys, "hurwitz", "--batch", str(path),
+                             "--cache-dir", cache)
+    assert code == 1 and err.startswith("error: record 1: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("hurwitz", "--genus", "-1", "--partition", "1,1,1", "--engine", "dfs"),
+    ("hurwitz", "--genus", "-1", "--partition", "1,1,1", "--engine", "dp"),
+    ("hurwitz", "--genus", "-1", "--partition", "1,1,1", "--engine", "burnside"),
+    ("hodge", "--genus", "-1", "--marks", "5"),
+])
+def test_negative_genus_exits_one(capsys, cache, argv):
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", cache)
+    assert code == 1 and "nonnegative" in err
+    assert out == ""

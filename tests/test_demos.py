@@ -1,4 +1,9 @@
-"""Each demo runs end to end: exit status 0 and something on stdout."""
+"""Each demo runs end to end and prints exactly its pinned stdout.
+
+``demo_stdout/`` holds each demo's stdout, so a change to the library that
+is meant to keep every printed number shows here if it does not.  A demo
+prints no paths, so the pins do not depend on the cache directory.
+"""
 
 import os
 import subprocess
@@ -8,6 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PINS = Path(__file__).resolve().parent / "demo_stdout"
 
 
 @pytest.mark.parametrize(
@@ -21,4 +27,5 @@ def test_demo_runs(demo, tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    pinned = (PINS / demo).with_suffix(".txt").read_text(encoding="utf-8")
+    assert proc.stdout == pinned

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import prod
 
 import pytest
 
@@ -12,7 +14,6 @@ from hurwitzlab.eqcoh import (
     elsv_via_localization,
     fixed_locus_data,
     fixed_point_weights_cover,
-    fixed_point_weights_p1,
     format_hodge_class,
     grr_localization_check,
     hodge_euler_dual,
@@ -21,7 +22,6 @@ from hurwitzlab.eqcoh import (
     parse_hodge_class,
     point_class,
     pushforward_char_cover,
-    pushforward_char_p1,
 )
 from hurwitzlab.hodge import HodgeTable, elsv_evaluate, invert_into
 from hurwitzlab.partitions import Partition, partitions_of
@@ -71,28 +71,28 @@ def test_weight_multiset_virtual_arithmetic():
 
 
 def test_fixed_point_weights_line():
-    (t0, f0), (t1, f1) = fixed_point_weights_p1(0, 0)
+    (t0, f0), (t1, f1) = fixed_point_weights_cover(0, 0, 1)
     assert t0 == WeightMultiset({1: 1}) and t1 == WeightMultiset({-1: 1})
     assert f0 == WeightMultiset({0: 1}) and f1 == WeightMultiset({0: 1})
-    (_, f0), (_, f1) = fixed_point_weights_p1(1, 2)
+    (_, f0), (_, f1) = fixed_point_weights_cover(1, 2, 1)
     assert f0 == WeightMultiset({1: 1}) and f1 == WeightMultiset({-1: 1})
 
 
 def test_fiber_weight_difference_is_degree():
     for a in range(-3, 4):
         for k in range(-5, 6):
-            (_, f0), (_, f1) = fixed_point_weights_p1(a, k)
+            (_, f0), (_, f1) = fixed_point_weights_cover(a, k, 1)
             (w0, _), = f0.items()
             (w1, _), = f1.items()
             assert w0 - w1 == k
 
 
 def test_pushforward_char_line_cases():
-    h0, h1 = pushforward_char_p1(1, 0)
+    h0, h1 = pushforward_char_cover(1, 0, 1)
     assert h0 == WeightMultiset({0: 1, -1: 1}) and h1.is_empty()
-    h0, h1 = pushforward_char_p1(-1, 0)
+    h0, h1 = pushforward_char_cover(-1, 0, 1)
     assert h0.is_empty() and h1.is_empty()
-    h0, h1 = pushforward_char_p1(-3, 0)
+    h0, h1 = pushforward_char_cover(-3, 0, 1)
     assert h0.is_empty() and h1 == WeightMultiset({1: 1, 2: 1})
 
 
@@ -106,9 +106,14 @@ def test_pushforward_char_cover_cases():
 
 
 def test_cover_degree_one_agrees_with_line():
+    # the line: H0 = {a - i : 0 <= i <= k}, H1 = {a + i : 1 <= i <= -k - 1}
     for k in range(-4, 5):
         for a in range(-2, 3):
-            assert pushforward_char_cover(k, a, 1) == pushforward_char_p1(k, a)
+            line = (
+                WeightMultiset.from_weights(a - i for i in range(k + 1)),
+                WeightMultiset.from_weights(a + i for i in range(1, -k)),
+            )
+            assert pushforward_char_cover(k, a, 1) == line, (k, a)
 
 
 # --- GRR --------------------------------------------------------------------
@@ -117,8 +122,8 @@ def test_cover_degree_one_agrees_with_line():
 def test_grr_line_and_cover_grids():
     for k in range(-5, 6):
         for a in range(-3, 4):
-            fp = fixed_point_weights_p1(a, k)
-            h0, h1 = pushforward_char_p1(k, a)
+            fp = fixed_point_weights_cover(a, k, 1)
+            h0, h1 = pushforward_char_cover(k, a, 1)
             assert grr_localization_check(fp, h0 - h1), (k, a)
     for d in (2, 3, 4):
         for k in range(-3, 4):
@@ -129,8 +134,8 @@ def test_grr_line_and_cover_grids():
 
 
 def test_grr_rejects_perturbed_claim():
-    fp = fixed_point_weights_p1(0, 1)
-    h0, h1 = pushforward_char_p1(1, 0)
+    fp = fixed_point_weights_cover(0, 1, 1)
+    h0, h1 = pushforward_char_cover(1, 0, 1)
     assert grr_localization_check(fp, (h0 - h1) + WeightMultiset({7: 1})) is False
 
 
@@ -144,8 +149,6 @@ def _plane_data(k, a, w=(0, -1, -3)):
     # projective plane with distinct coordinate weights: three isolated fixed
     # points, two tangent weights each; sections of O(k) are the degree-k
     # monomials, weighted by their exponents
-    from itertools import combinations_with_replacement
-
     fps = []
     for i in range(3):
         tangent = WeightMultiset.from_weights(
@@ -174,8 +177,8 @@ def test_grr_repeated_tangent_weights():
     # product of two lines under the diagonal action: the corner fixed
     # points carry the tangent weight 1 (or -1) with multiplicity two
     def product_data(k1, a1, k2, a2):
-        line1 = fixed_point_weights_p1(a1, k1)
-        line2 = fixed_point_weights_p1(a2, k2)
+        line1 = fixed_point_weights_cover(a1, k1, 1)
+        line2 = fixed_point_weights_cover(a2, k2, 1)
         fps = [
             (
                 t1 + t2,
@@ -188,8 +191,8 @@ def test_grr_repeated_tangent_weights():
             for t1, f1 in line1
             for t2, f2 in line2
         ]
-        h0a = pushforward_char_p1(k1, a1)[0]
-        h0b = pushforward_char_p1(k2, a2)[0]
+        h0a = pushforward_char_cover(k1, a1, 1)[0]
+        h0b = pushforward_char_cover(k2, a2, 1)[0]
         claimed = WeightMultiset.from_weights(
             w1 + w2
             for w1, m1 in h0a.items()
@@ -243,6 +246,24 @@ def test_ab_integrate_top_power():
     ring = EquivariantPolyRing(2)
     value = ab_integrate(ring, ring.H**2)
     assert value == Laurent.constant(1)  # u-independent, nonequivariant limit 1
+
+
+def _complete_homogeneous(m, xs):
+    if m < 0:
+        return 0
+    return sum(prod(c) for c in combinations_with_replacement(xs, m))
+
+
+@pytest.mark.parametrize("weights", [None, (2, -3, 5, 0, -7), (1, 4, -2, 9, 3)])
+def test_ab_integrate_powers_of_h(weights):
+    # int H^k = h_(k-r)(-a_0, ..., -a_r) u^(k-r): the residue sum of
+    # x_i^k / prod_(j != i) (x_i - x_j), worked out without the relation
+    for r in range(1, 5):
+        ring = EquivariantPolyRing(r, None if weights is None else weights[:r + 1])
+        xs = [-a for a in ring.weights]
+        for k in range(2 * r + 3):
+            expected = Laurent.monomial(k - r, _complete_homogeneous(k - r, xs))
+            assert ab_integrate(ring, ring.H**k) == expected, (weights, r, k)
 
 
 def test_ab_integrate_u_independent_for_honest_classes():

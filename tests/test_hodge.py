@@ -11,7 +11,6 @@ from hurwitzlab.hodge import (
     HodgeTable,
     elsv_evaluate,
     elsv_inversion,
-    elsv_invert,
     hodge_export,
     hodge_import,
     invert_into,
@@ -112,12 +111,12 @@ def test_evaluate_rejects_unstable(table):
 
 
 def test_invert_seed():
-    brackets = elsv_invert(0, 3)
+    brackets = elsv_inversion(0, 3).brackets
     assert brackets == {HodgeBracket(g=0, h=3, psi=(0, 0, 0), lam=0): F(1)}
 
 
 def test_invert_genus_one():
-    brackets = {str(b): v for b, v in elsv_invert(1, 1).items()}
+    brackets = {str(b): v for b, v in elsv_inversion(1, 1).brackets.items()}
     assert brackets == {"(1,1,[1],0)": F(1, 24), "(1,1,[0],1)": F(1, 24)}
 
 
@@ -143,9 +142,31 @@ def test_invert_classical_genus_two_values(table):
 
 def test_invert_rejects_unstable():
     with pytest.raises(DomainError):
-        elsv_invert(0, 2)
+        elsv_inversion(0, 2)
     with pytest.raises(DomainError):
-        elsv_invert(0, 1)
+        elsv_inversion(0, 1)
+
+
+def test_invert_into_replaces_the_block():
+    t = HodgeTable()
+    invert_into(t, 1, 1)
+    planted = HodgeBracket(g=0, h=4, psi=(1, 0, 0, 0), lam=0)
+    t.add(planted, 7)  # <tau_1 tau_0^3>_0 is 1
+    result = invert_into(t, 0, 4)
+    assert result.brackets == {planted: 1}
+    assert t.value(planted) == 1
+    assert t.brackets_for(0, 4) == [planted]
+    # the other block and the seed survive
+    assert t.value(HodgeBracket(g=1, h=1, psi=(1,), lam=0)) == F(1, 24)
+    assert t.value(HodgeBracket(g=1, h=1, psi=(0,), lam=1)) == F(1, 24)
+    seed = HodgeBracket(g=0, h=3, psi=(0, 0, 0), lam=0)
+    assert t.value(seed) == 1 and t.provenance(seed) == "seeded"
+    assert len(t) == 4
+
+
+def test_required_brackets_rejects_negative_genus():
+    with pytest.raises(DomainError, match="nonnegative"):
+        required_brackets(-1, 5)
 
 
 def test_inversion_metadata_and_normalization():
@@ -200,11 +221,11 @@ def test_polynomiality_band():
 def test_inversion_independent_of_sampling_orientation():
     # evaluating the engine on reversed tuples is the same partition, and
     # the monomial-symmetric rows are symmetric, so the result cannot move
-    res = elsv_invert(0, 4)
+    res = elsv_inversion(0, 4).brackets
     engine = lambda g, mu: connected_via_transform(
         g, Partition(sorted(mu.parts, reverse=True)), "burnside"
     )
-    res2 = elsv_invert(0, 4, hurwitz_engine=engine)
+    res2 = elsv_inversion(0, 4, hurwitz_engine=engine).brackets
     assert res == res2
 
 

@@ -14,7 +14,6 @@ from hurwitzlab.hurwitz import (
     canonical_representative,
     connected_dfs,
     connected_dp,
-    connected_from_disconnected,
     connected_via_transform,
     conjugate_perm,
     cycle_type,
@@ -415,7 +414,7 @@ def test_series_rejects_impossible_exponent():
 def test_log_requires_unit_constant_term():
     s = HurwitzSeries(3, 3)
     with pytest.raises(DomainError):
-        connected_from_disconnected(s)
+        s.log()
 
 
 def test_log_of_one_is_zero():
@@ -427,7 +426,7 @@ def test_transform_trivial_covers():
     s = HurwitzSeries.one(2, 0)
     s.set_coefficient((1,), -1, 1)
     s.set_coefficient((1, 1), -2, F(1, 2))
-    logged = connected_from_disconnected(s)
+    logged = s.log()
     assert logged.coefficient((1,), -1) == 1
     assert logged.coefficient((1, 1), -2) == 0
 
@@ -570,7 +569,7 @@ def test_transform_rejects_empty_partition():
 
 
 def test_phi_series_trivial_profile():
-    assert phi_series(Partition([1]), "dfs", max_r=4) == {-1: F(1)}
+    assert phi_series(Partition([1]), "dp", max_r=4) == {-1: F(1)}
 
 
 def test_phi_series_disconnected_exponents():
@@ -588,3 +587,15 @@ def test_phi_series_contains_genus_two_term():
 def test_phi_series_unknown_engine():
     with pytest.raises(DomainError):
         phi_series(Partition([2]), "nope")
+
+
+@pytest.mark.parametrize("engine", [
+    connected_dfs,
+    connected_dp,
+    lambda g, mu: connected_via_transform(g, mu, "dp"),
+    lambda g, mu: connected_via_transform(g, mu, "burnside"),
+])
+def test_connected_engines_reject_negative_genus(engine):
+    # at g = -1 the profile (1,1,1) still has r = 1 >= 0
+    with pytest.raises(DomainError, match="nonnegative"):
+        engine(-1, Partition([1, 1, 1]))
