@@ -136,8 +136,10 @@ def _build_parser():
     group.add_argument("--euler", type=int,
                        help="disconnected count of this Euler characteristic")
     p.add_argument("--partition", help="ramification profile, e.g. 3,1")
-    p.add_argument("--engine", default="burnside", choices=ENGINES)
-    p.add_argument("--batch", help="JSON file with a list of query records")
+    p.add_argument("--engine", choices=ENGINES,
+                   help="counting engine (default burnside)")
+    p.add_argument("--batch", help="JSON file with a list of query records; "
+                                   "each record names its own query")
 
     p = sub.add_parser("hodge", parents=[fmt, cache, dp, burnside],
                        help="invert the bracket table for one (genus, marks)")
@@ -168,9 +170,9 @@ def _build_parser():
                        help="print a stored table in its canonical format")
     p.add_argument("--what", required=True, choices=("hodge", "chartable"))
     p.add_argument("--d", type=int, dest="degree",
-                   help="degree (for --what chartable)")
-    p.add_argument("--table-file", default="",
-                   help="bracket table path (for --what hodge)")
+                   help="degree (for --what chartable only)")
+    p.add_argument("--table-file",
+                   help="bracket table path (for --what hodge only)")
     p.add_argument("--output", default="", help="write here instead of stdout")
 
     return parser
@@ -241,13 +243,19 @@ def _run_query(engine, genus, euler, mu, args):
 
 def _cmd_hurwitz(args):
     if args.batch:
+        given = [f"--{name}" for name in ("genus", "euler", "partition", "engine")
+                 if getattr(args, name) is not None]
+        if given:
+            raise DomainError(f"{', '.join(given)} cannot be combined with "
+                              "--batch: each record names its own query")
         return _cmd_hurwitz_batch(args)
     if args.genus is None and args.euler is None:
         raise DomainError("provide exactly one of --genus or --euler")
     if not args.partition:
         raise DomainError("--partition is required")
     mu = _parse_partition(args.partition)
-    _emit(_run_query(args.engine, args.genus, args.euler, mu, args), args)
+    engine = args.engine or "burnside"
+    _emit(_run_query(engine, args.genus, args.euler, mu, args), args)
     return 0
 
 
@@ -436,12 +444,16 @@ def _cmd_chartable(args):
 
 def _cmd_export(args):
     if args.what == "hodge":
+        if args.degree is not None:
+            raise DomainError("--d is for --what chartable")
         path = _table_path(args)
         if not os.path.exists(path):
             raise DomainError(f"no bracket table at {path}; run 'hodge' first")
         with open(path, encoding="utf-8", errors="replace") as fh:
             document = hodge_export(hodge_import(fh.read()))
     else:
+        if args.table_file is not None:
+            raise DomainError("--table-file is for --what hodge")
         if args.degree is None:
             raise DomainError("--what chartable needs --d")
         document = build_table(args.degree, args.budget_burnside_max_d).to_text()

@@ -21,6 +21,7 @@ Pieces:
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial, lcm, prod
 from operator import add
 
@@ -502,12 +503,6 @@ class HodgeClassPoly:
     def scalar(cls, g, h, coef):
         return cls(g, h, {((0,) * h, ()): coef})
 
-    @classmethod
-    def psi_class(cls, g, h, index):
-        psi = [0] * h
-        psi[index] = 1
-        return cls(g, h, {(tuple(psi), ()): Fraction(1)})
-
     def _compatible(self, other):
         if (self.g, self.h) != (other.g, other.h):
             raise DomainError("classes live on different moduli")
@@ -700,6 +695,17 @@ def _bracket_for_term(g, h, psi, lam, table):
     return table.value(HodgeBracket(g=g, h=h, psi=psi, lam=index))
 
 
+@cache
+def _top_degree_terms(g, mu):
+    """The table-free part of the localization chain: the degree 3g - 3 + h
+    terms of u^r * ``inverse_euler_normal`` as ((psi, lam), Laurent) items,
+    built and cross-checked once per (g, mu) for the life of the process.
+    Lower degrees pair to zero by the dimension constraint."""
+    inv = inverse_euler_normal(fixed_locus_data(g, mu))
+    r = 2 * g - 2 + mu.size + mu.length
+    return tuple((inv * Laurent.monomial(r)).terms_of_degree(inv.cap).items())
+
+
 def elsv_via_localization(g, mu, table, u_value=None):
     """The full localization chain: expand
 
@@ -710,21 +716,23 @@ def elsv_via_localization(g, mu, table, u_value=None):
     and multiply by r!/(aut * mu_1...mu_h) and the weight prefactor.  The
     result must equal ``elsv_evaluate`` exactly.
 
-    With ``u_value`` set, substitutes that nonzero rational for u before
-    degree selection (lower-degree monomials pair to zero by the dimension
-    constraint); the result is the same for every choice.
+    The expansion does not depend on the table or on ``u_value``: it is built
+    once per (g, mu) and memoized for the process (``_top_degree_terms``).
+    The u-independence check and the pairing run on every call.
+
+    With ``u_value`` set, substitutes that nonzero rational for u instead of
+    checking that each coefficient is constant; the result is the same for
+    every choice.
     """
-    data = fixed_locus_data(g, mu)
-    inv = inverse_euler_normal(data)
-    d, h = mu.size, mu.length
-    r = 2 * g - 2 + d + h
-    cap = 3 * g - 3 + h
-    expr = inv * Laurent.monomial(r)
-    prefactor = Fraction(factorial(r), aut_size(mu) * data.automorphism_order)
+    terms = _top_degree_terms(g, mu)
+    h = mu.length
+    r = 2 * g - 2 + mu.size + h
+    # prod(mu.parts) is FixedLocusData.automorphism_order
+    prefactor = Fraction(factorial(r), aut_size(mu) * prod(mu.parts))
 
     total = Fraction(0)
     if u_value is None:
-        for (psi, lam), coef in expr.terms_of_degree(cap).items():
+        for (psi, lam), coef in terms:
             if not coef.is_constant():
                 raise ConsistencyError(
                     "nonvanishing u-dependence after degree selection in term "
@@ -735,9 +743,7 @@ def elsv_via_localization(g, mu, table, u_value=None):
         u_value = _as_fraction(u_value)
         if u_value == 0:
             raise DomainError("substitution value for u must be nonzero")
-        for (psi, lam), coef in expr.terms.items():
-            if sum(psi) + sum(lam) != cap:
-                continue  # pairs to zero by the dimension constraint
+        for (psi, lam), coef in terms:
             total += coef.substitute(u_value) * _bracket_for_term(
                 g, h, psi, lam, table
             )

@@ -87,14 +87,6 @@ def cycle_count(p):
     return len(set(_cycle_labels(p)))
 
 
-def conjugate_perm(p, g):
-    """g o p o g^{-1}."""
-    out = [0] * len(p)
-    for i in range(len(p)):
-        out[g[i]] = g[p[i]]
-    return tuple(out)
-
-
 def canonical_representative(mu):
     """The permutation with cycles (1..mu_1)(mu_1+1..mu_1+mu_2)... in order,
     on 0-based points."""

@@ -512,3 +512,42 @@ def test_negative_genus_exits_one(capsys, cache, argv):
     code, out, err = run_cli(capsys, *argv, "--cache-dir", cache)
     assert code == 1 and "nonnegative" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("flag", [
+    ("--genus", "0"),
+    ("--euler", "2"),
+    ("--partition", "2"),
+    ("--engine", "dp"),
+])
+def test_batch_rejects_single_query_flags(capsys, cache, tmp_path, flag):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([{"engine": "dp", "euler": 2, "partition": "2"}]))
+    code, out, err = run_cli(capsys, "hurwitz", "--batch", str(path), *flag,
+                             "--cache-dir", cache)
+    assert code == 1 and flag[0] in err and "--batch" in err
+    assert out == ""
+    # the same file without the flag runs
+    code, out, _ = run_cli(capsys, "hurwitz", "--batch", str(path),
+                           "--cache-dir", cache)
+    assert code == 0 and json.loads(out)[0]["result"] == "1/2"
+
+
+def test_hurwitz_engine_defaults_to_burnside(capsys, cache):
+    code, out, _ = run_cli(capsys, "hurwitz", "--genus", "1", "--partition",
+                           "2", "--format", "json", "--cache-dir", cache)
+    assert code == 0 and json.loads(out)["engine"] == "burnside"
+
+
+def test_export_hodge_rejects_degree(capsys, cache):
+    run_cli(capsys, "hodge", "--genus", "0", "--marks", "3", "--cache-dir", cache)
+    code, out, err = run_cli(capsys, "export", "--what", "hodge", "--d", "3",
+                             "--cache-dir", cache)
+    assert code == 1 and "--d" in err and out == ""
+
+
+def test_export_chartable_rejects_table_file(capsys, cache, tmp_path):
+    code, out, err = run_cli(capsys, "export", "--what", "chartable", "--d", "3",
+                             "--table-file", str(tmp_path / "t.txt"),
+                             "--cache-dir", cache)
+    assert code == 1 and "--table-file" in err and out == ""

@@ -1,10 +1,12 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import prod
 
 import pytest
 
-from hurwitzlab.errors import DomainError
+from hurwitzlab import eqcoh, verify
+from hurwitzlab.errors import ConsistencyError, DomainError
 from hurwitzlab.eqcoh import (
     EquivariantPolyRing,
     HodgeClassPoly,
@@ -283,10 +285,16 @@ def test_ab_integrate_needs_distinct_weights():
 # --- the truncated psi/lambda algebra ---------------------------------------
 
 
+def psi_class(g, h, index):
+    psi = [0] * h
+    psi[index] = 1
+    return HodgeClassPoly(g, h, {(tuple(psi), ()): F(1)})
+
+
 def test_hodge_class_truncation():
-    p = HodgeClassPoly.psi_class(0, 3, 0)  # cap = 0
+    p = psi_class(0, 3, 0)  # cap = 0
     assert p.is_zero()
-    q = HodgeClassPoly.psi_class(1, 1, 0)  # cap = 1
+    q = psi_class(1, 1, 0)  # cap = 1
     assert not q.is_zero()
     assert (q * q).is_zero()
 
@@ -401,6 +409,78 @@ def test_nonlinear_lambda_monomials_rejected(table):
 
     with pytest.raises(DomainError):
         _bracket_for_term(2, 1, (0,), (1, 1), table)
+
+
+# --- the memoized expansion -------------------------------------------------
+
+
+@pytest.fixture()
+def fresh_expansions():
+    eqcoh._top_degree_terms.cache_clear()
+    yield
+    eqcoh._top_degree_terms.cache_clear()
+
+
+def _perturbed(inv, extra):
+    """``inv`` with ``extra`` (a Laurent polynomial) added to the coefficient
+    of its top-degree pure psi monomial psi_1^cap."""
+    key = ((inv.cap,) + (0,) * (inv.h - 1), ())
+    return inv + HodgeClassPoly(inv.g, inv.h, {key: extra})
+
+
+def test_localization_suite_builds_each_expansion_once(
+        fresh_expansions, monkeypatch):
+    builds = Counter()
+    calls = Counter()
+    real_inverse, real_loc = eqcoh.inverse_euler_normal, verify.elsv_via_localization
+
+    def counted_inverse(data):
+        builds[data.g, data.mu] += 1
+        return real_inverse(data)
+
+    def counted_loc(g, mu, table, u_value=None):
+        calls[g, mu] += 1
+        return real_loc(g, mu, table, u_value=u_value)
+
+    monkeypatch.setattr(eqcoh, "inverse_euler_normal", counted_inverse)
+    monkeypatch.setattr(verify, "elsv_via_localization", counted_loc)
+    results = verify.localization_rederivation_checks()
+    assert all(r.passed for r in results)
+    assert set(builds) == set(calls) and len(builds) == 42
+    assert set(builds.values()) == {1}  # one build per (g, mu) ...
+    assert sum(calls.values()) == 168   # ... for four calls per (g, mu)
+
+
+def test_a_wrong_top_degree_coefficient_fails_the_rederivation(
+        fresh_expansions, monkeypatch):
+    real_inverse = eqcoh.inverse_euler_normal
+
+    def wrong_at_genus_one_two_marks(data):
+        inv = real_inverse(data)
+        if (data.g, data.mu.length) != (1, 2):
+            return inv
+        r = 2 * data.g - 2 + data.mu.size + data.mu.length
+        return _perturbed(inv, Laurent.monomial(-r))  # still constant in u
+
+    monkeypatch.setattr(eqcoh, "inverse_euler_normal",
+                        wrong_at_genus_one_two_marks)
+    results = {r.name: r.passed
+               for r in verify.localization_rederivation_checks()}
+    assert results.pop("re-derivation (g,h)=(1,2)") is False
+    assert all(results.values())
+
+
+def test_a_u_dependent_top_degree_coefficient_raises(
+        fresh_expansions, monkeypatch, table):
+    real_inverse = eqcoh.inverse_euler_normal
+    mu = Partition([2, 1])
+    r = 2 * 1 - 2 + mu.size + mu.length
+    monkeypatch.setattr(
+        eqcoh, "inverse_euler_normal",
+        lambda data: _perturbed(real_inverse(data), Laurent.monomial(1 - r)))
+    for _ in range(2):  # the check runs on every call, memo hit or not
+        with pytest.raises(ConsistencyError, match="u-dependence"):
+            elsv_via_localization(1, mu, table)
 
 
 # --- text grammar -----------------------------------------------------------

@@ -15,7 +15,6 @@ from hurwitzlab.hurwitz import (
     connected_dfs,
     connected_dp,
     connected_via_transform,
-    conjugate_perm,
     cycle_type,
     disconnected_burnside,
     disconnected_dp,
@@ -47,6 +46,11 @@ def identity_perm(d):
 def compose(a, b):
     """Right-to-left composition: (a o b)(x) = a(b(x))."""
     return tuple(a[x] for x in b)
+
+
+def conjugate_perm(p, g):
+    """g o p o g^{-1}."""
+    return compose(compose(g, p), invert_perm(g))
 
 
 def transpositions(d):
