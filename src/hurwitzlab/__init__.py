@@ -25,7 +25,6 @@ from .hurwitz import (
     connected_via_transform,
     disconnected_burnside,
     disconnected_dp,
-    disconnected_series,
     phi_series,
 )
 from .hodge import (

@@ -17,8 +17,9 @@ Four independent engines compute the same numbers:
   transposition class acting through half the kappa statistic.
 
 ``connected_via_transform`` turns either disconnected engine into connected
-counts by ``HurwitzSeries.log``, a formal logarithm in Newton-polynomial
-variables.
+counts: the p_mu coefficient of the log of the disconnected series, read by a
+rooted recursion over the sub-multisets of mu in integers.  The tests check it
+against ``HurwitzSeries.log``, the whole formal log in Newton polynomials.
 
 Conventions: the reference permutation for cycle type mu is the one with the
 cycles (1..mu_1)(mu_1+1..mu_1+mu_2)...; products compose right-to-left, i.e.
@@ -566,42 +567,51 @@ def _engine_callable(engine, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D,
     raise DomainError(f"unknown disconnected engine {engine!r}")
 
 
-def disconnected_series(engine="burnside", max_size=6, max_exp=10,
-                        submultisets_of=None, **engine_opts):
-    """Assemble the disconnected generating series from an engine.
-
-    Includes every partition of size <= max_size and every admissible
-    r = e + |mu| <= max_exp + max_size, the truncation rule of
-    ``HurwitzSeries``.  When ``submultisets_of`` is a partition mu, the
-    series is also truncated to the divisors of p_mu (``divides``), which is
-    all the logarithm can consume for that target.  The constant term is 1.
-    """
-    eng = _engine_callable(engine, **engine_opts)
-    divides = None if submultisets_of is None else submultisets_of.parts
-    series = HurwitzSeries.one(max_size, max_exp, divides)
-    for part in (p for s in range(1, max_size + 1) for p in partitions_of(s)):
-        if series._keeps(part.parts):
-            for e, value in phi_series(part, eng, max_exp + max_size).items():
-                series.set_coefficient(part, e, value)
-    return series
-
-
 def connected_via_transform(g, mu, engine="burnside", **engine_opts):
     """Connected cover count extracted from a disconnected engine through the
-    exp/log transform.  Concretely: the coefficient of
-    lambda^(2g-2+len(mu)) p_mu in the log of the disconnected series,
-    truncated to the divisors of p_mu (so at size |mu|) and at
-    r = e + |mu|, the query's own r.  The log inverts
-    exp(sum over nonempty mu of Phi_mu p_mu) = sum over mu of Phi*_mu p_mu
-    within the truncation orders."""
-    d = mu.size
-    e = _connected_r(g, mu) - d
-    if d == 0:
+    exp/log transform: the coefficient of lambda^(2g-2+len(mu)) p_mu in the
+    log of the disconnected series, read by the rooted sub-multiset recursion
+    of ``_transitive_from_disconnected`` in integers, with no series built."""
+    r = _connected_r(g, mu)
+    if mu.size == 0:
         raise DomainError("the empty partition has no connected covers")
-    series = disconnected_series(
-        engine, max_size=d, max_exp=e, submultisets_of=mu, **engine_opts
-    )
-    return series.log().coefficient(mu, e)
+    eng = _engine_callable(engine, **engine_opts)
+    return Fraction(_transitive_from_disconnected(eng, mu.parts, r), z(mu))
+
+
+def _transitive_from_disconnected(eng, parts, r):
+    """C(parts, r), the transitive r-tuples of transpositions with product a
+    fixed sigma of type ``parts``, from N(S, s) = z(S) * eng(chi, S), all
+    s-tuples with product of type S.  The orbit of sigma's first cycle holds
+    the cycles of some sub-multiset A of the others (``_splits``); its s1
+    factors interleave with the other s - s1 in binom(s, s1) ways, so
+    N(S, s) = sum of w binom(s, s1) C(S[0] + A, s1) N(B, s - s1) over A, s1,
+    whose B = () term is C(S, s).  Both memos live for one call."""
+    tuples, transitive = {}, {}
+
+    def n(nu, s):
+        if (nu, s) not in tuples:
+            part = Partition(nu)
+            count = z(part) * Fraction(eng(sum(nu) + len(nu) - s, part))
+            if count.denominator != 1:
+                raise ConsistencyError(f"z(nu) * engine is {count} at nu = {nu}, s = {s}")
+            tuples[nu, s] = int(count)
+        return tuples[nu, s]
+
+    def c(nu, s):
+        if s < _min_r(nu) or (s - _min_r(nu)) % 2:
+            return 0  # below genus 0, or the wrong sign
+        if (nu, s) not in transitive:
+            total = n(nu, s)
+            for a, b, w in _splits(nu[1:]):
+                if b:  # N(b, t) = 0 below t = |b| - len(b)
+                    orbit, top = nu[:1] + a, s - sum(b) + len(b)
+                    total -= w * sum(comb(s, s1) * c(orbit, s1) * n(b, s - s1)
+                                     for s1 in range(_min_r(orbit), top + 1, 2))
+            transitive[nu, s] = total
+        return transitive[nu, s]
+
+    return c(parts, r)
 
 
 def phi_series(mu, engine="dp", max_r=10, **engine_opts):

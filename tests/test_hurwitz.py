@@ -18,7 +18,6 @@ from hurwitzlab.hurwitz import (
     cycle_type,
     disconnected_burnside,
     disconnected_dp,
-    disconnected_series,
     invert_perm,
     phi_series,
 )
@@ -128,17 +127,21 @@ def test_connected_dfs_known_values():
     assert connected_dfs(0, Partition([1, 1, 1])) == 4
 
 
+def _genus_zero_hurwitz(mu):
+    """Hurwitz's count for the sphere: r!/aut * prod(m^m/m!) * d^(h-3) with
+    r = d + h - 2."""
+    d, h = mu.size, mu.length
+    expected = F(factorial(d + h - 2), aut_size(mu)) * F(d) ** (h - 3)
+    for p in mu.parts:
+        expected *= F(p**p, factorial(p))
+    return expected
+
+
 def test_connected_genus_zero_closed_form():
-    # classical count for the sphere: r!/aut * prod(m^m/m!) * d^(h-3);
     # every profile of size <= 6 (r <= 10), including (2,1,1,1,1) at r = 9
     for size in range(1, 7):
         for mu in partitions_of(size):
-            d, h = mu.size, mu.length
-            r = d + h - 2
-            expected = F(factorial(r), aut_size(mu)) * F(d) ** (h - 3)
-            for p in mu.parts:
-                expected *= F(p**p, factorial(p))
-            assert connected_dfs(0, mu) == expected, mu
+            assert connected_dfs(0, mu) == _genus_zero_hurwitz(mu), mu
 
 
 def test_connected_dfs_invalid_and_budget():
@@ -435,6 +438,20 @@ def test_transform_trivial_covers():
     assert logged.coefficient((1, 1), -2) == 0
 
 
+def disconnected_series(engine, max_size, max_exp, submultisets_of=None):
+    """The disconnected generating series of ``engine`` at every partition of
+    size <= max_size and every r = e + |mu| <= max_exp + max_size, the
+    truncation rule of ``HurwitzSeries``; with ``submultisets_of`` = mu, also
+    truncated to the divisors of p_mu.  The constant term is 1."""
+    divides = None if submultisets_of is None else submultisets_of.parts
+    series = HurwitzSeries.one(max_size, max_exp, divides)
+    for mu in (p for size in range(1, max_size + 1) for p in partitions_of(size)):
+        if divides is None or not Counter(mu.parts) - Counter(divides):
+            for e, value in phi_series(mu, engine, max_exp + max_size).items():
+                series.set_coefficient(mu, e, value)
+    return series
+
+
 def test_exp_log_round_trip():
     s = disconnected_series("dp", max_size=4, max_exp=4)
     again = s.log().exp()
@@ -562,6 +579,49 @@ def test_divisor_truncated_transform_matches_size_only_and_dfs(size):
             value = connected_via_transform(g, mu, burnside)
             assert value == size_only.log().coefficient(mu, e), (g, mu)
             assert value == connected_dfs(g, mu), (g, mu)
+
+
+def test_transform_rejects_a_non_integral_tuple_count():
+    # z(nu) * engine must be a whole number of tuples; here (1,1) at chi = 0,
+    # which mu = (3,1,1) reaches at s = 4 transpositions
+    def engine(chi, nu):
+        bad = nu.parts == (1, 1) and chi == 0
+        return disconnected_burnside(chi, nu) + (F(1, 2 * z(nu)) if bad else 0)
+
+    with pytest.raises(ConsistencyError, match=r"nu = \(1, 1\), s = 4"):
+        connected_via_transform(1, Partition([3, 1, 1]), engine)
+
+
+def _one_part_gjv(g, d):
+    """H_g((d)) = r!/d! * d^(r-1) * [t^(2g)] (sinh(t/2)/(t/2))^(d-1), the
+    one-part formula of Goulden, Jackson and Vakil (arXiv:math/0309440)."""
+    r = 2 * g - 1 + d
+    series = [F(1, 4**k * factorial(2 * k + 1)) for k in range(g + 1)]
+    power = [F(1)] + [F(0)] * g  # in t^2, truncated above t^(2g)
+    for _ in range(d - 1):
+        power = [sum(power[i] * series[k - i] for i in range(k + 1))
+                 for k in range(g + 1)]
+    return F(factorial(r), factorial(d)) * F(d) ** (r - 1) * power[g]
+
+
+def test_transform_matches_one_part_closed_form():
+    # 55 values, g <= 4 and d <= 11; the sub-multiset recursion meets no
+    # split here, so this pins the engines and the top term
+    for g in range(5):
+        for d in range(1, 12):
+            mu, expected = Partition([d]), _one_part_gjv(g, d)
+            assert connected_via_transform(g, mu, "burnside") == expected
+            assert connected_via_transform(g, mu, "dp") == expected
+            assert connected_dp(g, mu) == expected
+
+
+@pytest.mark.parametrize("d", range(7, 11))
+def test_transform_matches_hurwitz_genus_zero_formula(d):
+    # many profiles repeat parts, so the split weights of the recursion count
+    for mu in partitions_of(d):
+        expected = _genus_zero_hurwitz(mu)
+        assert connected_via_transform(0, mu, "burnside") == expected, mu
+        assert connected_via_transform(0, mu, "dp") == expected, mu
 
 
 def test_transform_rejects_empty_partition():
