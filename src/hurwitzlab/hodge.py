@@ -11,16 +11,18 @@ degree 3g - 3 + h - i carries, with sign (-1)^i, exactly the brackets
 <psi_1^{j_1} ... psi_h^{j_h} lambda_i>.  ``elsv_evaluate`` runs this forward
 from a bracket table; ``elsv_inversion`` samples an engine on a grid of part
 tuples and solves the exact linear system in the monomial-symmetric basis to
-recover the brackets, and ``invert_into`` puts them in a table.  The linear
-algebra is one incremental Gaussian elimination over the rationals, which
-both picks the independent grid rows and solves; no floating point anywhere.
+recover the brackets, and ``invert_into`` puts them in a table.  The grid
+rows are integers; they are picked by elimination modulo a 61-bit prime, with
+every row that is dependent mod p tested exactly, and the square system is
+solved by one fraction-free integer elimination whose solution is checked
+against A x = b exactly before it is used; no floating point anywhere.
 """
 
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice, permutations
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .errors import ConsistencyError, DomainError, MissingBracketError
 from .hurwitz import DP_MAX_D, connected_dp, connected_via_transform
@@ -186,8 +188,8 @@ def _distinct_permutations(exponents):
 def monomial_symmetric(exponents, values):
     """The monomial symmetric polynomial m_J evaluated at a tuple of values:
     the sum over distinct permutations of J of the corresponding monomial."""
-    return Fraction(sum(prod(v**j for v, j in zip(values, perm))
-                        for perm in _distinct_permutations(tuple(exponents))))
+    return sum(prod(v**j for v, j in zip(values, perm))
+               for perm in _distinct_permutations(tuple(exponents)))
 
 
 def _prefactor(g, mu):
@@ -210,44 +212,156 @@ def elsv_evaluate(g, mu, table):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra (incremental elimination over the rationals)
+# exact linear algebra (rows picked mod p, one fraction-free integer solve)
+
+#: Primes for the row selection: the Mersenne prime 2^61 - 1, then the next
+#: primes below it, each used only once a row that is dependent modulo the
+#: current one has turned out independent over Q.
+_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229)
+
+
+class _Bareiss:
+    """One fraction-free (Bareiss) elimination of a square nonsingular
+    integer matrix, kept so that each integer right-hand side costs O(n^2).
+
+    ``solve(rhs)`` replays the elimination on ``rhs``, as if it were run on
+    the augmented rows [M | rhs], and back-substitutes in integers.  It
+    returns ``(nums, den)`` with x = nums / den: den is the last pivot, the
+    determinant up to sign, so every den * x_i is an integer by Cramer's
+    rule and every division is exact."""
+
+    def __init__(self, matrix):
+        n = len(matrix)
+        rows = [list(row) for row in matrix]
+        order = list(range(n))
+        prev = 1
+        for k in range(n):
+            swap = next((i for i in range(k, n) if rows[i][k]), None)
+            if swap is None:
+                raise DomainError(f"singular {n}x{n} system")
+            rows[k], rows[swap] = rows[swap], rows[k]
+            order[k], order[swap] = order[swap], order[k]
+            top = rows[k]
+            pivot = top[k]
+            for row in rows[k + 1:]:
+                # row[k] is left as it is: the multiplier the replay needs
+                f = row[k]
+                row[k + 1:] = [(pivot * v - f * t) // prev
+                               for v, t in zip(row[k + 1:], top[k + 1:])]
+            prev = pivot
+        # a row's later swaps only move it among rows the earlier steps
+        # treat alike, so the replay may take the final order up front
+        self._rows, self._order, self._det = rows, order, prev
+
+    def solve(self, rhs):
+        rows = self._rows
+        n = len(rows)
+        c = [rhs[i] for i in self._order]
+        prev = 1
+        for k in range(n):
+            pivot, top = rows[k][k], c[k]
+            for i in range(k + 1, n):
+                c[i] = (pivot * c[i] - rows[i][k] * top) // prev
+            prev = pivot
+        nums = [0] * n
+        for k in reversed(range(n)):
+            row = rows[k]
+            done = sum(row[j] * nums[j] for j in range(k + 1, n))
+            nums[k] = (self._det * c[k] - done) // row[k]
+        return nums, self._det
+
+
+def _holds(matrix, nums, den, rhs):
+    """Whether matrix (nums / den) = rhs, exactly, in integers."""
+    return all(sum(a * x for a, x in zip(row, nums)) == den * b
+               for row, b in zip(matrix, rhs))
+
 
 class _Elimination:
-    """Gaussian elimination that takes its rows one at a time.
+    """Picks independent integer rows one at a time, then solves the square
+    system they form exactly and certifies the solution.
 
-    ``add`` reduces a candidate row against the kept rows and keeps it only
-    if it is independent, recording the multiples it subtracted; ``solve``
-    replays those multiples on a right-hand side and back-substitutes.  So
-    each row is eliminated once, whether it is kept or not."""
+    ``add`` reduces a candidate row modulo a 61-bit prime against the
+    echelon of the kept rows.  A row independent mod p is independent over
+    Q and is kept.  A row dependent mod p is tested exactly: the kept rows
+    restricted to the echelon's pivot columns form a matrix K invertible
+    mod p, hence over Q, so the row depends on the kept rows iff the y with
+    y K = row[pivots] gives y * rows == row on every column.  A row that
+    passes only mod p is kept and the echelon is rebuilt modulo the next
+    prime.  ``solve`` scales the right-hand side by the least common
+    denominator L, runs one fraction-free elimination on [A | L b], and
+    checks A x = b exactly before returning (the certificate)."""
 
-    def __init__(self):
-        self.rows = []  # (pivot column, reduced row, [(kept index, multiple)])
+    def __init__(self, name="the linear system"):
+        self.name = name
+        self.rows = []  # the kept integer rows
+        self._primes = iter(_PRIMES)
+        self._rebuild()
 
-    def add(self, row):
-        work = [Fraction(v) for v in row]
-        used = []
-        for k, (pivot, kept, _) in enumerate(self.rows):
-            if work[pivot]:
-                f = work[pivot] / kept[pivot]
-                work = [w - f * v for w, v in zip(work, kept)]
-                used.append((k, f))
+    def _rebuild(self):
+        """The echelon of the kept rows modulo the next prime that keeps
+        them all independent."""
+        self._dual = None
+        for p in self._primes:
+            self._p, self._echelon = p, []
+            if all(self._reduce(row) for row in self.rows):
+                return
+        raise DomainError(
+            f"{self.name}: the kept rows are dependent modulo every prime "
+            f"of the row selection"
+        )
+
+    def _reduce(self, row):
+        """Reduce ``row`` mod p against the echelon; if anything is left,
+        add it to the echelon (pivot scaled to 1) and return True."""
+        p = self._p
+        work = [v % p for v in row]
+        for pivot, tail in self._echelon:
+            f = work[pivot]
+            if f:
+                work[pivot:] = [(w - f * t) % p
+                                for w, t in zip(work[pivot:], tail)]
         pivot = next((j for j, w in enumerate(work) if w), None)
         if pivot is None:
             return False
-        self.rows.append((pivot, work, used))
+        inverse = pow(work[pivot], -1, p)
+        self._echelon.append((pivot, [w * inverse % p for w in work[pivot:]]))
+        return True
+
+    def add(self, row):
+        """Keep ``row`` iff it is independent of the kept rows over Q."""
+        if self._reduce(row):
+            self.rows.append(list(row))
+            self._dual = None
+            return True
+        pivots = [pivot for pivot, _ in self._echelon]
+        if self._dual is None:  # K transposed, for y K = row[pivots]
+            self._dual = _Bareiss(
+                [[kept[c] for kept in self.rows] for c in pivots]
+            )
+        nums, den = self._dual.solve([row[c] for c in pivots])
+        columns = [[kept[j] for kept in self.rows] for j in range(len(row))]
+        if _holds(columns, nums, den, row):
+            return False
+        # dependent mod p only: keep it and change the prime
+        self.rows.append(list(row))
+        self._rebuild()
         return True
 
     def solve(self, rhs):
-        """The x with A x = rhs, A the kept rows, which must be square."""
-        reduced = []
-        for b, (_, _, used) in zip(rhs, self.rows):
-            reduced.append(Fraction(b) - sum(f * reduced[k] for k, f in used))
-        x = [Fraction(0)] * len(self.rows)
-        # each kept row vanishes at the pivots of the rows kept before it
-        for (pivot, row, _), b in reversed(list(zip(self.rows, reduced))):
-            x[pivot] = (b - sum(v * x[j] for j, v in enumerate(row)
-                                if j != pivot)) / row[pivot]
-        return x
+        """The x with A x = rhs, A the kept rows, which must be square;
+        raises ConsistencyError unless A x = rhs holds exactly."""
+        if any(len(row) != len(self.rows) for row in self.rows):
+            raise DomainError(f"{self.name}: the kept rows are not square")
+        rhs = [Fraction(b) for b in rhs]
+        scale = lcm(*(b.denominator for b in rhs))
+        scaled = [b.numerator * (scale // b.denominator) for b in rhs]
+        nums, den = _Bareiss(self.rows).solve(scaled)
+        if not _holds(self.rows, nums, den, scaled):
+            raise ConsistencyError(
+                f"{self.name}: the solution fails the exact check A x = b"
+            )
+        return [Fraction(x, den * scale) for x in nums]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +414,9 @@ def elsv_inversion(g, h, hurwitz_engine=None, dp_max_d=DP_MAX_D):
 
     Samples the normalized count on a grid of profiles, solves for the
     monomial-symmetric coefficients in the degree band
-    [2g-3+h, 3g-3+h], and reads brackets off the band.  The engine
+    [2g-3+h, 3g-3+h], and reads brackets off the band.  The rows are
+    picked and solved by ``_Elimination``, whose certificate (A x = b,
+    checked exactly) raises ConsistencyError naming (g, h).  The engine
     ``hurwitz_engine(g, mu)`` defaults to ``connected_via_transform`` over
     the character sums.  Every grid point is re-derived by the cut-and-join
     count of transitive factorizations on cycle types
@@ -312,7 +428,7 @@ def elsv_inversion(g, h, hurwitz_engine=None, dp_max_d=DP_MAX_D):
     unknowns = required_brackets(g, h)
     radius = max(3 * g - 1 + h, 1) + _MAX_RADIUS_GROWTH
     pool = islice(sample_candidates(g, h), comb(radius + h - 1, h))
-    elimination = _Elimination()
+    elimination = _Elimination(f"the (g, h) = ({g}, {h}) interpolation")
     grid = []
     for mu in pool:
         if elimination.add([monomial_symmetric(b.psi, mu.parts) for b in unknowns]):

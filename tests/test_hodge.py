@@ -218,6 +218,94 @@ def test_polynomiality_band():
             assert coeff == 0, (j, coeff)
 
 
+def test_elimination_keeps_row_dependent_only_mod_p():
+    from hurwitzlab import hodge
+
+    p = 2**61 - 1
+    elimination = hodge._Elimination()
+    assert elimination.add([1, 0])
+    assert elimination.add([0, p])  # zero mod p, independent over Q
+    assert elimination._p == hodge._PRIMES[1]  # the echelon was rebuilt
+    assert not elimination.add([0, 1])
+    assert elimination.solve([3, 5]) == [3, F(5, p)]
+
+
+def test_elimination_rejects_dependent_rows():
+    from hurwitzlab import hodge
+
+    elimination = hodge._Elimination()
+    assert not elimination.add([0, 0])
+    assert elimination.add([1, 0])
+    assert not elimination.add([2, 0])
+    assert not elimination.add([0, 0])
+    assert elimination.add([1, 3])
+    assert elimination.rows == [[1, 0], [1, 3]]
+    assert elimination._p == hodge._PRIMES[0]
+
+
+def test_elimination_without_a_prime_left_raises():
+    from hurwitzlab import hodge
+
+    elimination = hodge._Elimination()
+    assert elimination.add([1, 0])
+    with pytest.raises(DomainError, match="every prime"):
+        elimination.add([0, prod(hodge._PRIMES)])
+
+
+def test_certificate_catches_a_wrong_solution(monkeypatch):
+    from hurwitzlab import hodge
+
+    exact = hodge._Bareiss.solve
+
+    def perturbed(self, rhs):
+        nums, den = exact(self, rhs)
+        return [nums[0] + 1] + nums[1:], den
+
+    monkeypatch.setattr(hodge._Bareiss, "solve", perturbed)
+    with pytest.raises(ConsistencyError, match=r"\(g, h\) = \(1, 2\)"):
+        elsv_inversion(1, 2)
+
+
+# the grids as the rational elimination chose them; (1, 5) rejects one
+# candidate row and (2, 5) two, so the exact test of a row that is
+# dependent mod p keeps each grid as it was
+GRID_1_5 = (
+    (1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (3, 1, 1, 1, 1), (2, 2, 1, 1, 1),
+    (4, 1, 1, 1, 1), (3, 2, 1, 1, 1), (2, 2, 2, 1, 1), (5, 1, 1, 1, 1),
+    (4, 2, 1, 1, 1), (3, 3, 1, 1, 1), (3, 2, 2, 1, 1), (6, 1, 1, 1, 1),
+)
+GRID_2_5 = (
+    (1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (3, 1, 1, 1, 1), (2, 2, 1, 1, 1),
+    (4, 1, 1, 1, 1), (3, 2, 1, 1, 1), (2, 2, 2, 1, 1), (5, 1, 1, 1, 1),
+    (4, 2, 1, 1, 1), (3, 3, 1, 1, 1), (3, 2, 2, 1, 1), (2, 2, 2, 2, 1),
+    (6, 1, 1, 1, 1), (5, 2, 1, 1, 1), (4, 3, 1, 1, 1), (4, 2, 2, 1, 1),
+    (3, 3, 2, 1, 1), (3, 2, 2, 2, 1), (2, 2, 2, 2, 2), (7, 1, 1, 1, 1),
+    (6, 2, 1, 1, 1), (5, 3, 1, 1, 1), (4, 4, 1, 1, 1), (5, 2, 2, 1, 1),
+    (4, 3, 2, 1, 1), (3, 3, 3, 1, 1), (4, 2, 2, 2, 1), (3, 3, 2, 2, 1),
+    (3, 2, 2, 2, 2), (8, 1, 1, 1, 1), (7, 2, 1, 1, 1), (6, 3, 1, 1, 1),
+    (5, 4, 1, 1, 1), (6, 2, 2, 1, 1), (5, 3, 2, 1, 1), (4, 4, 2, 1, 1),
+    (4, 3, 3, 1, 1), (5, 2, 2, 2, 1), (4, 3, 2, 2, 1), (3, 3, 3, 2, 1),
+    (9, 1, 1, 1, 1),
+)
+
+
+def test_grid_pinned_where_one_row_is_rejected():
+    grid = elsv_inversion(1, 5).grid
+    assert tuple(tuple(mu.parts) for mu in grid) == GRID_1_5
+
+
+def test_grid_pinned_where_two_rows_are_rejected():
+    # lambda_g brackets by Faber-Pandharipande: multinom(2g-3+h; K) * b_2,
+    # with sum_g b_g t^(2g) = (t/2) / sin(t/2)
+    result = elsv_inversion(2, 5)
+    assert tuple(tuple(mu.parts) for mu in result.grid) == GRID_2_5
+    top = [b for b in result.brackets if b.lam == 2]
+    assert len(top) == 10
+    for b in top:
+        multinom = F(factorial(sum(b.psi)), prod(factorial(j) for j in b.psi))
+        assert result.brackets[b] == multinom * F(7, 5760), b
+
+
 def test_inversion_independent_of_sampling_orientation():
     # evaluating the engine on reversed tuples is the same partition, and
     # the monomial-symmetric rows are symmetric, so the result cannot move
