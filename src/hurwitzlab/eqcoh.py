@@ -19,7 +19,7 @@ Pieces:
   must agree exactly with the direct table evaluation.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
@@ -28,7 +28,7 @@ from operator import add
 from . import sparse
 from .errors import ConsistencyError, DomainError
 from .hodge import HodgeBracket
-from .partitions import Partition, aut_size
+from .partitions import aut_size
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials in one variable over the rationals
@@ -599,21 +599,22 @@ def inv_u_minus_psi(g, h, c, index):
 # fixed-locus data and the localization chain
 
 
-@dataclass(frozen=True)
-class FixedLocusData:
+class FixedLocusData(namedtuple("FixedLocusData", [
+    "g",
+    "mu",
+    "b1_fixed",            # infinitesimal automorphisms, weight 0
+    "b2_fixed",            # weight-0 part of the map deformations
+    "b4_moving",           # (weight 1/mu_i, marked point index)
+    "hodge_twist",         # twist on the dual Hodge piece
+    "trivial_moving",      # the weight-1 copies, h - 1 of them
+    "cover_weights",       # subtracted piece: {a/mu_i : a = 1..mu_i}
+    "automorphism_order",  # prod mu_i, the cyclic cover symmetries
+])):
     """The virtual-normal-bundle bookkeeping at the distinguished fixed locus:
     trivial-weight fixed pieces, the node-smoothing factors (u/mu_i - psi_i),
     and the weight content of the obstruction-minus-deformation difference."""
 
-    g: int
-    mu: Partition
-    b1_fixed: WeightMultiset          # infinitesimal automorphisms, weight 0
-    b2_fixed: WeightMultiset          # weight-0 part of the map deformations
-    b4_moving: tuple                  # (weight 1/mu_i, marked point index)
-    hodge_twist: Fraction             # twist on the dual Hodge piece
-    trivial_moving: WeightMultiset    # the weight-1 copies, h - 1 of them
-    cover_weights: WeightMultiset     # subtracted piece: {a/mu_i : a = 1..mu_i}
-    automorphism_order: int           # prod mu_i, the cyclic cover symmetries
+    __slots__ = ()
 
 
 def fixed_locus_data(g, mu):

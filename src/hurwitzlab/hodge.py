@@ -18,11 +18,10 @@ solved by one fraction-free integer elimination whose solution is checked
 against A x = b exactly before it is used; no floating point anywhere.
 """
 
-from dataclasses import dataclass
-from functools import cache
+from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice, permutations
-from math import comb, factorial, lcm, prod
+from itertools import combinations_with_replacement, islice
+from math import comb, factorial, lcm
 
 from .errors import ConsistencyError, DomainError, MissingBracketError
 from .hurwitz import DP_MAX_D, connected_dp, connected_via_transform
@@ -34,34 +33,31 @@ SEEDED = "seeded"
 INVERTED = "inverted-from-hurwitz"
 
 
-@dataclass(frozen=True)
-class HodgeBracket:
+class HodgeBracket(namedtuple("HodgeBracket", "g h psi lam")):
     """A linear Hodge integral <psi_1^{j_1} ... psi_h^{j_h} lambda_i> on the
     (g, h) moduli space.  psi exponents are stored sorted descending (the
     bracket is symmetric in the marked points); the dimension constraint
     sum(j) + i = 3g - 3 + h is enforced, so no identically-zero bracket is
     ever represented."""
 
-    g: int
-    h: int
-    psi: tuple
-    lam: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "psi", tuple(sorted(self.psi, reverse=True)))
-        if self.h < 1 or len(self.psi) != self.h:
+    def __new__(cls, g, h, psi, lam):
+        self = super().__new__(cls, g, h, tuple(sorted(psi, reverse=True)), lam)
+        if h < 1 or len(self.psi) != h:
             raise DomainError(f"need one psi exponent per marked point: {self}")
         if any(j < 0 for j in self.psi):
             raise DomainError(f"negative psi exponent: {self}")
-        if not 0 <= self.lam <= self.g:
+        if not 0 <= lam <= g:
             raise DomainError(f"lambda index out of range: {self}")
-        if 2 * self.g - 2 + self.h <= 0:
-            raise DomainError(f"unstable (g, h) = ({self.g}, {self.h})")
-        if sum(self.psi) + self.lam != 3 * self.g - 3 + self.h:
+        if 2 * g - 2 + h <= 0:
+            raise DomainError(f"unstable (g, h) = ({g}, {h})")
+        if sum(self.psi) + lam != 3 * g - 3 + h:
             raise DomainError(
                 f"dimension constraint violated: sum(psi) + lam = "
-                f"{sum(self.psi) + self.lam} != {3 * self.g - 3 + self.h}"
+                f"{sum(self.psi) + lam} != {3 * g - 3 + h}"
             )
+        return self
 
     def sort_key(self):
         return (self.g, self.h, self.lam, self.psi)
@@ -180,16 +176,30 @@ def _exponent_multisets(total, h):
     ]
 
 
-@cache
-def _distinct_permutations(exponents):
-    return tuple(set(permutations(exponents)))
+def _monomial_row(exponent_tuples, values):
+    """m_J(values) for every J in ``exponent_tuples`` (each sorted
+    descending, with one exponent per value), by the recursion on the last
+    variable: m_J(x_1..x_k) = sum over distinct j in J of
+    x_k^j m_{J - j}(x_1..x_{k-1}).  The sub-multisets are memoized for this
+    call only, so the J of one interpolation row share their work."""
+    memo = {(): 1}
+
+    def m(exps):
+        got = memo.get(exps)
+        if got is None:
+            x = values[len(exps) - 1]
+            got = sum(x**j * m(exps[:i] + exps[i + 1:])
+                      for i, j in enumerate(exps) if i == 0 or j != exps[i - 1])
+            memo[exps] = got
+        return got
+
+    return [m(exps) for exps in exponent_tuples]
 
 
 def monomial_symmetric(exponents, values):
     """The monomial symmetric polynomial m_J evaluated at a tuple of values:
     the sum over distinct permutations of J of the corresponding monomial."""
-    return sum(prod(v**j for v, j in zip(values, perm))
-               for perm in _distinct_permutations(tuple(exponents)))
+    return _monomial_row([tuple(sorted(exponents, reverse=True))], values)[0]
 
 
 def _prefactor(g, mu):
@@ -395,13 +405,13 @@ def normalized_count(g, mu, hurwitz_value):
     return Fraction(hurwitz_value) / _prefactor(g, mu)
 
 
-@dataclass(frozen=True)
-class InversionResult:
-    g: int
-    h: int
-    brackets: dict
-    grid: tuple          # profiles used for interpolation
-    samples: dict        # profile -> engine value, for every profile queried
+InversionResult = namedtuple("InversionResult", [
+    "g",
+    "h",
+    "brackets",
+    "grid",      # profiles used for interpolation
+    "samples",   # profile -> engine value, for every profile queried
+])
 
 
 #: How far past its initial radius the candidate pool may grow before a
@@ -429,9 +439,10 @@ def elsv_inversion(g, h, hurwitz_engine=None, dp_max_d=DP_MAX_D):
     radius = max(3 * g - 1 + h, 1) + _MAX_RADIUS_GROWTH
     pool = islice(sample_candidates(g, h), comb(radius + h - 1, h))
     elimination = _Elimination(f"the (g, h) = ({g}, {h}) interpolation")
+    exponents = [b.psi for b in unknowns]
     grid = []
     for mu in pool:
-        if elimination.add([monomial_symmetric(b.psi, mu.parts) for b in unknowns]):
+        if elimination.add(_monomial_row(exponents, mu.parts)):
             grid.append(mu)
             if len(grid) == len(unknowns):
                 break
@@ -472,22 +483,17 @@ def invert_into(table, g, h, hurwitz_engine=None, dp_max_d=DP_MAX_D):
 # ---------------------------------------------------------------------------
 # string equation (consistency check only, never a source of values)
 
-@dataclass(frozen=True)
-class StringCheck:
-    lhs: HodgeBracket
-    rhs: tuple
-    expected: Fraction
-    actual: Fraction
+class StringCheck(namedtuple("StringCheck", "lhs rhs expected actual")):
+    __slots__ = ()
 
     @property
     def passed(self):
         return self.expected == self.actual
 
 
-@dataclass
-class StringEquationReport:
-    checks: list
-    skipped: list
+class StringEquationReport(namedtuple("StringEquationReport",
+                                      "checks skipped")):
+    __slots__ = ()
 
     @property
     def all_passed(self):

@@ -37,7 +37,6 @@ lambda^(-d) -- so this module commits to the coefficient-level identity, which
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -389,7 +388,6 @@ def _character_tuple_count(d, r, mu):
 # ---------------------------------------------------------------------------
 # generating series in Newton-polynomial variables
 
-@dataclass
 class HurwitzSeries:
     """Truncated formal series sum c_(mu,e) * lambda^e * p_mu, where p_mu is
     the product of Newton polynomials over the parts of mu.
@@ -423,10 +421,9 @@ class HurwitzSeries:
     no conversion.
     """
 
-    max_size: int
-    max_exp: int
-    coeffs: dict = field(default_factory=dict)
-    divides: tuple = None
+    def __init__(self, max_size, max_exp, coeffs=None, divides=None):
+        self.max_size, self.max_exp, self.divides = max_size, max_exp, divides
+        self.coeffs = {} if coeffs is None else coeffs
 
     @classmethod
     def one(cls, max_size, max_exp, divides=None):

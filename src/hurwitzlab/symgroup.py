@@ -10,7 +10,7 @@ Everything is an exact integer; there is no floating point in this module,
 and nothing is read from or written to disk.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import factorial, prod
 from operator import mul
@@ -122,18 +122,14 @@ def character(nu, mu):
     return column(mu)[partitions_of(mu.size).index(nu)]
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(namedtuple("CharacterTable", "d partitions entries")):
     """Full character table of the symmetric group on ``d`` points.
 
     Rows are indexed by the irreducible label nu, columns by the class cycle
     type mu, both in the canonical reverse-lexicographic order of
-    ``partitions_of(d)``.
+    ``partitions_of(d)``.  No ``__slots__``: the cached properties below
+    keep their values in the instance ``__dict__``.
     """
-
-    d: int
-    partitions: tuple
-    entries: tuple
 
     @cached_property
     def _positions(self):

@@ -16,7 +16,7 @@ Suites:
 * ``string`` -- the string-equation consistency pass over inverted tables.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import islice
@@ -59,12 +59,9 @@ ROUND_TRIP_PAIRS = ((0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (2, 1))
 FRESH_SAMPLES_PER_PAIR = 5
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "suite name passed detail",
+                             defaults=("",))):
+    __slots__ = ()
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -155,6 +157,43 @@ def test_consistency_failure_exits_three(capsys, cache, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "grr", "--cache-dir", cache)
     assert code == 3
     assert "FAIL" in out
+
+
+def test_check_result_detail_defaults_to_empty():
+    from hurwitzlab.verify import CheckResult
+
+    result = CheckResult("s", "n", True)
+    assert result.detail == ""
+    assert result.line() == "PASS  s:n"
+    with pytest.raises(AttributeError):
+        result.passed = False
+
+
+GUARD_RUN = """
+import sys
+from hurwitzlab import cli
+code = cli.main(sys.argv[1:])
+heavy = sorted({"dataclasses", "inspect"} & set(sys.modules))
+print(code, heavy, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["chartable", "--d", "6"],
+    ["hurwitz", "--genus", "1", "--partition", "2,1"],
+    ["hodge", "--genus", "1", "--marks", "2"],
+    ["elsv", "--genus", "1", "--partition", "2,1"],
+    ["verify", "--suite", "string"],
+])
+def test_cli_run_imports_neither_dataclasses_nor_inspect(argv, cache):
+    """Each CLI run is a fresh process, so start-up imports count: the
+    records are named tuples, and nothing pulls in dataclasses or inspect
+    (pytest's own process has inspect loaded already)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, HURWITZLAB_CACHE_DIR=cache)
+    proc = subprocess.run([sys.executable, "-c", GUARD_RUN, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr.splitlines()[-1] == "0 []", proc.stderr
 
 
 def test_batch_round_trip(capsys, cache, tmp_path):

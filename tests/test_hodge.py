@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import islice, permutations
 from math import factorial, prod
 
 import pytest
@@ -19,6 +20,7 @@ from hurwitzlab.hodge import (
     required_brackets,
     sample_candidates,
     string_equation_check,
+    _monomial_row,
 )
 from hurwitzlab.hurwitz import connected_via_transform
 from hurwitzlab.partitions import Partition
@@ -33,6 +35,18 @@ def genus_zero_bracket(exponents):
     return F(factorial(h - 3), prod(factorial(j) for j in exponents))
 
 
+@cache
+def _distinct_permutations(exponents):
+    return tuple(set(permutations(exponents)))
+
+
+def permutation_sum(exponents, values):
+    """Oracle for m_J: the sum over the distinct permutations of J of the
+    corresponding monomial, by definition."""
+    return sum(prod(v**j for v, j in zip(values, perm))
+               for perm in _distinct_permutations(tuple(exponents)))
+
+
 # --- brackets and tables ----------------------------------------------------
 
 
@@ -41,6 +55,30 @@ def test_bracket_sorts_exponents():
     assert b.psi == (1, 0, 0, 0)
     assert str(b) == "(0,4,[1,0,0,0],0)"
     assert HodgeBracket.from_string(str(b)) == b
+
+
+def test_bracket_is_an_immutable_named_tuple():
+    b = HodgeBracket(g=1, h=2, psi=(0, 1), lam=1)
+    assert b.psi == (1, 0)
+    assert hash(b) == hash((1, 2, (1, 0), 1))
+    assert repr(b) == "HodgeBracket(g=1, h=2, psi=(1, 0), lam=1)"
+    with pytest.raises(AttributeError):
+        b.lam = 0
+    assert HodgeBracket(1, 2, (1, 0), 1) == b
+
+
+@pytest.mark.parametrize("args,message", [
+    ((0, 2, (0, 0), 0), "unstable (g, h) = (0, 2)"),
+    ((1, 1, (1,), 1), "dimension constraint violated: sum(psi) + lam = 2 != 1"),
+    ((0, 3, (0, 0, 0), 1), "lambda index out of range: (0,3,[0,0,0],1)"),
+    ((0, 3, (0, 0), 0),
+     "need one psi exponent per marked point: (0,3,[0,0],0)"),
+    ((0, 3, (1, -1, 0), 0), "negative psi exponent: (0,3,[1,0,-1],0)"),
+])
+def test_bracket_validation_messages(args, message):
+    with pytest.raises(DomainError) as err:
+        HodgeBracket(*args)
+    assert str(err.value) == message
 
 
 def test_bracket_validation():
@@ -81,6 +119,23 @@ def test_monomial_symmetric():
     assert monomial_symmetric((1, 1), (2, 3)) == 6
     assert monomial_symmetric((0, 0, 0), (1, 2, 3)) == 1
     assert monomial_symmetric((2, 1), (2, 3)) == 2 * 2 * 3 + 3 * 3 * 2
+    assert monomial_symmetric((0, 2, 1), (2, 3, 5)) == permutation_sum(
+        (2, 1, 0), (2, 3, 5))
+
+
+STABLE_PAIRS_TO_SIX = [(g, h) for g in range(4) for h in range(1, 9)
+                       if 0 < 2 * g - 2 + h <= 6]
+
+
+@pytest.mark.parametrize("g,h", STABLE_PAIRS_TO_SIX)
+def test_row_builder_matches_permutation_sum(g, h):
+    """The interpolation rows, built by the recursion on the last variable,
+    equal the permutation-sum definition on the first 50 candidates."""
+    exponents = [b.psi for b in required_brackets(g, h)]
+    for mu in islice(sample_candidates(g, h), 50):
+        assert _monomial_row(exponents, mu.parts) == [
+            permutation_sum(j, mu.parts) for j in exponents
+        ]
 
 
 # --- forward evaluation -----------------------------------------------------
@@ -171,6 +226,9 @@ def test_required_brackets_rejects_negative_genus():
 
 def test_inversion_metadata_and_normalization():
     result = elsv_inversion(1, 1)
+    assert (result.g, result.h) == (1, 1)
+    assert result.brackets == {HodgeBracket(1, 1, (1,), 0): F(1, 24),
+                               HodgeBracket(1, 1, (0,), 1): F(1, 24)}
     assert [m.parts for m in result.grid] == [(1,), (2,)]
     assert result.samples[Partition([2])] == F(1, 2)
     assert normalized_count(1, Partition([2]), F(1, 2)) == F(1, 24)

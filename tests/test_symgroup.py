@@ -231,6 +231,13 @@ def test_table_round_trip_text():
     t = build_table(4)
     again = CharacterTable.from_text(t.to_text())
     assert again == t
+    assert hash(again) == hash(t)
+    # the index maps are cached properties, so they need the instance dict
+    assert again.chi(Partition([3, 1]), Partition([2, 2])) == -1
+    assert again.dim(Partition([2, 2])) == 2
+    assert set(vars(again)) == {"_positions", "_dim_column"}
+    with pytest.raises(AttributeError):
+        again.d = 5
 
 
 # --- the column check ---------------------------------------------------------
