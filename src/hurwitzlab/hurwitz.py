@@ -364,11 +364,20 @@ def disconnected_burnside(chi, mu, max_d=BURNSIDE_MAX_D, cache_dir=None):
                                          * chi_nu(C_mu)
 
     with r = -chi + |mu| + len(mu), over the one checked character column
-    ``symgroup.column(mu)``.  The sums stay memoized for the life of the
-    process (``_character_tuple_count``)."""
+    ``symgroup.column(mu)``.  The columns (``_checked_column``, one per
+    cycle type) and the sums (``_character_tuple_count``, one per (d, r,
+    mu)) stay memoized for the life of the process."""
     # cache_dir is ignored; it stays accepted while perfbench passes it
     return _disconnected(chi, mu, max_d, "character-sum",
                          _character_tuple_count)
+
+
+@lru_cache(maxsize=None)
+def _checked_column(mu):
+    """``column(mu)``, built and checked once per cycle type however many r
+    ask for it.  ``column`` is looked up through the module global on a
+    miss, so a wrapper installed there applies."""
+    return column(mu)
 
 
 @lru_cache(maxsize=None)
@@ -378,7 +387,7 @@ def _character_tuple_count(d, r, mu):
     and p_1^2), so each sum is kept, as an int: held as Fractions, the sums
     raise the peak RSS of the benchmark's batch workload by 0.1 MB."""
     total = sum((k // 2)**r * dim * c
-                for (_, dim, k), c in zip(irreps(d), column(mu)))
+                for (_, dim, k), c in zip(irreps(d), _checked_column(mu)))
     count, rest = divmod(total, factorial(d))
     if rest:
         raise ConsistencyError(f"{d}! does not divide the sum at {mu}, r = {r}")
@@ -564,27 +573,49 @@ def _engine_callable(engine, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D,
     raise DomainError(f"unknown disconnected engine {engine!r}")
 
 
+#: (engine name, its budget) -> (N memo, C memo) of
+#: ``_transitive_from_disconnected``, kept for the life of the process.  Not
+#: shared with ``connected_dp``: the two compute C by different routes, and
+#: the inversion compares them at every grid point.
+_transform_memos = {}
+
+
+def _transform_memo(engine, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D,
+                    cache_dir=None):
+    """The memos of the named engine at its own budget; a caller's own
+    callable gets fresh ones, which live for one call."""
+    if callable(engine):
+        return {}, {}
+    budget = dp_max_d if engine == "dp" else burnside_max_d
+    return _transform_memos.setdefault((engine, budget), ({}, {}))
+
+
 def connected_via_transform(g, mu, engine="burnside", **engine_opts):
     """Connected cover count extracted from a disconnected engine through the
     exp/log transform: the coefficient of lambda^(2g-2+len(mu)) p_mu in the
     log of the disconnected series, read by the rooted sub-multiset recursion
-    of ``_transitive_from_disconnected`` in integers, with no series built."""
+    of ``_transitive_from_disconnected`` in integers, with no series built.
+    For "dp" and "burnside" the counts it reads stay memoized for the life
+    of the process, per engine and budget, so the engine (and a wrapper
+    installed on its module global) sees only the misses."""
     r = _connected_r(g, mu)
     if mu.size == 0:
         raise DomainError("the empty partition has no connected covers")
     eng = _engine_callable(engine, **engine_opts)
-    return Fraction(_transitive_from_disconnected(eng, mu.parts, r), z(mu))
+    memos = _transform_memo(engine, **engine_opts)
+    return Fraction(_transitive_from_disconnected(eng, mu.parts, r, *memos),
+                    z(mu))
 
 
-def _transitive_from_disconnected(eng, parts, r):
+def _transitive_from_disconnected(eng, parts, r, tuples, transitive):
     """C(parts, r), the transitive r-tuples of transpositions with product a
     fixed sigma of type ``parts``, from N(S, s) = z(S) * eng(chi, S), all
     s-tuples with product of type S.  The orbit of sigma's first cycle holds
     the cycles of some sub-multiset A of the others (``_splits``); its s1
     factors interleave with the other s - s1 in binom(s, s1) ways, so
     N(S, s) = sum of w binom(s, s1) C(S[0] + A, s1) N(B, s - s1) over A, s1,
-    whose B = () term is C(S, s).  Both memos live for one call."""
-    tuples, transitive = {}, {}
+    whose B = () term is C(S, s).  ``tuples`` and ``transitive`` are the
+    memos of N and C, from ``_transform_memo``."""
 
     def n(nu, s):
         if (nu, s) not in tuples:

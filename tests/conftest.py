@@ -1,0 +1,19 @@
+import pytest
+
+from hurwitzlab import hurwitz
+
+
+@pytest.fixture(autouse=True)
+def cold_engine_memos():
+    """Each test starts and ends with the process-lifetime engine memos
+    empty, so a count memoized under a patched engine or column never
+    reaches another test."""
+    clear_engine_memos()
+    yield
+    clear_engine_memos()
+
+
+def clear_engine_memos():
+    hurwitz._transform_memos.clear()
+    hurwitz._checked_column.cache_clear()
+    hurwitz._character_tuple_count.cache_clear()

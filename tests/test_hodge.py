@@ -428,7 +428,9 @@ def test_inversion_makes_no_dfs_call(monkeypatch):
 
 
 def test_engine_memoizes_disconnected_counts(monkeypatch):
-    # each (chi, mu) the inversion asks for costs one character column
+    # from cold memos the inversion asks the engine for each (chi, mu) once
+    # and builds each character column once per cycle type; warm, it asks
+    # for nothing
     from hurwitzlab import hurwitz
 
     requests, columns = Counter(), Counter()
@@ -444,13 +446,15 @@ def test_engine_memoizes_disconnected_counts(monkeypatch):
 
     monkeypatch.setattr(hurwitz, "disconnected_burnside", requested)
     monkeypatch.setattr(hurwitz, "column", counted)
-    hurwitz._character_tuple_count.cache_clear()
-    result = elsv_inversion(2, 4)
-    assert max(requests.values()) > 1
-    assert sum(columns.values()) == len(requests)
-    monkeypatch.undo()
-    hurwitz._character_tuple_count.cache_clear()
-    assert elsv_inversion(2, 4).brackets == result.brackets
+    cold = elsv_inversion(2, 4)
+    assert set(requests.values()) == {1}
+    assert set(columns.values()) == {1}
+    assert set(columns) == {mu for _, mu in requests}
+    asked, built = sum(requests.values()), sum(columns.values())
+    assert built < asked  # some cycle types are asked at several chi
+    warm = elsv_inversion(2, 4)
+    assert (sum(requests.values()), sum(columns.values())) == (asked, built)
+    assert warm.brackets == cold.brackets
 
 
 def test_singular_interpolation_is_bounded(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hurwitzlab.errors import ConsistencyError, DomainError, ResourceLimitError
 from hurwitzlab.hurwitz import (
+    BURNSIDE_MAX_D,
     DP_MAX_D,
     HurwitzSeries,
     canonical_representative,
@@ -287,10 +288,10 @@ def test_character_sum_must_count_tuples(monkeypatch):
 
     column = hurwitz.column
     monkeypatch.setattr(hurwitz, "column", lambda mu: (2,) + column(mu)[1:])
-    hurwitz._character_tuple_count.cache_clear()
     with pytest.raises(ConsistencyError, match="does not divide"):
         disconnected_burnside(0, Partition([2, 1]))
     monkeypatch.undo()
+    hurwitz._checked_column.cache_clear()  # it holds the altered column
     assert disconnected_burnside(0, Partition([2, 1])) == F(81, 2)
 
 
@@ -581,15 +582,78 @@ def test_divisor_truncated_transform_matches_size_only_and_dfs(size):
             assert value == connected_dfs(g, mu), (g, mu)
 
 
+def _half_a_tuple_off(chi, nu):
+    """``disconnected_burnside``, but half a tuple off at (1,1), chi = 0."""
+    bad = nu.parts == (1, 1) and chi == 0
+    return disconnected_burnside(chi, nu) + (F(1, 2 * z(nu)) if bad else 0)
+
+
 def test_transform_rejects_a_non_integral_tuple_count():
     # z(nu) * engine must be a whole number of tuples; here (1,1) at chi = 0,
     # which mu = (3,1,1) reaches at s = 4 transpositions
-    def engine(chi, nu):
-        bad = nu.parts == (1, 1) and chi == 0
-        return disconnected_burnside(chi, nu) + (F(1, 2 * z(nu)) if bad else 0)
-
     with pytest.raises(ConsistencyError, match=r"nu = \(1, 1\), s = 4"):
-        connected_via_transform(1, Partition([3, 1, 1]), engine)
+        connected_via_transform(1, Partition([3, 1, 1]), _half_a_tuple_off)
+
+
+# --- the transform's memos are kept per engine callable ----------------------
+
+
+def test_transform_memo_keeps_budgets_apart():
+    from hurwitzlab import hurwitz
+
+    mu = Partition([3, 1, 1])
+    expected = connected_via_transform(1, mu, "burnside")
+    # each engine's memo is keyed on its own budget only
+    assert connected_via_transform(1, mu, "burnside", dp_max_d=1) == expected
+    assert list(hurwitz._transform_memos) == [("burnside", BURNSIDE_MAX_D)]
+    with pytest.raises(ResourceLimitError, match="d <= 4, got d = 5"):
+        connected_via_transform(1, mu, "burnside", burnside_max_d=mu.size - 1)
+    with pytest.raises(ResourceLimitError, match="d <= 4, got d = 5"):
+        connected_via_transform(1, mu, "dp", dp_max_d=mu.size - 1)
+
+
+def test_transform_memo_keeps_engines_apart(monkeypatch):
+    from hurwitzlab import hurwitz
+
+    mu, requests = Partition([3, 1, 1]), Counter()
+    dp = hurwitz.disconnected_dp
+
+    def requested(chi, nu, **opts):
+        requests[chi, nu] += 1
+        return dp(chi, nu, **opts)
+
+    expected = connected_via_transform(1, mu, "burnside")
+    monkeypatch.setattr(hurwitz, "disconnected_dp", requested)
+    assert connected_via_transform(1, mu, "dp") == expected
+    assert requests[0, mu] == 1  # the top term N(mu, 8), chi = 8 - 8
+    assert set(requests.values()) == {1}
+
+
+def test_transform_gives_a_custom_engine_memos_for_one_call():
+    from hurwitzlab import hurwitz
+
+    mu, requests = Partition([3, 1, 1]), Counter()
+
+    def engine(chi, nu):
+        requests[chi, nu] += 1
+        return disconnected_dp(chi, nu)
+
+    expected = connected_via_transform(1, mu, "dp")
+    assert connected_via_transform(1, mu, engine) == expected
+    once = Counter(requests)
+    assert set(once.values()) == {1}
+    assert connected_via_transform(1, mu, engine) == expected
+    assert requests == once + once
+    assert list(hurwitz._transform_memos) == [("dp", DP_MAX_D)]
+
+
+def test_transform_memo_keeps_a_custom_engine_apart():
+    # the burnside memo holds every count at (1, (3,1,1)), and the perturbed
+    # engine is still asked for its own
+    mu = Partition([3, 1, 1])
+    connected_via_transform(1, mu, "burnside")
+    with pytest.raises(ConsistencyError, match=r"nu = \(1, 1\), s = 4"):
+        connected_via_transform(1, mu, _half_a_tuple_off)
 
 
 def _one_part_gjv(g, d):
