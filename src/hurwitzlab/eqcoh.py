@@ -6,9 +6,9 @@ Pieces:
   integer (possibly negative) multiplicities for virtual sums;
 * fixed-point weight data and cohomology-pushforward characters for line
   bundles on the degree-d cyclic covers of the projective line (d = 1 is the
-  line itself), checked against each other by ``grr_localization_check`` as
-  exact rational-function identities (substitute q = e^(u/D) and clear
-  denominators);
+  line itself), checked against each other by ``grr_localization_check``:
+  scaled by their common denominator D, the weights are integer exponents of
+  q = e^(u/D), and the cleared-out identity holds in Z[q, 1/q];
 * ``EquivariantPolyRing`` -- the two-variable polynomial ring in u and the
   hyperplane class H modulo the monic relation prod(H + a_i u), with
   ``ab_integrate`` summing fixed-point residues;
@@ -256,20 +256,18 @@ def pushforward_char_cover(k, a, d):
 
 
 def _weight_denominator(fixed_points, claimed):
-    denoms = [1]
+    denoms = [w.denominator for w in claimed.terms]
     for tangent, fiber in fixed_points:
-        denoms.extend(w.denominator for w, _ in tangent.items())
-        denoms.extend(w.denominator for w, _ in fiber.items())
-    denoms.extend(w.denominator for w, _ in claimed.items())
+        denoms.extend(w.denominator for w in tangent.terms)
+        denoms.extend(w.denominator for w in fiber.terms)
     return lcm(*denoms)
 
 
 def _char_poly(ws, scale):
-    """sum of mult * q^(w*scale) as a Laurent polynomial in q."""
-    out = Laurent()
-    for w, m in ws.items():
-        out = out + Laurent.monomial(int(w * scale), m)
-    return out
+    """sum of mult * q^(w*scale) as {int exponent: multiplicity}; scale is a
+    multiple of every denominator, and distinct weights keep distinct keys."""
+    return {w.numerator * (scale // w.denominator): m
+            for w, m in ws.terms.items()}
 
 
 def grr_localization_check(fixed_points, claimed):
@@ -280,37 +278,34 @@ def grr_localization_check(fixed_points, claimed):
     ``fixed_points`` is a list of (tangent, fiber) weight multisets;
     ``claimed`` is the virtual multiset H0 - H1.  Both sides are compared
     exactly: substitute q = e^(u/D) with D the common weight denominator and
-    compare cleared-out Laurent polynomials in q.
+    compare cleared-out Laurent polynomials in q over the integers.
     """
+    scale = _weight_denominator(fixed_points, claimed)
+    numerators, denominators = [], []
     for tangent, fiber in fixed_points:
-        for w, m in tangent.items():
-            if w == 0:
+        numerators.append(_char_poly(fiber, scale))
+        den = {0: 1}
+        for e, m in _char_poly(tangent, scale).items():
+            if e == 0:
                 raise DomainError("invalid fixed point: zero tangent weight")
             if m <= 0:
                 raise DomainError(
                     "invalid fixed point: tangent multiplicities must be positive"
                 )
-    scale = _weight_denominator(fixed_points, claimed)
-    numerators, denominators = [], []
-    for tangent, fiber in fixed_points:
-        numerators.append(_char_poly(fiber, scale))
-        den = Laurent.constant(1)
-        for w, m in tangent.items():
-            factor = Laurent.constant(1) - Laurent.monomial(int(-w * scale))
             for _ in range(m):
-                den = den * factor
+                den = sparse.mul(den, {0: 1, -e: -1}, add)  # 1 - q^(-e)
         denominators.append(den)
 
-    lhs = Laurent()
+    lhs = {}
     for j, num in enumerate(numerators):
         term = num
         for jj, den in enumerate(denominators):
             if jj != j:
-                term = term * den
-        lhs = lhs + term
+                term = sparse.mul(term, den, add)
+        lhs = sparse.add(lhs, term)
     rhs = _char_poly(claimed, scale)
     for den in denominators:
-        rhs = rhs * den
+        rhs = sparse.mul(rhs, den, add)
     return lhs == rhs
 
 
@@ -503,6 +498,12 @@ class HodgeClassPoly:
     def scalar(cls, g, h, coef):
         return cls(g, h, {((0,) * h, ()): coef})
 
+    def _new(self, terms):
+        """The class on already clean terms (the algebra's own results), unchecked."""
+        out = object.__new__(HodgeClassPoly)
+        out.g, out.h, out.cap, out.terms = self.g, self.h, self.cap, terms
+        return out
+
     def _compatible(self, other):
         if (self.g, self.h) != (other.g, other.h):
             raise DomainError("classes live on different moduli")
@@ -510,17 +511,15 @@ class HodgeClassPoly:
     def __add__(self, other):
         other = self._coerce(other)
         self._compatible(other)
-        return HodgeClassPoly(self.g, self.h, sparse.add(self.terms, other.terms))
+        return self._new(sparse.add(self.terms, other.terms))
 
     def __sub__(self, other):
         other = self._coerce(other)
         return self + other.scaled(-1)
 
     def scaled(self, c):
-        return HodgeClassPoly(
-            self.g, self.h,
-            {key: coef.scaled(c) for key, coef in self.terms.items()},
-        )
+        return self._new({key: cv for key, coef in self.terms.items()
+                          if (cv := coef.scaled(c))})
 
     def _coerce(self, other):
         if isinstance(other, HodgeClassPoly):
@@ -539,9 +538,7 @@ class HodgeClassPoly:
                 return None
             return tuple(map(add, psi1, psi2)), tuple(sorted(lam1 + lam2))
 
-        return HodgeClassPoly(
-            self.g, self.h, sparse.mul(self.terms, other.terms, key_mul)
-        )
+        return self._new(sparse.mul(self.terms, other.terms, key_mul))
 
     __rmul__ = __mul__
 

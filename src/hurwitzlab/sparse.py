@@ -2,8 +2,8 @@
 
 The one add / scale / multiply loop behind every exact algebra of the
 package: the Hurwitz series, Laurent polynomials in u, the weight multisets,
-the truncated psi/lambda algebra and the equivariant ring of
-``eqcoh.RingElement``.  A dict here never stores a zero coefficient.
+the integer polynomials in q of the GRR check, the truncated psi/lambda
+algebra and the equivariant ring of ``eqcoh.RingElement``.  A dict here never stores a zero coefficient.
 Monomials are any hashable keys; coefficients are anything with +, * and
 truth (ints, Fractions, Laurent polynomials).
 """

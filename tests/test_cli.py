@@ -293,6 +293,23 @@ def test_verify_single_suite(capsys, cache):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_verify_all_json_stdout_is_pinned(tmp_path):
+    # verify_stdout.json is the whole run's stdout, byte for byte, as
+    # demo_stdout/ pins the demos; a change meant to keep every check's
+    # name, verdict and detail shows here if it does not
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.join(tests, "..", "src"),
+               HURWITZLAB_CACHE_DIR=str(tmp_path / "cache"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hurwitzlab.cli", "verify", "--suite", "all",
+         "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(tests, "verify_stdout.json"), encoding="utf-8") as f:
+        assert proc.stdout == f.read()
+
+
 def test_csv_output(capsys, cache):
     code, out, _ = run_cli(
         capsys, "hurwitz", "--genus", "0", "--partition", "3",

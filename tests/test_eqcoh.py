@@ -1,9 +1,10 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import prod
+from math import lcm, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hurwitzlab import eqcoh, verify
 from hurwitzlab.errors import ConsistencyError, DomainError
@@ -121,20 +122,6 @@ def test_cover_degree_one_agrees_with_line():
 # --- GRR --------------------------------------------------------------------
 
 
-def test_grr_line_and_cover_grids():
-    for k in range(-5, 6):
-        for a in range(-3, 4):
-            fp = fixed_point_weights_cover(a, k, 1)
-            h0, h1 = pushforward_char_cover(k, a, 1)
-            assert grr_localization_check(fp, h0 - h1), (k, a)
-    for d in (2, 3, 4):
-        for k in range(-3, 4):
-            for a in range(-2, 3):
-                fp = fixed_point_weights_cover(a, k, d)
-                h0, h1 = pushforward_char_cover(k, a, d)
-                assert grr_localization_check(fp, h0 - h1), (k, a, d)
-
-
 def test_grr_rejects_perturbed_claim():
     fp = fixed_point_weights_cover(0, 1, 1)
     h0, h1 = pushforward_char_cover(1, 0, 1)
@@ -145,6 +132,108 @@ def test_grr_zero_tangent_weight_rejected():
     bad = [(WeightMultiset({0: 1}), WeightMultiset({1: 1}))]
     with pytest.raises(DomainError):
         grr_localization_check(bad, WeightMultiset())
+
+
+def test_grr_nonpositive_tangent_multiplicity_rejected():
+    bad = [(WeightMultiset({1: -1}), WeightMultiset({1: 1}))]
+    with pytest.raises(DomainError):
+        grr_localization_check(bad, WeightMultiset())
+
+
+# An oracle for grr_localization_check that clears no denominator: evaluate
+# sum_j N_j(q) / D_j(q) and C(q) at rational points q other than 0 and +-1,
+# where no D_j vanishes, with q = e^(u/D) and D the common weight denominator.
+_Q_POINTS = (F(2), F(-3, 2), F(5, 7))
+
+
+def _grr_by_substitution(fixed_points, claimed):
+    multisets = [claimed] + [ws for pair in fixed_points for ws in pair]
+    scale = lcm(*(F(w).denominator for ws in multisets for w in ws.terms))
+
+    def value(ws, q):
+        return sum((m * q ** int(w * scale) for w, m in ws.terms.items()), F(0))
+
+    def euler(tangent, q):  # prod (1 - q^(-x))^m
+        return prod((1 - q ** int(-w * scale)) ** m
+                    for w, m in tangent.terms.items())
+
+    return all(
+        sum((value(fiber, q) / euler(tangent, q)
+             for tangent, fiber in fixed_points), F(0)) == value(claimed, q)
+        for q in _Q_POINTS
+    )
+
+
+_weights = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+_nonzero_weights = _weights.filter(bool)
+_multiplicities = st.integers(-3, 3).filter(bool)
+
+
+def _times_euler(ws, tangent):
+    """The weight multiset of ws * prod (1 - e^(-x))^m, by hand."""
+    out = Counter(ws.terms)
+    for x, m in tangent.terms.items():
+        for _ in range(m):
+            step = Counter(out)
+            for w, c in out.items():
+                step[w - x] -= c
+            out = step
+    return WeightMultiset(out)
+
+
+@st.composite
+def _fixed_point_data(draw):
+    """(fixed points, claimed, verdict).  "true" builds each fiber as
+    C_j * D_j, so the claim sum_j C_j holds; "perturbed" adds one weight to
+    that claim, so it fails; "random" draws fibers and claim freely, and
+    leaves the verdict to the oracle.  The first tangent weight has
+    multiplicity at least 2."""
+    mode = draw(st.sampled_from(["true", "perturbed", "random"]))
+    fixed_points, claimed = [], WeightMultiset()
+    for j in range(draw(st.integers(1, 3))):
+        tangent = WeightMultiset(draw(st.dictionaries(
+            _nonzero_weights, st.integers(1, 3), min_size=1, max_size=2)))
+        if j == 0:
+            x = next(iter(tangent.terms))
+            tangent = tangent + WeightMultiset({x: draw(st.integers(1, 2))})
+        c_j = WeightMultiset(draw(st.dictionaries(
+            _weights, _multiplicities, max_size=3)))
+        if mode == "random":
+            fixed_points.append((tangent, c_j))
+        else:
+            fixed_points.append((tangent, _times_euler(c_j, tangent)))
+            claimed = claimed + c_j
+    if mode == "random":
+        claimed = WeightMultiset(draw(st.dictionaries(
+            _weights, _multiplicities, max_size=4)))
+    elif mode == "perturbed":
+        claimed = claimed + WeightMultiset({draw(_weights): draw(_multiplicities)})
+    return fixed_points, claimed, {"true": True, "perturbed": False}.get(mode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fixed_point_data())
+def test_grr_agrees_with_substitution_oracle(data):
+    fixed_points, claimed, verdict = data
+    assert max(m for m in fixed_points[0][0].terms.values()) > 1
+    oracle = _grr_by_substitution(fixed_points, claimed)
+    assert grr_localization_check(fixed_points, claimed) == oracle
+    if verdict is not None:
+        assert oracle == verdict
+
+
+def test_grr_line_and_cover_grids():
+    # verify's whole grid, each claim and a perturbed one, by both routes
+    for d in (1, 2, 3, 4):
+        for k in range(-5, 6):
+            for a in range(-3, 4):
+                fp = fixed_point_weights_cover(a, k, d)
+                h0, h1 = pushforward_char_cover(k, a, d)
+                assert grr_localization_check(fp, h0 - h1), (d, k, a)
+                assert _grr_by_substitution(fp, h0 - h1), (d, k, a)
+                off = (h0 - h1) + WeightMultiset({a: 1})
+                assert not grr_localization_check(fp, off), (d, k, a)
+                assert not _grr_by_substitution(fp, off), (d, k, a)
 
 
 def _plane_data(k, a, w=(0, -1, -3)):
@@ -297,6 +386,66 @@ def test_hodge_class_truncation():
     q = psi_class(1, 1, 0)  # cap = 1
     assert not q.is_zero()
     assert (q * q).is_zero()
+
+
+def test_hodge_class_rejects_bad_keys():
+    with pytest.raises(DomainError, match="psi"):
+        HodgeClassPoly(1, 2, {((1,), ()): 1})  # one exponent for two points
+    with pytest.raises(DomainError, match="psi"):
+        HodgeClassPoly(1, 1, {((-1,), ()): 1})
+    with pytest.raises(DomainError, match="lambda"):
+        HodgeClassPoly(1, 1, {((0,), (2,)): 1})  # lambda_2 on genus one
+    with pytest.raises(DomainError, match="lambda"):
+        HodgeClassPoly(2, 1, {((0,), (0,)): 1})
+
+
+_coefficients = st.dictionaries(
+    st.integers(-2, 2), st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+    max_size=2)
+
+
+@st.composite
+def _hodge_classes(draw, g, h):
+    """A class through the validating constructor, with some keys above the
+    cap and some zero coefficients, which it drops.  Most psi exponents are
+    small, so that most products survive the truncation."""
+    cap = 3 * g - 3 + h
+    keys = st.tuples(
+        st.tuples(*[st.sampled_from([0, 0, 0, 1, 2, cap + 1])] * h),
+        st.lists(st.integers(1, g), max_size=2) if g else st.just([]),
+    )
+    terms = draw(st.lists(st.tuples(keys, _coefficients), max_size=5))
+    return HodgeClassPoly(
+        g, h, {(psi, tuple(lam)): Laurent(c) for (psi, lam), c in terms})
+
+
+def _assert_clean(poly):
+    assert poly == HodgeClassPoly(poly.g, poly.h, poly.terms)
+    for (psi, lam), coef in poly.terms.items():
+        assert coef, (psi, lam)
+        assert sum(psi) + sum(lam) <= poly.cap
+        assert list(lam) == sorted(lam)
+
+
+@pytest.mark.parametrize("g,h", [(0, 3), (0, 5), (1, 1), (1, 3), (2, 1), (2, 2)])
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_algebra_results_equal_the_validated_class(g, h, data):
+    # sums, products and rescalings skip the constructor; re-running it on
+    # their terms changes nothing
+    a = data.draw(_hodge_classes(g, h))
+    b = data.draw(_hodge_classes(g, h))
+    c = data.draw(st.builds(F, st.integers(-4, 4), st.integers(1, 4)))
+    for result in (a * b, b * a, a + b, a - b, a * 3, a.scaled(c), a.scaled(0)):
+        _assert_clean(result)
+    assert a.scaled(0).is_zero() and (a - a).is_zero()
+
+
+def test_algebra_products_sort_lambda_indices():
+    lam2, lam1 = (HodgeClassPoly(2, 1, {((0,), (i,)): 1}) for i in (2, 1))
+    product = lam2 * lam1
+    assert product.terms == {((0,), (1, 2)): Laurent.constant(1)}
+    _assert_clean(product)
 
 
 def test_hodge_euler_dual_structure():

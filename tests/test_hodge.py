@@ -503,6 +503,68 @@ def test_string_equation_detects_breakage():
     assert not report.all_passed
 
 
+# --- string and dilaton for every lambda_i -----------------------------------
+# lambda_i pulls back along the map forgetting a point, so both equations hold
+# with any lambda_i inserted:
+#   string:  <tau_0 tau_K lam_i>_(g,n+1) = sum_j <tau_(K: k_j -> k_j - 1) lam_i>_(g,n)
+#   dilaton: <tau_1 tau_K lam_i>_(g,n+1) = (2g - 2 + n) <tau_K lam_i>_(g,n)
+# string_equation_check covers the string equation at lambda_0 only.
+
+_FORGETFUL_PAIRS = ((0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2))
+
+
+@pytest.fixture(scope="module")
+def forgetful_table():
+    t = HodgeTable()
+    for gh in _FORGETFUL_PAIRS:
+        invert_into(t, *gh)
+    return t
+
+
+def _forgetful_checks(table):
+    """(lhs bracket, actual, expected) for each string and dilaton instance
+    whose forgotten space (g, n) is stable, keyed by equation."""
+    out = {"string": [], "dilaton": []}
+    for b in table:
+        n = b.h - 1
+        if n < 1 or 2 * b.g - 2 + n <= 0:
+            continue
+        actual = table.value(b)
+        if 0 in b.psi:
+            rest = list(b.psi)
+            rest.remove(0)
+            expected = sum(
+                (table.value(HodgeBracket(b.g, n, rest[:j] + [k - 1] + rest[j + 1:],
+                                          b.lam))
+                 for j, k in enumerate(rest) if k),
+                F(0))
+            out["string"].append((b, actual, expected))
+        if 1 in b.psi:
+            rest = list(b.psi)
+            rest.remove(1)
+            expected = (2 * b.g - 2 + n) * table.value(HodgeBracket(b.g, n, rest, b.lam))
+            out["dilaton"].append((b, actual, expected))
+    return out
+
+
+def test_string_and_dilaton_hold_for_every_lambda(forgetful_table):
+    every_lambda = {(g, i) for g in range(3) for i in range(g + 1)}
+    for equation, checks in _forgetful_checks(forgetful_table).items():
+        bad = [(str(b), a, e) for b, a, e in checks if a != e]
+        assert not bad, (equation, bad)
+        assert {(b.g, b.lam) for b, _, _ in checks} == every_lambda, equation
+
+
+def test_string_and_dilaton_catch_a_wrong_lambda_bracket(forgetful_table):
+    # one bracket on each side of both equations
+    for wrong in ("(2,1,[2],2)", "(1,3,[1,1,0],1)"):
+        broken = HodgeTable()
+        for b, v, _ in forgetful_table.items():
+            broken.add(b, v + 1 if str(b) == wrong else v)
+        for equation, checks in _forgetful_checks(broken).items():
+            assert any(a != e for _, a, e in checks), (wrong, equation)
+
+
 # --- serialization ----------------------------------------------------------
 
 
