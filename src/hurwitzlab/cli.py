@@ -162,8 +162,8 @@ def _build_parser():
 
     p = sub.add_parser("chartable", parents=[fmt, cache, burnside],
                        help="build and verify a character table; its row "
-                            "check is O(p(d)^3): about 3 s at d = 18, "
-                            "10 s at d = 20")
+                            "check is O(p(d)^3): about 2.7 s at d = 18, "
+                            "11 s at d = 20")
     p.add_argument("--d", type=int, required=True, dest="degree")
 
     p = sub.add_parser("export", parents=[cache, burnside],

@@ -188,13 +188,20 @@ class WeightMultiset:
         for w in weights:
             w = _as_fraction(w)
             out[w] = out.get(w, 0) + 1
-        return cls(out)
+        return cls._new(out)
+
+    @classmethod
+    def _new(cls, terms):
+        """The multiset on already clean terms (its own results), unchecked."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     def __add__(self, other):
-        return WeightMultiset(sparse.add(self.terms, other.terms))
+        return self._new(sparse.add(self.terms, other.terms))
 
     def __neg__(self):
-        return WeightMultiset({w: -m for w, m in self.terms.items()})
+        return self._new({w: -m for w, m in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -240,17 +247,18 @@ def pushforward_char_cover(k, a, d):
     where both vanish at k = -1."""
     if d < 1:
         raise DomainError(f"cover degree must be positive, got {d}")
+    _as_fraction(a)  # outside input: the twist must be an exact rational
     if k >= 0:
         return (
             WeightMultiset.from_weights(
-                a - Fraction(i, d) for i in range(k * d + 1)
+                Fraction(a * d - i, d) for i in range(k * d + 1)
             ),
             WeightMultiset(),
         )
     return (
         WeightMultiset(),
         WeightMultiset.from_weights(
-            a + Fraction(i, d) for i in range(1, -k * d - 1 + 1)
+            Fraction(a * d + i, d) for i in range(1, -k * d - 1 + 1)
         ),
     )
 
@@ -529,6 +537,8 @@ class HodgeClassPoly:
         raise DomainError(f"cannot coerce {other!r} into the Hodge algebra")
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, Laurent)):  # scale each coefficient
+            return self._new(sparse.scale(self.terms, other))
         other = self._coerce(other)
         self._compatible(other)
 

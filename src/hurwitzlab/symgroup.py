@@ -1,13 +1,13 @@
 """Exact irreducible characters of symmetric groups.
 
 ``column(mu)`` gives chi_nu(mu) for every irreducible nu at once, by the
-Murnaghan-Nakayama rule on beta-sets: p_mu is expanded in Schur functions one
-part k at a time, and adding a border strip of size k is moving a bead b to
-an empty b + k, with sign (-1)^(beads jumped over).  Each column is checked
-by exact relations before it is returned, and full tables are assembled from
-columns on demand.  Dimensions come from the hook length formula.
-Everything is an exact integer; there is no floating point in this module,
-and nothing is read from or written to disk.
+Murnaghan-Nakayama rule on beta-sets: p_mu is one border-strip step for mu_1
+on the Schur expansion of the other parts, which is kept for the process
+since columns share their tails, and a strip of size k moves a bead b to an
+empty b + k, with sign (-1)^(beads jumped over).  Each column is checked by
+exact relations before it is returned; full tables are assembled from
+columns on demand.  Dimensions come from the hook length formula.  All is
+exact integer arithmetic, and nothing is read from or written to disk.
 """
 
 from collections import namedtuple
@@ -19,9 +19,9 @@ from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .partitions import Partition, class_size, kappa, partitions_of, z
 
 #: Default ceiling on the degree of the character-sum engine and of a full
-#: table, also the CLI default of ``--budget-burnside-max-d``.  One column
-#: takes 0.4 ms at d = 14 and 2 ms at d = 20 on average, 12 ms at worst (one
-#: core); the row check of a full table costs O(p(d)^3), about 10 s at d = 20.
+#: table, also the CLI default of ``--budget-burnside-max-d``.  All columns of
+#: one degree take 0.3 ms each at d = 14 and 1 ms at d = 20, 6 ms for one with
+#: no tail memoized (one core); the row check is O(p(d)^3), 11 s at d = 20.
 BURNSIDE_MAX_D = 20
 
 _TEXT_HEADER = "hurwitzlab-chartable v1"
@@ -60,26 +60,36 @@ def _bead_masks(d):
     )
 
 
+def _strip_step(shapes, k):
+    """p_k times sum coef * s_shape: each beta-set on n beads gains beads
+    0..k-1 (the others move up k), then a bead b moves to an empty b + k
+    with sign (-1)^(beads strictly between)."""
+    pad, between, step = (1 << k) - 1, (1 << (k - 1)) - 1, {}
+    for mask, coef in shapes.items():
+        mask = (mask << k) | pad
+        movable = mask & ~(mask >> k)
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            shape = mask ^ low ^ (low << k)
+            jumped = (mask & ((between * low) << 1)).bit_count()
+            step[shape] = step.get(shape, 0) + (-coef if jumped & 1 else coef)
+    return {mask: coef for mask, coef in step.items() if coef}
+
+
+@lru_cache(maxsize=None)
+def _tail_expansion(parts):
+    """p_nu in the Schur basis for nu = ``parts``, as {beta-set on |nu|
+    beads: coefficient}; kept for the process and shared, so read-only."""
+    return _strip_step(_tail_expansion(parts[1:]), parts[0]) if parts else {0: 1}
+
+
 def _schur_coefficients(mu):
     """The coefficients of p_mu in the Schur basis, in ``partitions_of``
-    order.  Starting from s_() (beads 0..d-1), each part k multiplies by p_k:
-    a bead b moves to an empty b + k with sign (-1)^(beads strictly
-    between).  Each step holds one dict of at most p(d) shapes."""
-    d = mu.size
-    shapes = {(1 << d) - 1: 1}
-    for k in mu.parts:
-        between = (1 << (k - 1)) - 1
-        step = {}
-        for mask, coef in shapes.items():
-            movable = mask & ~(mask >> k)
-            while movable:
-                low = movable & -movable
-                movable ^= low
-                shape = mask ^ low ^ (low << k)
-                jumped = (mask & ((between * low) << 1)).bit_count()
-                step[shape] = step.get(shape, 0) + (-coef if jumped & 1 else coef)
-        shapes = {mask: coef for mask, coef in step.items() if coef}
-    return tuple(shapes.get(mask, 0) for mask in _bead_masks(d))
+    order: one strip step for mu_1 on the memoized expansion of the rest."""
+    shapes = (_strip_step(_tail_expansion(mu.parts[1:]), mu.parts[0])
+              if mu.parts else {0: 1})
+    return tuple(shapes.get(mask, 0) for mask in _bead_masks(mu.size))
 
 
 def column(mu):

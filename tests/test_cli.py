@@ -310,6 +310,23 @@ def test_verify_all_json_stdout_is_pinned(tmp_path):
         assert proc.stdout == f.read()
 
 
+def test_batch_json_stdout_is_pinned(tmp_path):
+    # batch_stdout.json is the stdout of batch_records.json, byte for byte:
+    # character-sum records at d = 8..14, dp records, connected counts
+    # through both transforms and dfs, all in one process
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.join(tests, "..", "src"),
+               HURWITZLAB_CACHE_DIR=str(tmp_path / "cache"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hurwitzlab.cli", "hurwitz", "--batch",
+         os.path.join(tests, "batch_records.json"), "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(tests, "batch_stdout.json"), encoding="utf-8") as f:
+        assert proc.stdout == f.read()
+
+
 def test_csv_output(capsys, cache):
     code, out, _ = run_cli(
         capsys, "hurwitz", "--genus", "0", "--partition", "3",

@@ -108,6 +108,29 @@ def test_pushforward_char_cover_cases():
     assert h0.is_empty() and h1 == WeightMultiset({F(1, 2): 1})
 
 
+def test_pushforward_weights_match_the_rational_formula():
+    # each weight is built as one Fraction and the multisets skip the
+    # validating constructor; both must give the formula's clean multiset
+    for d in range(1, 4):
+        for k in range(-3, 4):
+            for a in (-2, 0, 3, F(3, 2)):
+                h0, h1 = pushforward_char_cover(k, a, d)
+                assert h0 == WeightMultiset.from_weights(
+                    a - F(i, d) for i in range(k * d + 1)), (k, a, d)
+                assert h1 == WeightMultiset.from_weights(
+                    a + F(i, d) for i in range(1, -k * d)), (k, a, d)
+                for ws in (h0, h1, h0 - h1, -h0, h0 + h1):
+                    assert ws == WeightMultiset(ws.terms)
+                    assert all(type(w) is F and m for w, m in ws.terms.items())
+
+
+def test_pushforward_rejects_an_inexact_twist():
+    with pytest.raises(DomainError):
+        pushforward_char_cover(1, 0.5, 2)
+    with pytest.raises(DomainError):
+        pushforward_char_cover(-2, 0.5, 2)
+
+
 def test_cover_degree_one_agrees_with_line():
     # the line: H0 = {a - i : 0 <= i <= k}, H1 = {a + i : 1 <= i <= -k - 1}
     for k in range(-4, 5):
@@ -436,9 +459,14 @@ def test_algebra_results_equal_the_validated_class(g, h, data):
     a = data.draw(_hodge_classes(g, h))
     b = data.draw(_hodge_classes(g, h))
     c = data.draw(st.builds(F, st.integers(-4, 4), st.integers(1, 4)))
-    for result in (a * b, b * a, a + b, a - b, a * 3, a.scaled(c), a.scaled(0)):
+    u = Laurent(data.draw(_coefficients))
+    for result in (a * b, b * a, a + b, a - b, a * 3, a.scaled(c), a.scaled(0),
+                   a * c, c * a, a * u, a * 0):
         _assert_clean(result)
-    assert a.scaled(0).is_zero() and (a - a).is_zero()
+    assert a.scaled(0).is_zero() and (a - a).is_zero() and (a * 0).is_zero()
+    # a scalar scales each coefficient, as the product with its class would
+    for s in (3, c, u, 0):
+        assert a * s == s * a == a * HodgeClassPoly.scalar(g, h, s)
 
 
 def test_algebra_products_sort_lambda_indices():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -108,6 +109,30 @@ def brute_character_table(d):
         assert inner(vec, vec) == 1
         chars.append(vec)
     return parts, chars
+
+
+def bead_by_bead_column(mu):
+    """p_mu in the Schur basis with no memo: from s_() on all d beads, each
+    part k moves a bead b to an empty b + k with sign (-1)^(beads strictly
+    between), every part from scratch."""
+    d = mu.size
+    shapes = {(1 << d) - 1: 1}
+    for k in mu.parts:
+        between = (1 << (k - 1)) - 1
+        step = {}
+        for mask, coef in shapes.items():
+            movable = mask & ~(mask >> k)
+            while movable:
+                low = movable & -movable
+                movable ^= low
+                shape = mask ^ low ^ (low << k)
+                jumped = (mask & ((between * low) << 1)).bit_count()
+                step[shape] = step.get(shape, 0) + (-coef if jumped & 1 else coef)
+        shapes = {mask: coef for mask, coef in step.items() if coef}
+    beads = [sum(1 << (p + d - 1 - i)
+                 for i, p in enumerate(nu.parts + (0,) * (d - nu.length)))
+             for nu in partitions_of(d)]
+    return tuple(shapes.get(mask, 0) for mask in beads)
 
 
 # --- dimensions -------------------------------------------------------------
@@ -240,6 +265,44 @@ def test_table_round_trip_text():
         again.d = 5
 
 
+# --- the memoized tails -------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", range(0, 13))
+def test_columns_match_the_bead_by_bead_oracle(d):
+    for mu in partitions_of(d):
+        assert column(mu) == bead_by_bead_column(mu), mu
+
+
+@pytest.mark.parametrize("d", [19, 20])
+def test_sampled_large_columns_match_the_oracle(d):
+    for mu in random.Random(d).sample(partitions_of(d), 12):
+        assert column(mu) == bead_by_bead_column(mu), mu
+
+
+def test_columns_do_not_depend_on_the_order_they_are_built_in():
+    shapes = [mu for d in range(1, 13) for mu in partitions_of(d)]
+    ascending = {mu: column(mu) for mu in shapes}
+    sg._tail_expansion.cache_clear()
+    random.Random(18).shuffle(shapes)
+    assert {mu: column(mu) for mu in shapes} == ascending
+
+
+def test_only_the_tails_are_memoized():
+    # (3,2,1) builds the tails (2,1), (1) and (); its own column is not kept
+    column(Partition([3, 2, 1]))
+    assert sg._tail_expansion.cache_info().currsize == 3
+    column(Partition([4, 2, 1]))
+    assert sg._tail_expansion.cache_info().currsize == 3
+
+
+def test_column_check_catches_a_perturbed_tail():
+    tail = sg._tail_expansion((2, 1))
+    tail[next(iter(tail))] += 1
+    with pytest.raises(ConsistencyError):
+        column(Partition([3, 2, 1]))
+
+
 # --- the column check ---------------------------------------------------------
 # Each corruption below breaks exactly one of the three relations that
 # ``column`` checks, so each test fails if its relation is dropped.
@@ -291,4 +354,4 @@ def test_column_check_catches_swapped_rows_of_equal_dimension(monkeypatch):
 def test_every_column_passes_its_check(d):
     # dp = burnside reads every column to d = 12; the engine reads them to 20
     for mu in partitions_of(d):
-        assert len(column(mu)) == len(partitions_of(d))
+        assert column(mu) == bead_by_bead_column(mu), mu
