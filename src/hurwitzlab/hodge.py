@@ -12,16 +12,16 @@ degree 3g - 3 + h - i carries, with sign (-1)^i, exactly the brackets
 from a bracket table; ``elsv_inversion`` samples an engine on a grid of part
 tuples and solves the exact linear system in the monomial-symmetric basis to
 recover the brackets, and ``invert_into`` puts them in a table.  The grid
-rows are integers; they are picked by elimination modulo a 61-bit prime, with
-every row that is dependent mod p tested exactly, and the square system is
-solved by one fraction-free integer elimination whose solution is checked
-against A x = b exactly before it is used; no floating point anywhere.
+rows are integers; they are picked by elimination modulo a 61-bit prime, and
+the square system is solved on that factorization by p-adic lifting, whose
+solution is checked against A x = b exactly before it is used; no floating
+point anywhere.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, isqrt, lcm, prod
 
 from .errors import ConsistencyError, DomainError, MissingBracketError
 from .hurwitz import DP_MAX_D, connected_dp, connected_via_transform
@@ -222,63 +222,10 @@ def elsv_evaluate(g, mu, table):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra (rows picked mod p, one fraction-free integer solve)
+# exact linear algebra (rows picked and solved on one factorization mod p)
 
-#: Primes for the row selection: the Mersenne prime 2^61 - 1, then the next
-#: primes below it, each used only once a row that is dependent modulo the
-#: current one has turned out independent over Q.
-_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229)
-
-
-class _Bareiss:
-    """One fraction-free (Bareiss) elimination of a square nonsingular
-    integer matrix, kept so that each integer right-hand side costs O(n^2).
-
-    ``solve(rhs)`` replays the elimination on ``rhs``, as if it were run on
-    the augmented rows [M | rhs], and back-substitutes in integers.  It
-    returns ``(nums, den)`` with x = nums / den: den is the last pivot, the
-    determinant up to sign, so every den * x_i is an integer by Cramer's
-    rule and every division is exact."""
-
-    def __init__(self, matrix):
-        n = len(matrix)
-        rows = [list(row) for row in matrix]
-        order = list(range(n))
-        prev = 1
-        for k in range(n):
-            swap = next((i for i in range(k, n) if rows[i][k]), None)
-            if swap is None:
-                raise DomainError(f"singular {n}x{n} system")
-            rows[k], rows[swap] = rows[swap], rows[k]
-            order[k], order[swap] = order[swap], order[k]
-            top = rows[k]
-            pivot = top[k]
-            for row in rows[k + 1:]:
-                # row[k] is left as it is: the multiplier the replay needs
-                f = row[k]
-                row[k + 1:] = [(pivot * v - f * t) // prev
-                               for v, t in zip(row[k + 1:], top[k + 1:])]
-            prev = pivot
-        # a row's later swaps only move it among rows the earlier steps
-        # treat alike, so the replay may take the final order up front
-        self._rows, self._order, self._det = rows, order, prev
-
-    def solve(self, rhs):
-        rows = self._rows
-        n = len(rows)
-        c = [rhs[i] for i in self._order]
-        prev = 1
-        for k in range(n):
-            pivot, top = rows[k][k], c[k]
-            for i in range(k + 1, n):
-                c[i] = (pivot * c[i] - rows[i][k] * top) // prev
-            prev = pivot
-        nums = [0] * n
-        for k in reversed(range(n)):
-            row = rows[k]
-            done = sum(row[j] * nums[j] for j in range(k + 1, n))
-            nums[k] = (self._det * c[k] - done) // row[k]
-        return nums, self._det
+#: The Mersenne prime 2^61 - 1, for the row selection and the lifting.
+_P = 2**61 - 1
 
 
 def _holds(matrix, nums, den, rhs):
@@ -287,76 +234,82 @@ def _holds(matrix, nums, den, rhs):
                for row, b in zip(matrix, rhs))
 
 
+def _rational(residues, modulus):
+    """Wang's rational reconstruction of a residue vector: ``(nums, den)``
+    with every nums[i] / den = residues[i] mod ``modulus`` and numerators
+    and denominators at most sqrt(modulus / 2), or None.  Each entry is
+    reconstructed after scaling by the denominator found so far, so entries
+    sharing a denominator cost one Euclid step."""
+    bound = isqrt((modulus - 1) // 2)
+    nums, den = [], 1
+    for u in residues:
+        r0, s0, r1, s1 = modulus, 0, u * den % modulus, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, s0, r1, s1 = r1, s1, r0 - q * r1, s0 - q * s1
+        if abs(s1) > bound or gcd(r1, s1) != 1:
+            return None
+        if s1 < 0:
+            r1, s1 = -r1, -s1
+        if s1 != 1:
+            nums = [x * s1 for x in nums]
+            den *= s1
+        nums.append(r1)
+    return nums, den
+
+
 class _Elimination:
     """Picks independent integer rows one at a time, then solves the square
     system they form exactly and certifies the solution.
 
-    ``add`` reduces a candidate row modulo a 61-bit prime against the
-    echelon of the kept rows.  A row independent mod p is independent over
-    Q and is kept.  A row dependent mod p is tested exactly: the kept rows
-    restricted to the echelon's pivot columns form a matrix K invertible
-    mod p, hence over Q, so the row depends on the kept rows iff the y with
-    y K = row[pivots] gives y * rows == row on every column.  A row that
-    passes only mod p is kept and the echelon is rebuilt modulo the next
-    prime.  ``solve`` scales the right-hand side by the least common
-    denominator L, runs one fraction-free elimination on [A | L b], and
-    checks A x = b exactly before returning (the certificate)."""
+    ``add`` reduces a candidate row mod p against the echelon E of the kept
+    rows and keeps it iff anything is left.  A minor nonzero mod p is
+    nonzero over Q, so the kept rows are independent over Q; a row
+    dependent mod p only is skipped.  The multipliers are recorded, so the
+    kept rows are L E mod p with L lower triangular, the last entry of each
+    L row the pivot.  ``solve`` lifts p-adically on that factorization
+    (Dixon): each step solves through L and E mod p and takes one exact
+    integer product for the next residual, then tries rational
+    reconstruction and returns the first solution that passes A x = b
+    exactly (the certificate).  Past the modulus at which Hadamard's bound
+    makes the reconstruction unique, it raises ConsistencyError."""
 
     def __init__(self, name="the linear system"):
         self.name = name
-        self.rows = []  # the kept integer rows
-        self._primes = iter(_PRIMES)
-        self._rebuild()
+        self.rows = []      # the kept integer rows
+        self._echelon = []  # (pivot, the row mod p from the pivot on, 1 there)
+        self._lower = []    # the rows of L
 
-    def _rebuild(self):
-        """The echelon of the kept rows modulo the next prime that keeps
-        them all independent."""
-        self._dual = None
-        for p in self._primes:
-            self._p, self._echelon = p, []
-            if all(self._reduce(row) for row in self.rows):
-                return
-        raise DomainError(
-            f"{self.name}: the kept rows are dependent modulo every prime "
-            f"of the row selection"
-        )
-
-    def _reduce(self, row):
-        """Reduce ``row`` mod p against the echelon; if anything is left,
-        add it to the echelon (pivot scaled to 1) and return True."""
-        p = self._p
-        work = [v % p for v in row]
+    def add(self, row):
+        """Keep ``row`` iff it is independent of the kept rows mod p."""
+        work = [v % _P for v in row]
+        multipliers = []
         for pivot, tail in self._echelon:
             f = work[pivot]
+            multipliers.append(f)
             if f:
-                work[pivot:] = [(w - f * t) % p
+                work[pivot:] = [(w - f * t) % _P
                                 for w, t in zip(work[pivot:], tail)]
         pivot = next((j for j, w in enumerate(work) if w), None)
         if pivot is None:
             return False
-        inverse = pow(work[pivot], -1, p)
-        self._echelon.append((pivot, [w * inverse % p for w in work[pivot:]]))
+        inverse = pow(work[pivot], -1, _P)
+        self._echelon.append((pivot, [w * inverse % _P for w in work[pivot:]]))
+        self._lower.append(multipliers + [work[pivot]])
+        self.rows.append(list(row))
         return True
 
-    def add(self, row):
-        """Keep ``row`` iff it is independent of the kept rows over Q."""
-        if self._reduce(row):
-            self.rows.append(list(row))
-            self._dual = None
-            return True
-        pivots = [pivot for pivot, _ in self._echelon]
-        if self._dual is None:  # K transposed, for y K = row[pivots]
-            self._dual = _Bareiss(
-                [[kept[c] for kept in self.rows] for c in pivots]
-            )
-        nums, den = self._dual.solve([row[c] for c in pivots])
-        columns = [[kept[j] for kept in self.rows] for j in range(len(row))]
-        if _holds(columns, nums, den, row):
-            return False
-        # dependent mod p only: keep it and change the prime
-        self.rows.append(list(row))
-        self._rebuild()
-        return True
+    def _solve_mod_p(self, rhs):
+        """The x with A x = rhs mod p: forward through L, back through E."""
+        y = []
+        for row, b in zip(self._lower, rhs):
+            done = sum(f * v for f, v in zip(row, y))
+            y.append((b - done) * pow(row[-1], -1, _P) % _P)
+        x = [0] * len(y)
+        for (pivot, tail), v in zip(reversed(self._echelon), reversed(y)):
+            done = sum(t * w for t, w in zip(tail[1:], x[pivot + 1:]))
+            x[pivot] = (v - done) % _P
+        return x
 
     def solve(self, rhs):
         """The x with A x = rhs, A the kept rows, which must be square;
@@ -366,12 +319,24 @@ class _Elimination:
         rhs = [Fraction(b) for b in rhs]
         scale = lcm(*(b.denominator for b in rhs))
         scaled = [b.numerator * (scale // b.denominator) for b in rhs]
-        nums, den = _Bareiss(self.rows).solve(scaled)
-        if not _holds(self.rows, nums, den, scaled):
-            raise ConsistencyError(
-                f"{self.name}: the solution fails the exact check A x = b"
-            )
-        return [Fraction(x, den * scale) for x in nums]
+        # Hadamard: |det A| <= H and, by Cramer, every numerator is at most
+        # H * |b|_1, so past 2 (H (1 + |b|_1))^2 the reconstruction is unique
+        limit = (2 * prod(sum(a * a for a in row) for row in self.rows)
+                 * (1 + sum(map(abs, scaled))) ** 2 * _P)
+        residual, lifted, modulus = scaled, [0] * len(scaled), 1
+        while modulus <= limit:
+            x = self._solve_mod_p(residual)
+            lifted = [u + modulus * v for u, v in zip(lifted, x)]
+            modulus *= _P
+            residual = [(b - sum(a * v for a, v in zip(row, x))) // _P
+                        for row, b in zip(self.rows, residual)]
+            got = _rational(lifted, modulus)
+            if got is not None and _holds(self.rows, *got, scaled):
+                nums, den = got
+                return [Fraction(v, den * scale) for v in nums]
+        raise ConsistencyError(
+            f"{self.name}: no solution passes the exact check A x = b"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +390,9 @@ def elsv_inversion(g, h, hurwitz_engine=None, dp_max_d=DP_MAX_D):
     Samples the normalized count on a grid of profiles, solves for the
     monomial-symmetric coefficients in the degree band
     [2g-3+h, 3g-3+h], and reads brackets off the band.  The rows are
-    picked and solved by ``_Elimination``, whose certificate (A x = b,
+    picked mod p and solved by ``_Elimination``; a candidate dependent mod
+    p is skipped, so the grid is a nonsingular one and the brackets, the
+    unique solution, do not depend on which.  The certificate (A x = b,
     checked exactly) raises ConsistencyError naming (g, h).  The engine
     ``hurwitz_engine(g, mu)`` defaults to ``connected_via_transform`` over
     the character sums.  Every grid point is re-derived by the cut-and-join
@@ -562,8 +529,8 @@ def hodge_import(text):
     for ln in lines[1:]:
         try:
             key, value, provenance = ln.split()
-            value = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+            table.add(HodgeBracket.from_string(key), Fraction(value), provenance)
+        except (ValueError, ZeroDivisionError, ConsistencyError) as exc:
+            # a line contradicting an earlier one or the seed is bad input
             raise DomainError(f"malformed Hodge table line {ln!r}") from exc
-        table.add(HodgeBracket.from_string(key), value, provenance)
     return table

@@ -348,16 +348,35 @@ def test_export_hodge_missing_table_exits_one(capsys, cache):
     assert code == 1 and "hodge" in err
 
 
-def test_conflicting_table_file_exits_three(capsys, cache):
-    # a stored table contradicting the built-in seed is an integrity
-    # failure, not a user error
+@pytest.mark.parametrize("lines", [
+    ["(1,1,[1],0) 1/24 inverted-from-hurwitz",
+     "(1,1,[1],0) 1/12 inverted-from-hurwitz"],
+    ["(0,3,[0,0,0],0) 2 seeded"],
+], ids=["two-values", "not-the-seed"])
+def test_conflicting_table_file_is_a_cache_miss(capsys, cache, lines):
+    # a stored line contradicting another line or the built-in seed is
+    # malformed input: the commands that fill the table rebuild it, and
+    # export, which only reads it, rejects it as a user error
     os.makedirs(cache, exist_ok=True)
-    with open(os.path.join(cache, "hodge-table.txt"), "w") as fh:
-        fh.write("hurwitzlab-hodge-table v1\n(0,3,[0,0,0],0) 2 seeded\n")
-    code, _, err = run_cli(
+    path = os.path.join(cache, "hodge-table.txt")
+    conflicting = "\n".join(["hurwitzlab-hodge-table v1"] + lines) + "\n"
+    with open(path, "w") as fh:
+        fh.write(conflicting)
+    code, _, err = run_cli(capsys, "export", "--what", "hodge", "--cache-dir", cache)
+    assert code == 1 and "malformed Hodge table line" in err
+    code, _, _ = run_cli(
+        capsys, "hodge", "--genus", "1", "--marks", "1", "--cache-dir", cache,
+    )
+    assert code == 0
+    with open(path) as fh:
+        text = fh.read()
+    assert text != conflicting
+    assert "(1,1,[1],0) 1/24 inverted" in text and "1/12" not in text
+    assert "(0,3,[0,0,0],0) 1 seeded" in text
+    code, out, _ = run_cli(
         capsys, "elsv", "--genus", "1", "--partition", "2", "--cache-dir", cache,
     )
-    assert code == 3 and "conflicting" in err
+    assert code == 0 and "1/2" in out
 
 
 def _tampered_table(capsys, cache):

@@ -276,16 +276,15 @@ def test_polynomiality_band():
             assert coeff == 0, (j, coeff)
 
 
-def test_elimination_keeps_row_dependent_only_mod_p():
+def test_elimination_skips_row_dependent_only_mod_p():
     from hurwitzlab import hodge
 
     p = 2**61 - 1
     elimination = hodge._Elimination()
     assert elimination.add([1, 0])
-    assert elimination.add([0, p])  # zero mod p, independent over Q
-    assert elimination._p == hodge._PRIMES[1]  # the echelon was rebuilt
-    assert not elimination.add([0, 1])
-    assert elimination.solve([3, 5]) == [3, F(5, p)]
+    assert not elimination.add([0, p])  # zero mod p, skipped
+    assert elimination.add([0, 1])
+    assert elimination.solve([3, 5]) == [3, 5]
 
 
 def test_elimination_rejects_dependent_rows():
@@ -298,35 +297,73 @@ def test_elimination_rejects_dependent_rows():
     assert not elimination.add([0, 0])
     assert elimination.add([1, 3])
     assert elimination.rows == [[1, 0], [1, 3]]
-    assert elimination._p == hodge._PRIMES[0]
 
 
-def test_elimination_without_a_prime_left_raises():
+def test_lift_stops_at_the_hadamard_bound(monkeypatch):
+    # without a reconstruction the lift runs until the modulus passes
+    # 2 (H (1 + |b|_1))^2 p = 8 (p + 1)^2 p, that is four steps
     from hurwitzlab import hodge
 
+    p = 2**61 - 1
+    steps = []
+
+    def never(residues, modulus):
+        steps.append(modulus)
+        return None
+
+    monkeypatch.setattr(hodge, "_rational", never)
+    elimination = hodge._Elimination("the test system")
+    assert elimination.add([p + 1])
+    with pytest.raises(ConsistencyError, match="the test system"):
+        elimination.solve([1])
+    assert steps == [p, p**2, p**3, p**4]
+
+
+def test_lift_goes_past_one_step():
+    # the denominator p + 1 does not fit one 61-bit step
+    from hurwitzlab import hodge
+
+    p = 2**61 - 1
     elimination = hodge._Elimination()
-    assert elimination.add([1, 0])
-    with pytest.raises(DomainError, match="every prime"):
-        elimination.add([0, prod(hodge._PRIMES)])
+    assert elimination.add([p + 1])
+    assert elimination.solve([1]) == [F(1, p + 1)]
+
+
+def test_lift_solves_a_system_with_wide_entries():
+    import random
+
+    from hurwitzlab import hodge
+
+    rng = random.Random(19)
+    matrix = [[rng.getrandbits(100) - 2**99 for _ in range(6)] for _ in range(6)]
+    rhs = [F(rng.randint(-10**6, 10**6), rng.randint(1, 1000)) for _ in range(6)]
+    elimination = hodge._Elimination()
+    assert all(elimination.add(row) for row in matrix)
+    x = elimination.solve(rhs)
+    assert any(v.denominator > 2**61 for v in x)
+    assert [sum(a * v for a, v in zip(row, x)) for row in matrix] == rhs
 
 
 def test_certificate_catches_a_wrong_solution(monkeypatch):
     from hurwitzlab import hodge
 
-    exact = hodge._Bareiss.solve
+    exact = hodge._rational
 
-    def perturbed(self, rhs):
-        nums, den = exact(self, rhs)
+    def perturbed(residues, modulus):
+        got = exact(residues, modulus)
+        if got is None:
+            return None
+        nums, den = got
         return [nums[0] + 1] + nums[1:], den
 
-    monkeypatch.setattr(hodge._Bareiss, "solve", perturbed)
+    monkeypatch.setattr(hodge, "_rational", perturbed)
     with pytest.raises(ConsistencyError, match=r"\(g, h\) = \(1, 2\)"):
         elsv_inversion(1, 2)
 
 
-# the grids as the rational elimination chose them; (1, 5) rejects one
-# candidate row and (2, 5) two, so the exact test of a row that is
-# dependent mod p keeps each grid as it was
+# the grids as the elimination mod p chooses them; (1, 5) rejects one
+# candidate row and (2, 5) two, each dependent over Q as well, so these are
+# the grids an exact elimination over Q would choose
 GRID_1_5 = (
     (1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (3, 1, 1, 1, 1), (2, 2, 1, 1, 1),
     (4, 1, 1, 1, 1), (3, 2, 1, 1, 1), (2, 2, 2, 1, 1), (5, 1, 1, 1, 1),
@@ -362,6 +399,24 @@ def test_grid_pinned_where_two_rows_are_rejected():
     for b in top:
         multinom = F(factorial(sum(b.psi)), prod(factorial(j) for j in b.psi))
         assert result.brackets[b] == multinom * F(7, 5760), b
+
+
+#: sum_g b_g t^(2g) = (t/2) / sin(t/2)
+_FABER_PANDHARIPANDE_B = {2: F(7, 5760), 3: F(31, 967680)}
+
+
+@pytest.mark.parametrize("g,h,skipped,count", [(2, 6, 5, 14), (3, 5, 6, 18)])
+def test_lambda_g_brackets_where_rows_are_skipped(g, h, skipped, count):
+    # every lambda_g bracket is multinom(2g-3+h; K) * b_g; the oracle shares
+    # no code with the engines or the elimination
+    result = elsv_inversion(g, h)
+    candidates = list(islice(sample_candidates(g, h), 1000))
+    assert candidates.index(result.grid[-1]) + 1 - len(result.grid) == skipped
+    top = [b for b in result.brackets if b.lam == g]
+    assert len(top) == count
+    for b in top:
+        multinom = F(factorial(sum(b.psi)), prod(factorial(j) for j in b.psi))
+        assert result.brackets[b] == multinom * _FABER_PANDHARIPANDE_B[g], b
 
 
 def test_inversion_independent_of_sampling_orientation():
