@@ -260,6 +260,9 @@ def _cmd_hurwitz(args):
 
 
 _BATCH_KEYS = {"engine", "genus", "euler", "partition"}
+# A batch answer is a flat dict of checked scalars, so the C encoder with
+# these separators gives its block of json.dumps(..., indent=2) byte for byte.
+_ANSWER = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
 
 
 def _batch_query(rec, args):
@@ -296,19 +299,31 @@ def _cmd_hurwitz_batch(args):
         raise DomainError(f"batch file is not valid JSON: {exc}") from exc
     if not isinstance(records, list):
         raise DomainError("batch file must hold a JSON list of records")
-    results = []
+    as_csv = args.format == "csv"
+    answers = []
     for i, rec in enumerate(records):
         try:
-            results.append(_batch_query(rec, args))
+            answer = _batch_query(rec, args)
         except DomainError as exc:
             raise DomainError(f"record {i}: {exc}") from exc
-    if args.format == "csv":
-        keys = sorted({k for rec in results for k in rec})
-        print(",".join(keys))
-        for rec in results:
-            print(",".join(str(rec.get(k, "")) for k in keys))
-    else:
-        print(json.dumps(results, sort_keys=True, indent=2))
+        # keep only what is printed: the csv row, or the answer's JSON block
+        records[i] = None
+        answers.append(answer if as_csv else
+                       "  {\n    " + _ANSWER.encode(answer)[1:-1] + "\n  }")
+    if as_csv:
+        import csv  # here, not at start-up: only this path quotes cells
+        keys = sorted({k for rec in answers for k in rec})
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(keys)  # a partition such as "2,1" is quoted
+        out.writerows([rec.get(k, "") for k in keys] for rec in answers)
+        return 0
+    # what json.dumps(..., sort_keys=True, indent=2) gives, piece by piece
+    sep = "[\n"
+    for block in answers:
+        sys.stdout.write(sep)
+        sys.stdout.write(block)
+        sep = ",\n"
+    sys.stdout.write("\n]\n" if answers else "[]\n")
     return 0
 
 
@@ -478,7 +493,16 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: point fd 1 at devnull so that the flush at
+        # interpreter exit finds somewhere to write and stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before all output was written",
+              file=sys.stderr)
+        return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -219,6 +221,104 @@ def test_batch_rejects_unknown_keys(capsys, cache, tmp_path):
     path.write_text(json.dumps([{"engine": "dp", "euler": 2, "partition": "2", "x": 1}]))
     code, _, err = run_cli(capsys, "hurwitz", "--batch", str(path), "--cache-dir", cache)
     assert code == 1 and "unknown keys" in err
+
+
+# (record, the answer's fields beside the record's own) for a batch that mixes
+# genus and euler records over every engine; "2,1" is kept as given
+MIXED_BATCH = [
+    ({"engine": "dfs", "genus": 1, "partition": "2,1"},
+     {"result": "40", "d": 3, "h": 2, "r": 5}),
+    ({"engine": "dp", "euler": 0, "partition": "1,2"},
+     {"result": "81/2", "d": 3, "h": 2, "r": 5}),
+    ({"engine": "burnside", "euler": 2, "partition": "1,1"},
+     {"result": "1/2", "d": 2, "h": 2, "r": 2}),
+    ({"genus": 0, "partition": "2,2"},
+     {"result": "12", "engine": "burnside", "d": 4, "h": 2, "r": 4}),
+    ({"engine": "dp", "genus": 1, "partition": "3"},
+     {"result": "9", "d": 3, "h": 1, "r": 4}),
+]
+
+
+@pytest.mark.parametrize("batch, timing", [
+    (MIXED_BATCH, True),
+    (MIXED_BATCH[1:2], False),
+    ([], False),
+], ids=["mixed-timing", "one-record", "empty"])
+def test_batch_stdout_is_the_indent_2_document(capsys, cache, tmp_path,
+                                               batch, timing):
+    # the answers are encoded one by one as they arrive; the document they
+    # make is json.dumps of the whole list, byte for byte
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([rec for rec, _ in batch]))
+    code, out, _ = run_cli(capsys, "hurwitz", "--batch", str(path),
+                           "--cache-dir", cache,
+                           *(["--timing"] if timing else []))
+    assert code == 0
+    expected = [{**rec, **answer} for rec, answer in batch]
+    if timing:
+        for want, got in zip(expected, json.loads(out)):
+            assert type(got["elapsed_ms"]) is float
+            want["elapsed_ms"] = got["elapsed_ms"]
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("last, code, err_start", [
+    ({"engine": "dp", "euler": "0", "partition": "2"}, 1, "error: record 5: "),
+    ({"engine": "dp", "euler": 0, "partition": str(DP_MAX_D + 1)}, 2,
+     f"resource limit: cycle-type recursion budget is d <= {DP_MAX_D}"),
+], ids=["malformed", "over-budget"])
+def test_batch_failing_last_record_writes_nothing(capsys, cache, tmp_path,
+                                                  last, code, err_start):
+    # nothing is written until every record has its answer
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([rec for rec, _ in MIXED_BATCH] + [last]))
+    got, out, err = run_cli(capsys, "hurwitz", "--batch", str(path),
+                            "--cache-dir", cache)
+    assert (got, out) == (code, "") and err.startswith(err_start), err
+
+
+def test_batch_csv_rows(capsys, cache, tmp_path):
+    # the header is the sorted union of the answers' keys; a cell holding a
+    # comma, as a partition of two or more parts does, is quoted
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([rec for rec, _ in MIXED_BATCH]))
+    code, out, _ = run_cli(capsys, "hurwitz", "--batch", str(path),
+                           "--format", "csv", "--cache-dir", cache)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "d,engine,euler,genus,h,partition,r,result"
+    assert lines[1] == '3,dfs,,1,2,"2,1",5,40'  # a genus record: euler empty
+    assert lines[2] == '3,dp,0,,2,"1,2",5,81/2'
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["result"] for row in rows] == [a["result"] for _, a in MIXED_BATCH]
+    assert [row["partition"] for row in rows] == [
+        rec["partition"] for rec, _ in MIXED_BATCH]
+
+
+@pytest.mark.parametrize("argv", [
+    # 1.3 kB, which waits in the buffer until main flushes it
+    ["verify", "--suite", "grr", "--format", "json"],
+    # 15 kB in one write, past the 8 KiB buffer, so the write itself fails
+    ["export", "--what", "chartable", "--d", "12"],
+])
+def test_closed_stdout_exits_one_without_a_traceback(argv, cache):
+    # as in `... | head -1`: the reader is gone before the child writes;
+    # stdout is block-buffered, as it is by default on a pipe
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, HURWITZLAB_CACHE_DIR=cache)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "hurwitzlab.cli", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+    finally:
+        proc.stderr.close()
+        code = proc.wait(timeout=120)
+    assert code == 1, err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_hodge_command_writes_table(capsys, cache):
