@@ -258,6 +258,28 @@ def _rational(residues, modulus):
     return nums, den
 
 
+#: Lane width of a packed row: lanes below p + 256 p^2 < 2^131 cannot carry.
+_W = 132
+_LANE = (1 << _W) - 1
+#: Reduction steps between two re-reductions of a packed candidate's lanes.
+_STEPS = 256
+
+
+def _pack(values):
+    """One int holding values[j] (each 0 <= v < 2^W) at bits [jW, (j+1)W),
+    built from W / 4 hex digits per lane."""
+    return int("".join(f"{v:0{_W // 4}x}" for v in reversed(values)) or "0",
+               16)
+
+
+def _lanes_mod_p(packed, n):
+    """The n lanes of ``packed``, each reduced mod p."""
+    width = _W // 4
+    digits = f"{packed:0{width * n}x}"
+    return [int(digits[i - width:i], 16) % _P
+            for i in range(len(digits), 0, -width)]
+
+
 class _Elimination:
     """Picks independent integer rows one at a time, then solves the square
     system they form exactly and certifies the solution.
@@ -272,30 +294,43 @@ class _Elimination:
     integer product for the next residual, then tries rational
     reconstruction and returns the first solution that passes A x = b
     exactly (the certificate).  Past the modulus at which Hadamard's bound
-    makes the reconstruction unique, it raises ConsistencyError."""
+    makes the reconstruction unique, it raises ConsistencyError.
+
+    Each echelon row is held packed, as one int with lane j at bits
+    [jW, (j+1)W), W = 132 (33 hex digits), holding (p - e_j) mod p: the row
+    negated mod p.  A reduction step on a packed candidate is then
+    ``work += f * packed``, one multiply-add over every lane in C, and the
+    multiplier f is the candidate's pivot lane mod p.  A step adds less
+    than p^2 < 2^122 to a lane, so the lanes are re-reduced mod p every
+    256 steps, which keeps each below p + 256 p^2 < 2^131: no lane carries
+    into the next.  The candidate is unpacked once, at the end, to find its
+    pivot."""
 
     def __init__(self, name="the linear system"):
         self.name = name
         self.rows = []      # the kept integer rows
-        self._echelon = []  # (pivot, the row mod p from the pivot on, 1 there)
+        self._echelon = []  # (pivot, the row mod p, 1 there, packed negated)
         self._lower = []    # the rows of L
 
     def add(self, row):
         """Keep ``row`` iff it is independent of the kept rows mod p."""
-        work = [v % _P for v in row]
+        n = len(row)
+        work = _pack([v % _P for v in row])
         multipliers = []
-        for pivot, tail in self._echelon:
-            f = work[pivot]
+        for steps, (pivot, packed) in enumerate(self._echelon, 1):
+            f = ((work >> pivot * _W) & _LANE) % _P
             multipliers.append(f)
             if f:
-                work[pivot:] = [(w - f * t) % _P
-                                for w, t in zip(work[pivot:], tail)]
-        pivot = next((j for j, w in enumerate(work) if w), None)
+                work += f * packed
+            if steps % _STEPS == 0:
+                work = _pack(_lanes_mod_p(work, n))
+        lanes = _lanes_mod_p(work, n)
+        pivot = next((j for j, w in enumerate(lanes) if w), None)
         if pivot is None:
             return False
-        inverse = pow(work[pivot], -1, _P)
-        self._echelon.append((pivot, [w * inverse % _P for w in work[pivot:]]))
-        self._lower.append(multipliers + [work[pivot]])
+        inverse = pow(lanes[pivot], -1, _P)
+        self._echelon.append((pivot, _pack([-w * inverse % _P for w in lanes])))
+        self._lower.append(multipliers + [lanes[pivot]])
         self.rows.append(list(row))
         return True
 
@@ -306,9 +341,10 @@ class _Elimination:
             done = sum(f * v for f, v in zip(row, y))
             y.append((b - done) * pow(row[-1], -1, _P) % _P)
         x = [0] * len(y)
-        for (pivot, tail), v in zip(reversed(self._echelon), reversed(y)):
-            done = sum(t * w for t, w in zip(tail[1:], x[pivot + 1:]))
-            x[pivot] = (v - done) % _P
+        for (pivot, packed), v in zip(reversed(self._echelon), reversed(y)):
+            # x[pivot] is still 0, so its lane p - 1 adds nothing
+            negated = _lanes_mod_p(packed, len(x))
+            x[pivot] = (v + sum(t * w for t, w in zip(negated, x))) % _P
         return x
 
     def solve(self, rhs):

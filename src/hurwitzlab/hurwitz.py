@@ -226,12 +226,22 @@ def _disconnected(chi, mu, max_d, budget, tuple_count):
     return Fraction(tuple_count(d, r, mu), z(mu))
 
 
+#: One tuple per partition for the cut-and-join memos below: a few hundred
+#: partitions recur in millions of entries, and each held its own copies.
+_canonical_parts = {}
+
+
+def _canonical(parts):
+    """The one tuple held for the descending part tuple ``parts``."""
+    return _canonical_parts.setdefault(parts, parts)
+
+
 @lru_cache(maxsize=None)
 def _neighbours(parts):
     """The cycle types sigma * t over the transpositions t, for a fixed sigma
-    of cycle type ``parts``, as (parts, number of t) pairs: t joins cycles of
-    lengths a and b in a * b ways, and cuts a cycle of length a into
-    {k, a - k} in a ways, a / 2 when k = a - k."""
+    of cycle type ``parts``, as (canonical parts, number of t) pairs: t joins
+    cycles of lengths a and b in a * b ways, and cuts a cycle of length a
+    into {k, a - k} in a ways, a / 2 when k = a - k."""
     out = Counter()
     for i, a in enumerate(parts):
         rest = parts[:i] + parts[i + 1:]
@@ -242,7 +252,7 @@ def _neighbours(parts):
             b = parts[j]
             joined = parts[:i] + parts[i + 1:j] + parts[j + 1:] + (a + b,)
             out[tuple(sorted(joined, reverse=True))] += a * b
-    return tuple(out.items())
+    return tuple((_canonical(nu), m) for nu, m in out.items())
 
 
 _class_vectors = {}  # d -> [N_0, N_1, ...], each {parts: tuple count}
@@ -281,12 +291,13 @@ def disconnected_dp(chi, mu, max_d=DP_MAX_D):
 def _splits(parts):
     """The ways to deal ``parts`` out to two sides, as (A, B, weight): A takes
     k_v of the m_v parts equal to v, in prod binom(m_v, k_v) ways.  A runs
-    over the distinct sub-multisets, () included; A and B sort descending."""
+    over the distinct sub-multisets, () included; A and B are canonical
+    descending tuples."""
     out = [((), (), 1)]
     for value, mult in sorted(Counter(parts).items(), reverse=True):
         out = [(a + (value,) * k, b + (value,) * (mult - k), w * comb(mult, k))
                for a, b, w in out for k in range(mult + 1)]
-    return tuple(out)
+    return tuple((_canonical(a), _canonical(b), w) for a, b, w in out)
 
 
 @lru_cache(maxsize=None)
@@ -302,11 +313,12 @@ def _min_r(parts):
 
 @lru_cache(maxsize=None)
 def _orbit_pairs(parts):
-    """The orbit types (left <= right) that a factor t joining two orbits
-    leaves behind, for a fixed sigma of type ``parts``, with the number of
-    such t and each side's ``_min_r``: t cuts a cycle of length a (any of
-    the m_a equal ones) into k and a - k in a ways (a / 2 when k = a - k),
-    and the other cycles go to the two orbits (``_splits``)."""
+    """The orbit types (left <= right, canonical tuples) that a factor t
+    joining two orbits leaves behind, for a fixed sigma of type ``parts``,
+    with the number of such t and each side's ``_min_r``: t cuts a cycle of
+    length a (any of the m_a equal ones) into k and a - k in a ways (a / 2
+    when k = a - k), and the other cycles go to the two orbits
+    (``_splits``)."""
     out = Counter()
     for i, a in enumerate(parts):
         if i and parts[i - 1] == a:
@@ -318,8 +330,8 @@ def _orbit_pairs(parts):
                 sides = (tuple(sorted(side + (piece,), reverse=True))
                          for side, piece in ((left, k), (right, a - k)))
                 out[tuple(sorted(sides))] += ways * w
-    return tuple((left, right, m, _min_r(left), _min_r(right))
-                 for (left, right), m in out.items())
+    return tuple((_canonical(left), _canonical(right), m, _min_r(left),
+                  _min_r(right)) for (left, right), m in out.items())
 
 
 @lru_cache(maxsize=None)
@@ -352,7 +364,7 @@ def connected_dp(g, mu, max_d=DP_MAX_D):
         raise ResourceLimitError(
             f"cycle-type recursion budget is d <= {max_d}, got d = {mu.size}")
     for lower in range(g, -1, -1):  # genus by genus keeps the recursion shallow
-        count = _transitive_class_count(mu.parts, r - 2 * lower)
+        count = _transitive_class_count(_canonical(mu.parts), r - 2 * lower)
     return Fraction(count, z(mu))
 
 

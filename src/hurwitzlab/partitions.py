@@ -16,15 +16,19 @@ from .errors import DomainError
 class Partition:
     """A weakly decreasing sequence of positive integers.
 
-    The empty sequence is the valid empty partition.  Instances are immutable
-    by convention (the part tuple is never mutated), hashable, and ordered by
-    their part tuples.
+    Every part must be an ``int`` (not a bool): a float or a string part is
+    rejected, never truncated.  The empty sequence is the valid empty
+    partition.  Instances are immutable by convention (the part tuple is
+    never mutated), hashable, and ordered by their part tuples.
     """
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        for p in parts:
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise DomainError(f"parts must be integers, got {p!r}")
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise DomainError(f"parts must be weakly decreasing, got {parts}")

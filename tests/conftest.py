@@ -15,6 +15,7 @@ def cold_engine_memos():
 
 def clear_engine_memos():
     hurwitz._transform_memos.clear()
+    hurwitz._canonical_parts.clear()
     hurwitz._checked_column.cache_clear()
     hurwitz._character_tuple_count.cache_clear()
     symgroup._tail_expansion.cache_clear()

@@ -299,6 +299,87 @@ def test_elimination_rejects_dependent_rows():
     assert elimination.rows == [[1, 0], [1, 3]]
 
 
+class _ListElimination:
+    """The reference reduction mod p: each echelon row a list from its pivot
+    on (1 there), each reduction step one list comprehension."""
+
+    def __init__(self):
+        self.rows, self.echelon, self.lower = [], [], []
+
+    def add(self, row):
+        p = 2**61 - 1
+        work = [v % p for v in row]
+        multipliers = []
+        for pivot, tail in self.echelon:
+            f = work[pivot]
+            multipliers.append(f)
+            if f:
+                work[pivot:] = [(w - f * t) % p
+                                for w, t in zip(work[pivot:], tail)]
+        pivot = next((j for j, w in enumerate(work) if w), None)
+        if pivot is None:
+            return False
+        inverse = pow(work[pivot], -1, p)
+        self.echelon.append((pivot, [w * inverse % p for w in work[pivot:]]))
+        self.lower.append(multipliers + [work[pivot]])
+        self.rows.append(list(row))
+        return True
+
+
+def _assert_packed_matches_list(candidates):
+    from hurwitzlab import hodge
+
+    p, n = 2**61 - 1, len(candidates[0])
+    packed, reference = hodge._Elimination(), _ListElimination()
+    kept = [packed.add(row) for row in candidates]
+    assert kept == [reference.add(row) for row in candidates]
+    assert packed.rows == reference.rows
+    assert packed._lower == reference.lower
+    for (pivot, lanes), (ref_pivot, tail) in zip(packed._echelon,
+                                                 reference.echelon):
+        assert pivot == ref_pivot
+        assert hodge._lanes_mod_p(lanes, n) == [0] * pivot + [-t % p for t in tail]
+    return kept
+
+
+def test_packed_echelon_matches_list_reduction_on_random_rows():
+    import random
+
+    p = 2**61 - 1
+    rng = random.Random(22)
+    n = 24
+    rows = [[rng.randrange(-2**80, 2**80) for _ in range(n)] for _ in range(16)]
+    for _ in range(6):  # dependent: a combination of earlier rows
+        picked = rng.sample(rows, 3)
+        rows.append([sum(rng.randrange(1, 100) * r[j] for r in picked)
+                     for j in range(n)])
+    rows += [[p - 1] * n, [-1] * n, [p - 1] * (n - 1) + [1]]
+    rows += [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+    kept = _assert_packed_matches_list(rows)
+    assert 0 < kept.count(False) and kept.count(True) == n
+
+
+def test_packed_echelon_matches_list_reduction_past_256_steps():
+    # the first 258 rows are triangular, so the list reference reduces them
+    # cheaply; each later candidate then takes 258 steps, past one
+    # re-reduction of the packed lanes
+    import random
+
+    p = 2**61 - 1
+    rng = random.Random(7)
+    n = 262
+    rows = [[0] * i + [rng.randrange(1, p)] + [rng.randrange(p)
+                                               for _ in range(n - i - 1)]
+            for i in range(258)]
+    ones = [[0] * i + [p - 1] * (n - i) for i in range(258, n)]
+    factors = [(rng.randrange(p), r) for r in rows[::37]]
+    combination = [sum(f * r[j] for f, r in factors) for j in range(n)]
+    candidates = (rows + [combination, [p - 1] * n,
+                          [rng.randrange(p) for _ in range(n)]] + ones)
+    kept = _assert_packed_matches_list(candidates)
+    assert kept[258:261] == [False, True, True]
+
+
 def test_lift_stops_at_the_hadamard_bound(monkeypatch):
     # without a reconstruction the lift runs until the modulus passes
     # 2 (H (1 + |b|_1))^2 p = 8 (p + 1)^2 p, that is four steps

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -201,6 +202,34 @@ def test_connected_dp_stays_shallow_at_high_genus():
     # r = 401: one recursion from the top alone passes Python's depth limit
     mu = Partition([2, 1])
     assert connected_dp(200, mu) == connected_dfs(200, mu)
+
+
+def _lru_memo(fn):
+    """The dict behind an ``lru_cache`` wrapper, keyed by argument tuples."""
+    return next(ref for ref in gc.get_referents(fn)
+                if isinstance(ref, dict) and ref is not fn.__dict__)
+
+
+def test_cut_and_join_memos_hold_one_tuple_per_partition():
+    from hurwitzlab import hurwitz
+
+    for memo in (hurwitz._neighbours, hurwitz._splits, hurwitz._orbit_pairs,
+                 hurwitz._transitive_class_count):
+        memo.cache_clear()
+    hurwitz._canonical_parts.clear()
+    connected_dp(3, Partition([5, 4, 3, 2]))
+    held = [key[0] for key in _lru_memo(hurwitz._transitive_class_count)]
+    for pairs in _lru_memo(hurwitz._neighbours).values():
+        held.extend(nu for nu, _ in pairs)
+    for splits in _lru_memo(hurwitz._splits).values():
+        held.extend(side for a, b, _ in splits for side in (a, b))
+    for pairs in _lru_memo(hurwitz._orbit_pairs).values():
+        held.extend(side for left, right, *_ in pairs for side in (left, right))
+    ids = {}
+    for parts in held:
+        ids.setdefault(parts, set()).add(id(parts))
+    assert len(ids) > 100
+    assert all(len(objects) == 1 for objects in ids.values())
 
 
 def test_connected_dp_budget():

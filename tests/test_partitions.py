@@ -77,6 +77,26 @@ def test_negative_rejected():
         Partition([2, 0])
 
 
+@pytest.mark.parametrize("parts", [[2.5, 1], "31", [True], [2, True]])
+def test_non_integer_parts_rejected_not_truncated(parts):
+    with pytest.raises(DomainError, match="parts must be integers"):
+        Partition(parts)
+
+
+def test_non_integer_part_never_reaches_an_engine():
+    from hurwitzlab.hurwitz import connected_dp
+
+    with pytest.raises(DomainError):
+        connected_dp(0, Partition([2.9]))
+
+
+def test_from_string_still_parses_and_rejects_as_before():
+    assert Partition.from_string(" 3,1 ") == Partition([3, 1])
+    for text in ("2.5,1", "a", "3,,1"):
+        with pytest.raises(DomainError, match="cannot parse partition"):
+            Partition.from_string(text)
+
+
 def test_aut_size_examples():
     assert aut_size(Partition([2, 2, 1])) == 2
     assert aut_size(Partition([3, 2, 1])) == 1
