@@ -190,14 +190,22 @@ def _count_lines(rec):
     return out
 
 
+def _csv_writer():
+    """The one csv writer of every ``--format csv`` output: it quotes a cell
+    that holds a comma, such as a partition or a bracket."""
+    import csv  # here, not at start-up: only the csv format needs it
+    return csv.writer(sys.stdout, lineterminator="\n")
+
+
 def _emit(record, args, text_lines=_count_lines):
     """Render one result record in the format of ``--format``."""
     if args.format == "json":
         print(json.dumps(record, sort_keys=True))
     elif args.format == "csv":
         keys = sorted(record)
-        print(",".join(keys))
-        print(",".join(str(record[k]) for k in keys))
+        out = _csv_writer()
+        out.writerow(keys)
+        out.writerow([record[k] for k in keys])
     else:
         for line in text_lines(record):
             print(line)
@@ -311,10 +319,9 @@ def _cmd_hurwitz_batch(args):
         answers.append(answer if as_csv else
                        "  {\n    " + _ANSWER.encode(answer)[1:-1] + "\n  }")
     if as_csv:
-        import csv  # here, not at start-up: only this path quotes cells
         keys = sorted({k for rec in answers for k in rec})
-        out = csv.writer(sys.stdout, lineterminator="\n")
-        out.writerow(keys)  # a partition such as "2,1" is quoted
+        out = _csv_writer()
+        out.writerow(keys)
         out.writerows([rec.get(k, "") for k in keys] for rec in answers)
         return 0
     # what json.dumps(..., sort_keys=True, indent=2) gives, piece by piece
@@ -376,9 +383,9 @@ def _cmd_hodge(args):
             sort_keys=True,
         ))
     elif args.format == "csv":
-        print("bracket,value")
-        for b, v in entries:
-            print(f"{b},{v}")
+        out = _csv_writer()
+        out.writerow(("bracket", "value"))
+        out.writerows(entries)
     else:
         width = max(len(str(b)) for b, _ in entries)
         for b, v in entries:
@@ -419,7 +426,11 @@ def _cmd_elsv(args):
 
 def _cmd_verify(args):
     results = run_suite(args.suite)
-    if args.format == "json":
+    if args.format == "csv":
+        out = _csv_writer()
+        out.writerow(("suite", "name", "passed", "detail"))
+        out.writerows(results)  # a CheckResult is its row
+    elif args.format == "json":
         print(json.dumps(
             [
                 {

@@ -17,9 +17,15 @@ Pieces:
   coefficients in u, plus the fixed-locus data whose inverse Euler class it
   expresses.  ``elsv_via_localization`` runs the whole localization chain and
   must agree exactly with the direct table evaluation.
+
+``Laurent``, ``WeightMultiset``, ``RingElement`` and ``HodgeClassPoly`` are
+``sparse.Element`` subclasses: each declares its frame (the ring; g, h and
+the cap), its scalars and its monomial product, and takes its arithmetic
+from the base.  Their constructors check outside input, rejecting a
+non-integer exponent, index or multiplicity rather than truncating it.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
@@ -42,18 +48,23 @@ def _as_fraction(v):
     raise DomainError(f"expected an exact rational, got {v!r}")
 
 
-class Laurent:
-    """Laurent polynomial in one formal variable with Fraction coefficients."""
+def _as_int(v):
+    """v, which must be an int and not a bool: never truncated."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise DomainError(f"expected an integer, got {v!r}")
 
-    __slots__ = ("terms",)
+
+class Laurent(sparse.Element):
+    """Laurent polynomial in one formal variable with Fraction coefficients:
+    {exponent: coefficient}."""
+
+    __slots__ = ()
+    _scalars = (int, Fraction)
 
     def __init__(self, terms=None):
-        clean = {}
-        for exp, coef in (terms or {}).items():
-            coef = _as_fraction(coef)
-            if coef:
-                clean[int(exp)] = coef
-        self.terms = clean
+        self.terms = {_as_int(e): c for e, v in (terms or {}).items()
+                      if (c := _as_fraction(v))}
 
     @classmethod
     def constant(cls, c):
@@ -63,11 +74,11 @@ class Laurent:
     def monomial(cls, exp, c=1):
         return cls({exp: _as_fraction(c)})
 
-    def is_zero(self):
-        return not self.terms
+    def _constant(self, c):
+        return {0: Fraction(c)} if c else {}
 
-    def __bool__(self):
-        return bool(self.terms)
+    def _product(self, a, b):
+        return sparse.mul(a, b, add)
 
     def is_constant(self):
         return set(self.terms) <= {0}
@@ -84,68 +95,8 @@ class Laurent:
         return sum((c * value**e for e, c in self.terms.items()), Fraction(0))
 
     def shifted(self, k):
-        return Laurent({e + k: c for e, c in self.terms.items()})
-
-    def scaled(self, c):
-        c = _as_fraction(c)
-        return Laurent({e: c * v for e, v in self.terms.items()})
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Laurent(sparse.add(self.terms, other.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Laurent({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Laurent(sparse.mul(self.terms, other.terms, add))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise DomainError("negative powers need a monomial; use shifted()")
-        out = Laurent.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, Laurent):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Laurent.constant(other)
-        return None
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Laurent.constant(other)
-        if not isinstance(other, Laurent):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def items(self):
-        return sorted(self.terms.items())
+        k = _as_int(k)
+        return self._like({e + k: c for e, c in self.terms.items()})
 
     def __repr__(self):
         return f"Laurent({dict(self.items())!r})"
@@ -168,57 +119,33 @@ class Laurent:
 # weight multisets and pushforward characters
 
 
-class WeightMultiset:
-    """Finite multiset of rational weights; negative multiplicities encode
-    virtual (formal difference) representations."""
+class WeightMultiset(sparse.Element):
+    """Finite multiset of rational weights, {weight: multiplicity}: a
+    character of the rank-one torus.  Negative multiplicities encode virtual
+    (formal difference) representations; the product is the tensor product,
+    on which weights add."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _scalars = (int,)
 
     def __init__(self, terms=None):
-        clean = {}
-        for w, m in (terms or {}).items():
-            m = int(m)
-            if m:
-                clean[_as_fraction(w)] = m
-        self.terms = clean
+        self.terms = {_as_fraction(w): m for w, m in (terms or {}).items()
+                      if _as_int(m)}
 
     @classmethod
     def from_weights(cls, weights):
-        out = {}
-        for w in weights:
-            w = _as_fraction(w)
-            out[w] = out.get(w, 0) + 1
-        return cls._new(out)
+        return cls()._like(dict(Counter(map(_as_fraction, weights))))
 
-    @classmethod
-    def _new(cls, terms):
-        """The multiset on already clean terms (its own results), unchecked."""
-        out = object.__new__(cls)
-        out.terms = terms
-        return out
+    def _constant(self, c):
+        return {Fraction(0): c} if c else {}
 
-    def __add__(self, other):
-        return self._new(sparse.add(self.terms, other.terms))
-
-    def __neg__(self):
-        return self._new({w: -m for w, m in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightMultiset):
-            return NotImplemented
-        return self.terms == other.terms
+    def _product(self, a, b):
+        return sparse.mul(a, b, add)
 
     def __len__(self):
         return sum(abs(m) for m in self.terms.values())
 
-    def is_empty(self):
-        return not self.terms
-
-    def items(self):
-        return sorted(self.terms.items())
+    is_empty = sparse.Element.is_zero
 
     def __repr__(self):
         inner = ", ".join(f"{w}: {m}" for w, m in self.items())
@@ -327,12 +254,12 @@ class EquivariantPolyRing:
     H^0, ..., H^r with coefficients polynomial in u."""
 
     def __init__(self, r, weights=None):
-        if r < 1:
+        if _as_int(r) < 1:
             raise DomainError(f"projective dimension must be >= 1, got {r}")
         self.r = r
         if weights is None:
             weights = tuple(-i for i in range(r + 1))
-        self.weights = tuple(int(a) for a in weights)
+        self.weights = tuple(_as_int(a) for a in weights)
         if len(self.weights) != r + 1:
             raise DomainError(f"need {r + 1} lift weights, got {len(self.weights)}")
         one = Laurent.constant(1)
@@ -374,56 +301,23 @@ class EquivariantPolyRing:
         return terms
 
 
-class RingElement:
+class RingElement(sparse.Element):
     """{power of H: Laurent polynomial in u}, powers 0..r, no zero entries."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring",)
+    _frame = ("ring",)
+    _scalars = (Laurent, int, Fraction)
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
 
-    def _coerce(self, other):
-        if isinstance(other, RingElement):
-            if other.ring is not self.ring:
-                raise DomainError("elements of different rings")
-            return other
-        if isinstance(other, (int, Fraction, Laurent)):
-            return self.ring.element([other])
-        raise DomainError(f"cannot coerce {other!r} into the ring")
+    def _constant(self, c):
+        c = c if isinstance(c, Laurent) else Laurent.constant(c)
+        return {0: c} if c else {}
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RingElement(self.ring, sparse.add(self.terms, other.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RingElement(self.ring, sparse.scale(self.terms, -1))
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        product = sparse.mul(self.terms, other.terms, add)
-        return RingElement(self.ring, self.ring._reduce(product))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        out = self.ring.one
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self.ring is other.ring and self.terms == other.terms
+    def _product(self, a, b):
+        return self.ring._reduce(sparse.mul(a, b, add))
 
     def __repr__(self):
         pieces = []
@@ -469,96 +363,53 @@ def point_class(ring, i=None):
 # the truncated psi/lambda algebra
 
 
-class HodgeClassPoly:
+class HodgeClassPoly(sparse.Element):
     """Graded commutative polynomial in psi_1..psi_h (degree 1) and
     lambda_1..lambda_g (degree i), truncated above total degree 3g - 3 + h,
     with Laurent coefficients in u.  lambda_0 is the unit.  Keys are
     (psi exponent vector, sorted lambda index multiset)."""
 
-    __slots__ = ("g", "h", "cap", "terms")
+    __slots__ = ("g", "h", "cap")
+    _frame = ("g", "h", "cap")
+    _scalars = (Laurent, int, Fraction)
 
     def __init__(self, g, h, terms=None):
-        self.g = g
-        self.h = h
+        self.g = _as_int(g)
+        self.h = _as_int(h)
         self.cap = 3 * g - 3 + h
         clean = {}
         for (psi, lam), coef in (terms or {}).items():
-            psi = tuple(int(j) for j in psi)
-            lam = tuple(sorted(int(i) for i in lam))
+            psi = tuple(_as_int(j) for j in psi)
+            lam = tuple(sorted(_as_int(i) for i in lam))
             if len(psi) != h or any(j < 0 for j in psi):
                 raise DomainError(f"bad psi exponent vector {psi}")
             if any(not 1 <= i <= g for i in lam):
                 raise DomainError(f"bad lambda index multiset {lam}")
             if not isinstance(coef, Laurent):
                 coef = Laurent.constant(coef)
-            if coef.is_zero():
-                continue
-            if sum(psi) + sum(lam) > self.cap:
-                continue  # truncation is part of the algebra
-            key = (psi, lam)
-            if key in clean:
-                coef = clean[key] + coef
-            if not coef.is_zero():
-                clean[key] = coef
-        self.terms = clean
+            if sum(psi) + sum(lam) <= self.cap:  # truncation is part of the algebra
+                key = (psi, lam)
+                clean[key] = clean[key] + coef if key in clean else coef
+        self.terms = {key: coef for key, coef in clean.items() if coef}
 
     @classmethod
     def scalar(cls, g, h, coef):
         return cls(g, h, {((0,) * h, ()): coef})
 
-    def _new(self, terms):
-        """The class on already clean terms (the algebra's own results), unchecked."""
-        out = object.__new__(HodgeClassPoly)
-        out.g, out.h, out.cap, out.terms = self.g, self.h, self.cap, terms
-        return out
+    def _constant(self, c):
+        c = c if isinstance(c, Laurent) else Laurent.constant(c)
+        return {((0,) * self.h, ()): c} if c and self.cap >= 0 else {}
 
-    def _compatible(self, other):
-        if (self.g, self.h) != (other.g, other.h):
-            raise DomainError("classes live on different moduli")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        self._compatible(other)
-        return self._new(sparse.add(self.terms, other.terms))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return self + other.scaled(-1)
-
-    def scaled(self, c):
-        return self._new({key: cv for key, coef in self.terms.items()
-                          if (cv := coef.scaled(c))})
-
-    def _coerce(self, other):
-        if isinstance(other, HodgeClassPoly):
-            return other
-        if isinstance(other, (int, Fraction, Laurent)):
-            return HodgeClassPoly.scalar(self.g, self.h, other)
-        raise DomainError(f"cannot coerce {other!r} into the Hodge algebra")
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Laurent)):  # scale each coefficient
-            return self._new(sparse.scale(self.terms, other))
-        other = self._coerce(other)
-        self._compatible(other)
+    def _product(self, a, b):
+        cap = self.cap
 
         def key_mul(k1, k2):
             (psi1, lam1), (psi2, lam2) = k1, k2
-            if sum(psi1) + sum(lam1) + sum(psi2) + sum(lam2) > self.cap:
+            if sum(psi1) + sum(lam1) + sum(psi2) + sum(lam2) > cap:
                 return None
             return tuple(map(add, psi1, psi2)), tuple(sorted(lam1 + lam2))
 
-        return self._new(sparse.mul(self.terms, other.terms, key_mul))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, HodgeClassPoly):
-            return NotImplemented
-        return (self.g, self.h) == (other.g, other.h) and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
+        return sparse.mul(a, b, key_mul)
 
     def terms_of_degree(self, degree):
         return {
@@ -629,11 +480,6 @@ def fixed_locus_data(g, mu):
     h = mu.length
     if 2 * g - 2 + h <= 0 or h == 0:
         raise DomainError(f"unsupported range: unstable (g, h) = ({g}, {h})")
-    cover = {}
-    for part in mu.parts:
-        for a in range(1, part + 1):
-            w = Fraction(a, part)
-            cover[w] = cover.get(w, 0) + 1
     return FixedLocusData(
         g=g,
         mu=mu,
@@ -642,7 +488,8 @@ def fixed_locus_data(g, mu):
         b4_moving=tuple((Fraction(1, p), i) for i, p in enumerate(mu.parts)),
         hodge_twist=Fraction(1),
         trivial_moving=WeightMultiset({1: h - 1}),
-        cover_weights=WeightMultiset(cover),
+        cover_weights=WeightMultiset.from_weights(
+            Fraction(a, p) for p in mu.parts for a in range(1, p + 1)),
         automorphism_order=prod(mu.parts),
     )
 

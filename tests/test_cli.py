@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from hurwitzlab.cli import main
+from hurwitzlab.hodge import HodgeBracket
 from hurwitzlab.hurwitz import DP_MAX_D
 from hurwitzlab.symgroup import CharacterTable, build_table
 
@@ -436,6 +437,29 @@ def test_csv_output(capsys, cache):
     header, row = out.splitlines()
     record = dict(zip(header.split(","), row.split(",")))
     assert record["result"] == "1" and record["engine"] == "dfs"
+
+
+def test_hodge_and_verify_csv_quote_their_cells(capsys, cache):
+    # a bracket such as (1,2,[1,1],0) holds commas: quoted, each hodge row is
+    # two fields, and verify gives the four fields of its json report
+    code, out, _ = run_cli(capsys, "hodge", "--genus", "1", "--marks", "2",
+                           "--format", "csv", "--cache-dir", cache)
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["bracket", "value"] and len(rows) == 3
+    for row in rows:
+        assert len(row) == 2
+        bracket = HodgeBracket.from_string(row[0])
+        assert (bracket.g, bracket.h, str(bracket)) == (1, 2, row[0])
+        assert row[1] == "1/24"
+    _, out, _ = run_cli(capsys, "verify", "--suite", "grr", "--format", "json")
+    report = json.loads(out)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "grr", "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["suite", "name", "passed", "detail"]
+    assert rows == [[r["suite"], r["name"], str(r["passed"]), r["detail"]]
+                    for r in report]
 
 
 def test_export_chartable_requires_degree(capsys, cache):

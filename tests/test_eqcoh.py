@@ -58,6 +58,28 @@ def test_laurent_zero_normalization():
     assert Laurent({5: 0}).is_zero()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Laurent({1.5: 1}),
+    lambda: Laurent({True: 1}),
+    lambda: Laurent.monomial(1).shifted(0.5),
+    lambda: WeightMultiset({1: 2.7}),
+    lambda: WeightMultiset({1: True}),
+    lambda: EquivariantPolyRing(2, [0, 1.5, -2]),
+    lambda: EquivariantPolyRing(2.0),
+    lambda: HodgeClassPoly(1.5, 2),
+    lambda: HodgeClassPoly(1, 1, {((1.9,), ()): 1}),
+    lambda: HodgeClassPoly(1, 1, {((True,), ()): 1}),
+    lambda: HodgeClassPoly(2, 1, {((0,), (1.0,)): 1}),
+], ids=["laurent-exponent", "laurent-bool", "laurent-shift",
+        "multiplicity", "multiplicity-bool", "ring-weight", "ring-dimension",
+        "hodge-genus", "psi-exponent",
+        "psi-bool", "lambda-index"])
+def test_non_integer_exponents_are_rejected_not_truncated(build):
+    # int() would turn 1.5 into 1 and True into 1 without a word
+    with pytest.raises(DomainError, match="expected an integer"):
+        build()
+
+
 # --- weight multisets -------------------------------------------------------
 
 

@@ -410,7 +410,7 @@ def test_series_coefficients_convert_at_the_boundary():
     assert s.coefficient((3, 2), 6) == F(7, 3)
     assert s.coefficient((1,), 9) == -5
     assert s.items() == [(((1,), 9), F(-5)), (((3, 2), 6), F(7, 3))]
-    assert s.coeffs[((3, 2), 6)] == F(7, 3) / factorial(11)
+    assert s.terms[((3, 2), 6)] == F(7, 3) / factorial(11)
 
 
 def test_series_truncation_drops_terms():
@@ -428,7 +428,7 @@ def test_divisor_truncation_drops_non_divisors():
     assert square.coefficient((3, 3), 0) == 0
     assert square.coefficient((3, 1), 0) == 2 * 4  # binom(4, 1) interleavings
     assert square.coefficient((1, 1), 0) == 2
-    size_only = HurwitzSeries(7, 2, dict(s.coeffs))
+    size_only = HurwitzSeries(7, 2, dict(s.terms))
     assert (size_only * size_only).coefficient((3, 3), 0) == 20  # binom(6, 3)
 
 
@@ -605,7 +605,7 @@ def test_divisor_truncated_transform_matches_size_only_and_dfs(size):
             series = disconnected_series(burnside, max_size=size, max_exp=e,
                                          submultisets_of=mu)
             assert series.divides == mu.parts
-            size_only = HurwitzSeries(size, e, dict(series.coeffs))
+            size_only = HurwitzSeries(size, e, dict(series.terms))
             value = connected_via_transform(g, mu, burnside)
             assert value == size_only.log().coefficient(mu, e), (g, mu)
             assert value == connected_dfs(g, mu), (g, mu)
