@@ -36,7 +36,7 @@ from .hurwitz import (
 )
 from .partitions import Partition
 from .symgroup import build_table
-from .verify import run_suite
+from .verify import SUITE_NAMES, run_suite
 
 CACHE_ENV_VAR = "HURWITZLAB_CACHE_DIR"
 
@@ -156,9 +156,7 @@ def _build_parser():
 
     p = sub.add_parser("verify", parents=[fmt, cache],
                        help="run a verification suite")
-    p.add_argument("--suite", default="all",
-                   choices=("elsv", "burnside", "grr", "string",
-                            "localization", "all"))
+    p.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
 
     p = sub.add_parser("chartable", parents=[fmt, cache, burnside],
                        help="build and verify a character table; its row "
@@ -431,18 +429,8 @@ def _cmd_verify(args):
         out.writerow(("suite", "name", "passed", "detail"))
         out.writerows(results)  # a CheckResult is its row
     elif args.format == "json":
-        print(json.dumps(
-            [
-                {
-                    "suite": r.suite,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
-            sort_keys=True, indent=2,
-        ))
+        print(json.dumps([r._asdict() for r in results], sort_keys=True,
+                         indent=2))
     else:
         for r in results:
             print(r.line())

@@ -63,8 +63,8 @@ class Laurent(sparse.Element):
     _scalars = (int, Fraction)
 
     def __init__(self, terms=None):
-        self.terms = {_as_int(e): c for e, v in (terms or {}).items()
-                      if (c := _as_fraction(v))}
+        terms = {_as_int(e): _as_fraction(v) for e, v in (terms or {}).items()}
+        self.terms = {e: c for e, c in terms.items() if c}  # keys checked first
 
     @classmethod
     def constant(cls, c):
@@ -129,8 +129,8 @@ class WeightMultiset(sparse.Element):
     _scalars = (int,)
 
     def __init__(self, terms=None):
-        self.terms = {_as_fraction(w): m for w, m in (terms or {}).items()
-                      if _as_int(m)}
+        terms = {_as_fraction(w): _as_int(m) for w, m in (terms or {}).items()}
+        self.terms = {w: m for w, m in terms.items() if m}  # keys checked first
 
     @classmethod
     def from_weights(cls, weights):

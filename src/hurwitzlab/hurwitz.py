@@ -18,8 +18,9 @@ Four independent engines compute the same numbers:
 
 ``connected_via_transform`` turns either disconnected engine into connected
 counts: the p_mu coefficient of the log of the disconnected series, read by a
-rooted recursion over the sub-multisets of mu in integers.  The tests check it
-against ``HurwitzSeries.log``, the whole formal log in Newton polynomials.
+rooted recursion over the sub-multisets of mu on the engine's own integer
+tuple counts.  The tests check it against ``HurwitzSeries.log``, the whole
+formal log in Newton polynomials.
 
 Conventions: the reference permutation for cycle type mu is the one with the
 cycles (1..mu_1)(mu_1+1..mu_1+mu_2)...; products compose right-to-left, i.e.
@@ -38,7 +39,7 @@ lambda^(-d) -- so this module commits to the coefficient-level identity, which
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import combinations
 from math import comb, factorial
 
@@ -212,7 +213,7 @@ def _disconnected(chi, mu, max_d, budget, tuple_count):
     must be nonnegative; odd chi gives 0 (the sign of a product of r
     transpositions must match the sign of the class); d is capped at
     ``max_d``; the empty profile has one cover, at r = 0.  Otherwise the
-    count is ``tuple_count(d, r, mu)`` / z(mu)."""
+    count is ``tuple_count(d, r, mu.parts)`` / z(mu)."""
     d, h = mu.size, mu.length
     r = -chi + d + h
     if r < 0:
@@ -223,20 +224,17 @@ def _disconnected(chi, mu, max_d, budget, tuple_count):
         raise ResourceLimitError(f"{budget} budget is d <= {max_d}, got d = {d}")
     if d == 0:
         return Fraction(1 if r == 0 else 0)
-    return Fraction(tuple_count(d, r, mu), z(mu))
+    return Fraction(tuple_count(d, r, mu.parts), z(mu))
 
 
-#: One tuple per partition for the cut-and-join memos below: a few hundred
-#: partitions recur in millions of entries, and each held its own copies.
-_canonical_parts = {}
-
-
+@cache
 def _canonical(parts):
-    """The one tuple held for the descending part tuple ``parts``."""
-    return _canonical_parts.setdefault(parts, parts)
+    """The first tuple equal to ``parts`` it was given: a few hundred
+    partitions recur in millions of entries of the cut-and-join memos."""
+    return parts
 
 
-@lru_cache(maxsize=None)
+@cache
 def _neighbours(parts):
     """The cycle types sigma * t over the transpositions t, for a fixed sigma
     of cycle type ``parts``, as (canonical parts, number of t) pairs: t joins
@@ -255,25 +253,27 @@ def _neighbours(parts):
     return tuple((_canonical(nu), m) for nu, m in out.items())
 
 
-_class_vectors = {}  # d -> [N_0, N_1, ...], each {parts: tuple count}
+@cache
+def _class_vectors(d):
+    """[N_0, N_1, ...] at degree d, each {parts: tuple count}; starts at N_0
+    and is extended in place by ``_class_tuple_count``."""
+    first = dict.fromkeys((p.parts for p in partitions_of(d)), 0)
+    first[(1,) * d] = 1
+    return [first]
 
 
-def _class_tuple_count(d, r, mu):
+def _class_tuple_count(d, r, parts):
     """N_r(mu), the number of r-tuples of transpositions whose product is a
-    fixed permutation of type ``mu``: N_0(mu) = [mu = 1^d] and
+    fixed permutation of type mu = ``parts``: N_0(mu) = [mu = 1^d] and
     N_r(mu) = sum over the neighbours nu of mu of m(mu -> nu) N_(r-1)(nu)."""
-    vectors = _class_vectors.get(d)
-    if vectors is None:
-        classes = [p.parts for p in partitions_of(d)]
-        vectors = _class_vectors[d] = [dict.fromkeys(classes, 0)]
-        vectors[0][(1,) * d] = 1
+    vectors = _class_vectors(d)
     while len(vectors) <= r:
         prev = vectors[-1]
         vectors.append({
-            parts: sum(m * prev[nu] for nu, m in _neighbours(parts))
-            for parts in prev
+            nu: sum(m * prev[lam] for lam, m in _neighbours(nu))
+            for nu in prev
         })
-    return vectors[r][mu.parts]
+    return vectors[r][parts]
 
 
 def disconnected_dp(chi, mu, max_d=DP_MAX_D):
@@ -287,7 +287,7 @@ def disconnected_dp(chi, mu, max_d=DP_MAX_D):
                          _class_tuple_count)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _splits(parts):
     """The ways to deal ``parts`` out to two sides, as (A, B, weight): A takes
     k_v of the m_v parts equal to v, in prod binom(m_v, k_v) ways.  A runs
@@ -300,7 +300,7 @@ def _splits(parts):
     return tuple((_canonical(a), _canonical(b), w) for a, b, w in out)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _divisors(parts):
     """The part tuples nu of the monomials p_nu that divide p_mu, mu = parts."""
     return frozenset(a for a, _, _ in _splits(parts))
@@ -311,7 +311,7 @@ def _min_r(parts):
     return sum(parts) + len(parts) - 2
 
 
-@lru_cache(maxsize=None)
+@cache
 def _orbit_pairs(parts):
     """The orbit types (left <= right, canonical tuples) that a factor t
     joining two orbits leaves behind, for a fixed sigma of type ``parts``,
@@ -334,7 +334,7 @@ def _orbit_pairs(parts):
                   _min_r(right)) for (left, right), m in out.items())
 
 
-@lru_cache(maxsize=None)
+@cache
 def _transitive_class_count(parts, r):
     """C_r(parts), the number of transitive r-tuples of transpositions whose
     product is a fixed permutation of type ``parts``; C_0 = [parts = (1)].
@@ -384,25 +384,25 @@ def disconnected_burnside(chi, mu, max_d=BURNSIDE_MAX_D, cache_dir=None):
                          _character_tuple_count)
 
 
-@lru_cache(maxsize=None)
-def _checked_column(mu):
-    """``column(mu)``, built and checked once per cycle type however many r
-    ask for it.  ``column`` is looked up through the module global on a
-    miss, so a wrapper installed there applies."""
-    return column(mu)
+@cache
+def _checked_column(parts):
+    """``column`` of the cycle type ``parts``, built and checked once however
+    many r ask for it.  ``column`` is looked up through the module global on
+    a miss, so a wrapper installed there applies."""
+    return column(Partition(parts))
 
 
-@lru_cache(maxsize=None)
-def _character_tuple_count(d, r, mu):
+@cache
+def _character_tuple_count(d, r, parts):
     """The tuple count of ``disconnected_burnside``.  The series of an
     inversion's grid points share most of their terms (every one holds p_1
     and p_1^2), so each sum is kept, as an int: held as Fractions, the sums
     raise the peak RSS of the benchmark's batch workload by 0.1 MB."""
     total = sum((k // 2)**r * dim * c
-                for (_, dim, k), c in zip(irreps(d), _checked_column(mu)))
+                for (_, dim, k), c in zip(irreps(d), _checked_column(parts)))
     count, rest = divmod(total, factorial(d))
     if rest:
-        raise ConsistencyError(f"{d}! does not divide the sum at {mu}, r = {r}")
+        raise ConsistencyError(f"{d}! does not divide the sum at {parts}, r = {r}")
     return count
 
 
@@ -557,8 +557,6 @@ class HurwitzSeries(sparse.Element):
 def _engine_callable(engine, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D,
                      cache_dir=None):
     # cache_dir is ignored; it stays accepted while perfbench passes it
-    if callable(engine):
-        return engine
     if engine == "dp":
         return lambda chi, mu: disconnected_dp(chi, mu, max_d=dp_max_d)
     if engine == "burnside":
@@ -568,80 +566,61 @@ def _engine_callable(engine, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D,
     raise DomainError(f"unknown disconnected engine {engine!r}")
 
 
-#: (engine name, its budget) -> (N memo, C memo) of
-#: ``_transitive_from_disconnected``, kept for the life of the process.  Not
-#: shared with ``connected_dp``: the two compute C by different routes, and
-#: the inversion compares them at every grid point.
-_transform_memos = {}
-
-
-def _transform_memo(engine, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D,
-                    cache_dir=None):
-    """The memos of the named engine at its own budget; a caller's own
-    callable gets fresh ones, which live for one call."""
-    if callable(engine):
-        return {}, {}
-    budget = dp_max_d if engine == "dp" else burnside_max_d
-    return _transform_memos.setdefault((engine, budget), ({}, {}))
-
-
-def connected_via_transform(g, mu, engine="burnside", **engine_opts):
-    """Connected cover count extracted from a disconnected engine through the
-    exp/log transform: the coefficient of lambda^(2g-2+len(mu)) p_mu in the
-    log of the disconnected series, read by the rooted sub-multiset recursion
-    of ``_transitive_from_disconnected`` in integers, with no series built.
-    For "dp" and "burnside" the counts it reads stay memoized for the life
-    of the process, per engine and budget, so the engine (and a wrapper
-    installed on its module global) sees only the misses."""
+def connected_via_transform(g, mu, engine="burnside", dp_max_d=DP_MAX_D,
+                            burnside_max_d=BURNSIDE_MAX_D, cache_dir=None):
+    """Connected cover count extracted from the disconnected engine "dp" or
+    "burnside" through the exp/log transform: the coefficient of
+    lambda^(2g-2+len(mu)) p_mu in the log of the disconnected series, read
+    by the rooted sub-multiset recursion of ``_transitive_from_disconnected``
+    on the engine's own memoized tuple counts, with no series built.  Every
+    profile it reads is a sub-multiset of mu, so the budget is checked on mu."""
+    # cache_dir is ignored; it stays accepted while perfbench passes it
     r = _connected_r(g, mu)
     if mu.size == 0:
         raise DomainError("the empty partition has no connected covers")
-    eng = _engine_callable(engine, **engine_opts)
-    memos = _transform_memo(engine, **engine_opts)
-    return Fraction(_transitive_from_disconnected(eng, mu.parts, r, *memos),
-                    z(mu))
+    dp = engine == "dp"
+    if not dp and engine != "burnside":
+        raise DomainError(f"unknown disconnected engine {engine!r}")
+    max_d = dp_max_d if dp else burnside_max_d
+    if mu.size > max_d:
+        budget = "cycle-type recursion" if dp else "character-sum"
+        raise ResourceLimitError(
+            f"{budget} budget is d <= {max_d}, got d = {mu.size}")
+    # looked up on each call, so a count patched on the module applies
+    count = globals()["_class_tuple_count" if dp else "_character_tuple_count"]
+    return Fraction(_transitive_from_disconnected(count, mu.parts, r), z(mu))
 
 
-def _transitive_from_disconnected(eng, parts, r, tuples, transitive):
+@cache
+def _transitive_from_disconnected(tuple_count, parts, r):
     """C(parts, r), the transitive r-tuples of transpositions with product a
-    fixed sigma of type ``parts``, from N(S, s) = z(S) * eng(chi, S), all
+    fixed sigma of type ``parts``, from N(S, s) = tuple_count(|S|, s, S), all
     s-tuples with product of type S.  The orbit of sigma's first cycle holds
     the cycles of some sub-multiset A of the others (``_splits``); its s1
     factors interleave with the other s - s1 in binom(s, s1) ways, so
     N(S, s) = sum of w binom(s, s1) C(S[0] + A, s1) N(B, s - s1) over A, s1,
-    whose B = () term is C(S, s).  ``tuples`` and ``transitive`` are the
-    memos of N and C, from ``_transform_memo``."""
-
-    def n(nu, s):
-        if (nu, s) not in tuples:
-            part = Partition(nu)
-            count = z(part) * Fraction(eng(sum(nu) + len(nu) - s, part))
-            if count.denominator != 1:
-                raise ConsistencyError(f"z(nu) * engine is {count} at nu = {nu}, s = {s}")
-            tuples[nu, s] = int(count)
-        return tuples[nu, s]
-
-    def c(nu, s):
-        if s < _min_r(nu) or (s - _min_r(nu)) % 2:
-            return 0  # below genus 0, or the wrong sign
-        if (nu, s) not in transitive:
-            total = n(nu, s)
-            for a, b, w in _splits(nu[1:]):
-                if b:  # N(b, t) = 0 below t = |b| - len(b)
-                    orbit, top = nu[:1] + a, s - sum(b) + len(b)
-                    total -= w * sum(comb(s, s1) * c(orbit, s1) * n(b, s - s1)
-                                     for s1 in range(_min_r(orbit), top + 1, 2))
-            transitive[nu, s] = total
-        return transitive[nu, s]
-
-    return c(parts, r)
+    whose B = () term is C(S, s).  Keyed on ``tuple_count`` too, so the two
+    engines never share a count.  Not shared with ``connected_dp`` either:
+    the two compute C by different routes, and the inversion compares them
+    at every grid point."""
+    if r < _min_r(parts) or (r - _min_r(parts)) % 2:
+        return 0  # below genus 0, or the wrong sign
+    total = tuple_count(sum(parts), r, parts)
+    for a, b, w in _splits(parts[1:]):
+        if b:  # N(b, t) = 0 below t = |b| - len(b)
+            orbit, size = parts[:1] + a, sum(b)
+            total -= w * sum(
+                comb(r, s1) * _transitive_from_disconnected(tuple_count, orbit, s1)
+                * tuple_count(size, r - s1, b)
+                for s1 in range(_min_r(orbit), r - size + len(b) + 1, 2))
+    return total
 
 
 def phi_series(mu, engine="dp", max_r=10, **engine_opts):
     """One-variable generating series of the disconnected counts for the
-    profile ``mu`` (engines "dp" and "burnside", or a callable
-    ``engine(chi, mu)``): a map from the exponent e = -chi + len(mu)
-    = r - |mu| to the cover count, over all admissible r <= max_r."""
+    profile ``mu`` (engines "dp" and "burnside"): a map from the exponent
+    e = -chi + len(mu) = r - |mu| to the cover count, over all admissible
+    r <= max_r."""
     d, h = mu.size, mu.length
     eng = _engine_callable(engine, **engine_opts)
     terms = {}

@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from hurwitzlab import eqcoh, hurwitz, partitions, symgroup, verify
+import hurwitzlab.cli  # noqa: F401 -- so every module is loaded
 
 
 @pytest.fixture(autouse=True)
@@ -14,12 +16,15 @@ def cold_engine_memos():
 
 
 def clear_engine_memos():
-    """Clear every ``cache`` / ``lru_cache`` in the modules' globals, so a
-    new one is never missed, and the dict memos of ``hurwitz``."""
-    for module in (partitions, symgroup, hurwitz, eqcoh, verify):
+    """Clear every ``cache`` / ``lru_cache`` in the globals of the package's
+    modules, so a new one is never missed."""
+    for module in package_modules():
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
-    hurwitz._transform_memos.clear()
-    hurwitz._canonical_parts.clear()
-    hurwitz._class_vectors.clear()
+
+
+def package_modules():
+    """Every module of the package imported so far."""
+    return [module for name, module in sorted(sys.modules.items())
+            if name.split(".")[0] == "hurwitzlab"]

@@ -60,6 +60,7 @@ def test_laurent_zero_normalization():
 
 @pytest.mark.parametrize("build", [
     lambda: Laurent({1.5: 1}),
+    lambda: Laurent({1.5: 0}),
     lambda: Laurent({True: 1}),
     lambda: Laurent.monomial(1).shifted(0.5),
     lambda: WeightMultiset({1: 2.7}),
@@ -70,7 +71,8 @@ def test_laurent_zero_normalization():
     lambda: HodgeClassPoly(1, 1, {((1.9,), ()): 1}),
     lambda: HodgeClassPoly(1, 1, {((True,), ()): 1}),
     lambda: HodgeClassPoly(2, 1, {((0,), (1.0,)): 1}),
-], ids=["laurent-exponent", "laurent-bool", "laurent-shift",
+], ids=["laurent-exponent", "laurent-zero-term", "laurent-bool",
+        "laurent-shift",
         "multiplicity", "multiplicity-bool", "ring-weight", "ring-dimension",
         "hodge-genus", "psi-exponent",
         "psi-bool", "lambda-index"])
@@ -78,6 +80,14 @@ def test_non_integer_exponents_are_rejected_not_truncated(build):
     # int() would turn 1.5 into 1 and True into 1 without a word
     with pytest.raises(DomainError, match="expected an integer"):
         build()
+
+
+@pytest.mark.parametrize("multiplicity", [1, 0])
+def test_float_weights_are_rejected_even_on_a_zero_term(multiplicity):
+    # a weight is an exact rational, so its own message; a zero term is
+    # dropped only after its key is checked
+    with pytest.raises(DomainError, match="expected an exact rational"):
+        WeightMultiset({0.5: multiplicity})
 
 
 # --- weight multisets -------------------------------------------------------

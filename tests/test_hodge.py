@@ -564,32 +564,27 @@ def test_inversion_makes_no_dfs_call(monkeypatch):
 
 
 def test_engine_memoizes_disconnected_counts(monkeypatch):
-    # from cold memos the inversion asks the engine for each (chi, mu) once
-    # and builds each character column once per cycle type; warm, it asks
-    # for nothing
+    # from cold memos the inversion builds each character column once per
+    # cycle type, and sums each (d, r, mu) once; warm, it does neither
     from hurwitzlab import hurwitz
 
-    requests, columns = Counter(), Counter()
-    burnside, column = hurwitz.disconnected_burnside, hurwitz.column
-
-    def requested(chi, mu, **opts):
-        requests[chi, mu] += 1
-        return burnside(chi, mu, **opts)
+    columns, column = Counter(), hurwitz.column
+    sums = hurwitz._character_tuple_count.cache_info
 
     def counted(mu):
         columns[mu] += 1
         return column(mu)
 
-    monkeypatch.setattr(hurwitz, "disconnected_burnside", requested)
     monkeypatch.setattr(hurwitz, "column", counted)
     cold = elsv_inversion(2, 4)
-    assert set(requests.values()) == {1}
     assert set(columns.values()) == {1}
-    assert set(columns) == {mu for _, mu in requests}
-    asked, built = sum(requests.values()), sum(columns.values())
-    assert built < asked  # some cycle types are asked at several chi
+    summed = sums()
+    assert summed.currsize == summed.misses
+    assert len(columns) < summed.misses  # some are summed at several r
+    built = sum(columns.values())
     warm = elsv_inversion(2, 4)
-    assert (sum(requests.values()), sum(columns.values())) == (asked, built)
+    assert sum(columns.values()) == built
+    assert sums() == summed
     assert warm.brackets == cold.brackets
 
 

@@ -1,7 +1,6 @@
 import gc
 from collections import Counter
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, product
 from math import factorial
 
@@ -214,9 +213,8 @@ def test_cut_and_join_memos_hold_one_tuple_per_partition():
     from hurwitzlab import hurwitz
 
     for memo in (hurwitz._neighbours, hurwitz._splits, hurwitz._orbit_pairs,
-                 hurwitz._transitive_class_count):
+                 hurwitz._transitive_class_count, hurwitz._canonical):
         memo.cache_clear()
-    hurwitz._canonical_parts.clear()
     connected_dp(3, Partition([5, 4, 3, 2]))
     held = [key[0] for key in _lru_memo(hurwitz._transitive_class_count)]
     for pairs in _lru_memo(hurwitz._neighbours).values():
@@ -230,6 +228,9 @@ def test_cut_and_join_memos_hold_one_tuple_per_partition():
         ids.setdefault(parts, set()).add(id(parts))
     assert len(ids) > 100
     assert all(len(objects) == 1 for objects in ids.values())
+    # and that tuple is the one the _canonical cache holds
+    canonical = _lru_memo(hurwitz._canonical)
+    assert all(canonical[parts,] is parts for parts in held)
 
 
 def test_connected_dp_budget():
@@ -598,46 +599,42 @@ def test_transform_cross_engine_small():
 def test_divisor_truncated_transform_matches_size_only_and_dfs(size):
     # the log read at p_mu is the same with or without the divisor truncation,
     # and equals the character-free transitive count
-    burnside = cache(disconnected_burnside)
     for mu in partitions_of(size):
         for g in range(0, 3):
             e = 2 * g - 2 + mu.length
-            series = disconnected_series(burnside, max_size=size, max_exp=e,
+            series = disconnected_series("burnside", max_size=size, max_exp=e,
                                          submultisets_of=mu)
             assert series.divides == mu.parts
             size_only = HurwitzSeries(size, e, dict(series.terms))
-            value = connected_via_transform(g, mu, burnside)
+            value = connected_via_transform(g, mu, "burnside")
             assert value == size_only.log().coefficient(mu, e), (g, mu)
             assert value == connected_dfs(g, mu), (g, mu)
 
 
-def _half_a_tuple_off(chi, nu):
-    """``disconnected_burnside``, but half a tuple off at (1,1), chi = 0."""
-    bad = nu.parts == (1, 1) and chi == 0
-    return disconnected_burnside(chi, nu) + (F(1, 2 * z(nu)) if bad else 0)
+def test_transform_takes_an_engine_name_only():
+    # an engine is named, never passed: the transform reads its tuple counts
+    with pytest.raises(DomainError, match="unknown disconnected engine"):
+        connected_via_transform(1, Partition([3, 1, 1]), disconnected_burnside)
+    with pytest.raises(DomainError, match="unknown disconnected engine"):
+        phi_series(Partition([2]), disconnected_dp)
 
 
-def test_transform_rejects_a_non_integral_tuple_count():
-    # z(nu) * engine must be a whole number of tuples; here (1,1) at chi = 0,
-    # which mu = (3,1,1) reaches at s = 4 transpositions
-    with pytest.raises(ConsistencyError, match=r"nu = \(1, 1\), s = 4"):
-        connected_via_transform(1, Partition([3, 1, 1]), _half_a_tuple_off)
-
-
-# --- the transform's memos are kept per engine callable ----------------------
+# --- the transform's memo is kept per engine ---------------------------------
 
 
 def test_transform_memo_keeps_budgets_apart():
-    from hurwitzlab import hurwitz
-
     mu = Partition([3, 1, 1])
     expected = connected_via_transform(1, mu, "burnside")
-    # each engine's memo is keyed on its own budget only
+    assert connected_via_transform(1, mu, "dp") == expected
+    # each engine reads its own budget only
     assert connected_via_transform(1, mu, "burnside", dp_max_d=1) == expected
-    assert list(hurwitz._transform_memos) == [("burnside", BURNSIDE_MAX_D)]
-    with pytest.raises(ResourceLimitError, match="d <= 4, got d = 5"):
+    assert connected_via_transform(1, mu, "dp", burnside_max_d=1) == expected
+    # every count at (1, mu) is memoized, and a lower budget still raises
+    with pytest.raises(ResourceLimitError,
+                       match="character-sum budget is d <= 4, got d = 5"):
         connected_via_transform(1, mu, "burnside", burnside_max_d=mu.size - 1)
-    with pytest.raises(ResourceLimitError, match="d <= 4, got d = 5"):
+    with pytest.raises(ResourceLimitError,
+                       match="cycle-type recursion budget is d <= 4, got d = 5"):
         connected_via_transform(1, mu, "dp", dp_max_d=mu.size - 1)
 
 
@@ -645,44 +642,24 @@ def test_transform_memo_keeps_engines_apart(monkeypatch):
     from hurwitzlab import hurwitz
 
     mu, requests = Partition([3, 1, 1]), Counter()
-    dp = hurwitz.disconnected_dp
+    count = hurwitz._class_tuple_count
 
-    def requested(chi, nu, **opts):
-        requests[chi, nu] += 1
-        return dp(chi, nu, **opts)
+    def requested(d, r, parts):
+        requests[r, parts] += 1
+        return count(d, r, parts)
 
+    # the warm burnside memo does not answer for dp, and the patched count
+    # gets entries of its own
     expected = connected_via_transform(1, mu, "burnside")
-    monkeypatch.setattr(hurwitz, "disconnected_dp", requested)
+    monkeypatch.setattr(hurwitz, "_class_tuple_count", requested)
     assert connected_via_transform(1, mu, "dp") == expected
-    assert requests[0, mu] == 1  # the top term N(mu, 8), chi = 8 - 8
-    assert set(requests.values()) == {1}
-
-
-def test_transform_gives_a_custom_engine_memos_for_one_call():
-    from hurwitzlab import hurwitz
-
-    mu, requests = Partition([3, 1, 1]), Counter()
-
-    def engine(chi, nu):
-        requests[chi, nu] += 1
-        return disconnected_dp(chi, nu)
-
-    expected = connected_via_transform(1, mu, "dp")
-    assert connected_via_transform(1, mu, engine) == expected
-    once = Counter(requests)
-    assert set(once.values()) == {1}
-    assert connected_via_transform(1, mu, engine) == expected
-    assert requests == once + once
-    assert list(hurwitz._transform_memos) == [("dp", DP_MAX_D)]
-
-
-def test_transform_memo_keeps_a_custom_engine_apart():
-    # the burnside memo holds every count at (1, (3,1,1)), and the perturbed
-    # engine is still asked for its own
-    mu = Partition([3, 1, 1])
-    connected_via_transform(1, mu, "burnside")
-    with pytest.raises(ConsistencyError, match=r"nu = \(1, 1\), s = 4"):
-        connected_via_transform(1, mu, _half_a_tuple_off)
+    assert requests[8, mu.parts] == 1  # the top term N(mu, 8), chi = 8 - 8
+    asked = Counter(requests)
+    assert connected_via_transform(1, mu, "dp") == expected
+    assert requests == asked
+    monkeypatch.undo()
+    assert connected_via_transform(1, mu, "dp") == expected
+    assert requests == asked
 
 
 def _one_part_gjv(g, d):

@@ -296,6 +296,19 @@ def test_only_the_tails_are_memoized():
     assert sg._tail_expansion.cache_info().currsize == 3
 
 
+def test_build_table_drops_the_tails_it_memoized():
+    # the memo is bounded by one table's tails, and dropping them changes no
+    # column: a later table rebuilds the same entries from cold tails
+    for d in (6, 9):
+        column(Partition([2] + [1] * (d - 2)))
+        assert sg._tail_expansion.cache_info().currsize > 0
+        table = build_table(d)
+        assert sg._tail_expansion.cache_info().currsize == 0
+        assert table.entries == tuple(zip(*map(bead_by_bead_column,
+                                               table.partitions)))
+        assert build_table(d) == table
+
+
 def test_column_check_catches_a_perturbed_tail():
     tail = sg._tail_expansion((2, 1))
     tail[next(iter(tail))] += 1
