@@ -14,9 +14,12 @@ Pieces:
   ``ab_integrate`` summing fixed-point residues;
 * ``HodgeClassPoly`` -- the truncated commutative algebra in the cotangent
   classes psi_i (degree 1) and Hodge classes lambda_i (degree i) with Laurent
-  coefficients in u, plus the fixed-locus data whose inverse Euler class it
-  expresses.  ``elsv_via_localization`` runs the whole localization chain and
-  must agree exactly with the direct table evaluation.
+  coefficients in u, held as one flat dict from (psi, lambda, power of u) to
+  an exact rational, plus the fixed-locus data whose inverse Euler class it
+  expresses.  That class is built twice, as a product of integral pieces and
+  term by term from its closed form, and the two must agree exactly.
+  ``elsv_via_localization`` runs the whole localization chain and must agree
+  exactly with the direct table evaluation.
 
 ``Laurent``, ``WeightMultiset``, ``RingElement`` and ``HodgeClassPoly`` are
 ``sparse.Element`` subclasses: each declares its frame (the ring; g, h and
@@ -129,8 +132,8 @@ class WeightMultiset(sparse.Element):
     _scalars = (int,)
 
     def __init__(self, terms=None):
-        terms = {_as_fraction(w): _as_int(m) for w, m in (terms or {}).items()}
-        self.terms = {w: m for w, m in terms.items() if m}  # keys checked first
+        checked = [(_as_fraction(w), _as_int(m)) for w, m in (terms or {}).items()]
+        self.terms = {w: m for w, m in checked if m}  # every key checked
 
     @classmethod
     def from_weights(cls, weights):
@@ -157,14 +160,11 @@ def fixed_point_weights_cover(a, k, d):
     torus-fixed points of the degree-d cyclic cover z -> z^d of the
     projective line, for the lift of O(k) with weight a at the zero pole:
     tangent (1/d, -1/d), fiber (a, a - k).  d = 1 is the line itself."""
-    if d < 1:
+    if _as_int(d) < 1:
         raise DomainError(f"cover degree must be positive, got {d}")
-    zero_pole = (WeightMultiset({Fraction(1, d): 1}), WeightMultiset({a: 1}))
-    infinity_pole = (
-        WeightMultiset({Fraction(-1, d): 1}),
-        WeightMultiset({a - k: 1}),
-    )
-    return (zero_pole, infinity_pole)
+    one = WeightMultiset()._like
+    return ((one({Fraction(1, d): 1}), one({_as_fraction(a): 1})),
+            (one({Fraction(-1, d): 1}), one({_as_fraction(a - k): 1})))
 
 
 def pushforward_char_cover(k, a, d):
@@ -172,22 +172,16 @@ def pushforward_char_cover(k, a, d):
     cyclic cover: H0 = {a - i/d : i = 0..kd} for k >= 0,
     H1 = {a + i/d : i = 1..-kd-1} for k < 0.  d = 1 is the line itself,
     where both vanish at k = -1."""
-    if d < 1:
+    if _as_int(d) < 1:
         raise DomainError(f"cover degree must be positive, got {d}")
     _as_fraction(a)  # outside input: the twist must be an exact rational
+    # distinct weights, each once: no counting needed
+    empty = WeightMultiset()
     if k >= 0:
-        return (
-            WeightMultiset.from_weights(
-                Fraction(a * d - i, d) for i in range(k * d + 1)
-            ),
-            WeightMultiset(),
-        )
-    return (
-        WeightMultiset(),
-        WeightMultiset.from_weights(
-            Fraction(a * d + i, d) for i in range(1, -k * d - 1 + 1)
-        ),
-    )
+        return empty._like(dict.fromkeys(
+            (Fraction(a * d - i, d) for i in range(k * d + 1)), 1)), empty
+    return empty, empty._like(dict.fromkeys(
+        (Fraction(a * d + i, d) for i in range(1, -k * d)), 1))
 
 
 def _weight_denominator(fixed_points, claimed):
@@ -363,66 +357,77 @@ def point_class(ring, i=None):
 # the truncated psi/lambda algebra
 
 
+def _exact(v):
+    """v as an exact rational: an int when it is integral, else a Fraction."""
+    v = _as_fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _ratio(n, d):
+    """n/d for ints n and d > 0: an int when d divides n, else a Fraction."""
+    q, rem = divmod(n, d)
+    return Fraction(n, d) if rem else q
+
+
 class HodgeClassPoly(sparse.Element):
     """Graded commutative polynomial in psi_1..psi_h (degree 1) and
     lambda_1..lambda_g (degree i), truncated above total degree 3g - 3 + h,
-    with Laurent coefficients in u.  lambda_0 is the unit.  Keys are
-    (psi exponent vector, sorted lambda index multiset)."""
+    with Laurent polynomials in u as coefficients.  lambda_0 is the unit.
+    One flat dict: keys are (psi exponent vector, sorted lambda index
+    multiset, power of u), coefficients exact rationals (int or Fraction)."""
 
     __slots__ = ("g", "h", "cap")
     _frame = ("g", "h", "cap")
-    _scalars = (Laurent, int, Fraction)
+    _scalars = (int, Fraction)
 
     def __init__(self, g, h, terms=None):
         self.g = _as_int(g)
         self.h = _as_int(h)
         self.cap = 3 * g - 3 + h
         clean = {}
-        for (psi, lam), coef in (terms or {}).items():
+        for (psi, lam, uexp), coef in (terms or {}).items():
             psi = tuple(_as_int(j) for j in psi)
             lam = tuple(sorted(_as_int(i) for i in lam))
             if len(psi) != h or any(j < 0 for j in psi):
                 raise DomainError(f"bad psi exponent vector {psi}")
             if any(not 1 <= i <= g for i in lam):
                 raise DomainError(f"bad lambda index multiset {lam}")
-            if not isinstance(coef, Laurent):
-                coef = Laurent.constant(coef)
+            key, coef = (psi, lam, _as_int(uexp)), _exact(coef)
             if sum(psi) + sum(lam) <= self.cap:  # truncation is part of the algebra
-                key = (psi, lam)
-                clean[key] = clean[key] + coef if key in clean else coef
-        self.terms = {key: coef for key, coef in clean.items() if coef}
+                clean[key] = clean.get(key, 0) + coef
+        self.terms = {key: _exact(c) for key, c in clean.items() if c}
 
     @classmethod
     def scalar(cls, g, h, coef):
-        return cls(g, h, {((0,) * h, ()): coef})
+        return cls(g, h, {((0,) * h, (), 0): coef})
 
     def _constant(self, c):
-        c = c if isinstance(c, Laurent) else Laurent.constant(c)
-        return {((0,) * self.h, ()): c} if c and self.cap >= 0 else {}
+        return {((0,) * self.h, (), 0): c} if c and self.cap >= 0 else {}
 
     def _product(self, a, b):
-        cap = self.cap
+        # sparse.mul, with each degree summed once and the cap tested before
+        # a product key is built
+        right = [(key, sum(key[0]) + sum(key[1]), c) for key, c in b.items()]
+        out = {}
+        for (psi1, lam1, e1), c1 in a.items():
+            room = self.cap - sum(psi1) - sum(lam1)
+            for (psi2, lam2, e2), degree, c2 in right:
+                if degree <= room:
+                    key = (tuple(map(add, psi1, psi2)),
+                           tuple(sorted(lam1 + lam2)), e1 + e2)
+                    out[key] = out.get(key, 0) + c1 * c2
+        return {key: c for key, c in out.items() if c}
 
-        def key_mul(k1, k2):
-            (psi1, lam1), (psi2, lam2) = k1, k2
-            if sum(psi1) + sum(lam1) + sum(psi2) + sum(lam2) > cap:
-                return None
-            return tuple(map(add, psi1, psi2)), tuple(sorted(lam1 + lam2))
-
-        return sparse.mul(a, b, key_mul)
-
-    def terms_of_degree(self, degree):
-        return {
-            key: coef
-            for key, coef in self.terms.items()
-            if sum(key[0]) + sum(key[1]) == degree
-        }
+    def shifted(self, k):
+        """self * u^k."""
+        k = _as_int(k)
+        return self._like({(psi, lam, e + k): c
+                           for (psi, lam, e), c in self.terms.items()})
 
     def items(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0][0], kv[0][1]),
-        )
+        """Terms sorted by degree, then psi, lambda and the power of u."""
+        return sorted(self.terms.items(),
+                      key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0]))
 
     def __repr__(self):
         return f"HodgeClassPoly(g={self.g}, h={self.h}, {format_hodge_class(self)!r})"
@@ -431,25 +436,22 @@ class HodgeClassPoly(sparse.Element):
 def hodge_euler_dual(g, h, twist=1):
     """Euler class of the twisted dual Hodge bundle:
     sum_{i=0}^g (-1)^i lambda_i (t u)^{g-i} with t the twist weight."""
-    twist = _as_fraction(twist)
-    terms = {((0,) * h, ()): Laurent.monomial(g, twist**g)}
-    for i in range(1, g + 1):
-        terms[((0,) * h, (i,))] = Laurent.monomial(
-            g - i, Fraction((-1) ** i) * twist ** (g - i)
-        )
-    return HodgeClassPoly(g, h, terms)
+    twist = _exact(twist)
+    zero = (0,) * h
+    return HodgeClassPoly(g, h, {
+        (zero, (i,) if i else (), g - i): (-1) ** i * twist ** (g - i)
+        for i in range(g + 1)})
 
 
 def inv_u_minus_psi(g, h, c, index):
     """1/(u - c*psi_index) expanded as the finite geometric series
     u^(-1) * sum_j (c psi / u)^j, truncated by the degree cap."""
-    c = _as_fraction(c)
-    cap = 3 * g - 3 + h
+    c = _exact(c)
     terms = {}
-    for j in range(cap + 1):
+    for j in range(3 * g - 3 + h + 1):
         psi = [0] * h
         psi[index] = j
-        terms[(tuple(psi), ())] = Laurent.monomial(-(j + 1), c**j)
+        terms[(tuple(psi), (), -(j + 1))] = c**j
     return HodgeClassPoly(g, h, terms)
 
 
@@ -496,41 +498,50 @@ def fixed_locus_data(g, mu):
 
 def inverse_euler_normal(data):
     """Inverse Euler class of the virtual normal bundle, as an element of the
-    truncated psi/lambda algebra over Laurent polynomials in u.
+    truncated psi/lambda algebra.
 
-    Built twice: compositionally from the weight data (product of the Euler
-    classes of the moving pieces, inverting the node-smoothing factors), and
-    from the closed form
+    Built twice.  Compositionally from the weight data: the product of the
+    dual Hodge class, the trivial weights and the node-smoothing series
+    1/(u/mu_i - psi_i), all with integer coefficients, times the inverse
+    cover-weight product, the one rational factor, applied last.  And term
+    by term from the closed form
 
-        prod mu_i^mu_i / mu_i! * mu_1...mu_h * Lambda(u) * u^(h-d-1)
-            / prod (u - mu_i psi_i),
+        C(mu) * Lambda(u) * u^(h-d-1) / prod (u - mu_i psi_i),
+        C(mu) = mu_1...mu_h * prod mu_i^mu_i / mu_i!,
 
-    with Lambda(u) the dual-Hodge Euler polynomial.  The two must match
-    exactly; a mismatch raises ConsistencyError."""
+    whose psi_J lambda_k term is C(mu) (-1)^k prod mu_i^j_i u^(g-1-d-k-|J|)
+    for |J| + k <= 3g - 3 + h; that route multiplies no classes.  The two
+    must match exactly; a mismatch raises ConsistencyError."""
     g, mu = data.g, data.mu
     d, h = mu.size, mu.length
 
     compositional = hodge_euler_dual(g, h, data.hodge_twist)
     for w, m in data.trivial_moving.items():
-        compositional = compositional * Laurent.monomial(m, w**m)
-    scalar = Fraction(1)
-    shift = 0
-    for w, m in data.cover_weights.items():
-        scalar *= w**m
-        shift += m
-    compositional = compositional * Laurent.monomial(-shift, 1 / scalar)
+        compositional = compositional.shifted(m).scaled(_exact(w**m))
     for w, index in data.b4_moving:
-        # 1/(w u - psi) = (1/w) * 1/(u - (1/w) psi)
-        compositional = compositional * inv_u_minus_psi(g, h, 1 / w, index)
-        compositional = compositional.scaled(1 / w)
+        # 1/(w u - psi) = (1/w) * 1/(u - (1/w) psi), with 1/w = mu_i
+        c = _exact(1 / w)
+        compositional = (compositional * inv_u_minus_psi(g, h, c, index)).scaled(c)
+    cover = prod(w**m for w, m in data.cover_weights.items())
+    shift = sum(data.cover_weights.terms.values())
+    compositional = compositional._like({
+        (psi, lam, e - shift): _ratio(c * cover.denominator, cover.numerator)
+        for (psi, lam, e), c in compositional.terms.items()})
 
-    closed = hodge_euler_dual(g, h, 1)
-    closed_scalar = Fraction(prod(mu.parts))
+    cap = compositional.cap
+    num = prod(p ** (p + 1) for p in mu.parts)
+    den = prod(map(factorial, mu.parts))
+    vectors = [((), 1, 0)]  # (J, prod mu_i^j_i, |J|) with |J| <= cap
     for p in mu.parts:
-        closed_scalar *= Fraction(p**p, factorial(p))
-    closed = closed * Laurent.monomial(h - d - 1, closed_scalar)
-    for index, p in enumerate(mu.parts):
-        closed = closed * inv_u_minus_psi(g, h, p, index)
+        vectors = [(J + (j,), w * p**j, s + j)
+                   for J, w, s in vectors for j in range(cap - s + 1)]
+    closed = {}
+    for k in range(min(g, cap) + 1):
+        lam = (k,) if k else ()
+        for J, w, s in vectors:
+            if s + k <= cap:
+                closed[J, lam, g - 1 - d - k - s] = _ratio((-1) ** k * num * w, den)
+    closed = compositional._like(closed)
 
     if compositional != closed:
         raise ConsistencyError(
@@ -541,24 +552,29 @@ def inverse_euler_normal(data):
     return closed
 
 
-def _bracket_for_term(g, h, psi, lam, table):
+def _hodge_bracket(g, h, psi, lam):
     if len(lam) > 1:
         raise DomainError(
             f"non-linear Hodge monomial lam{list(lam)} cannot be evaluated"
         )
-    index = lam[0] if lam else 0
-    return table.value(HodgeBracket(g=g, h=h, psi=psi, lam=index))
+    return HodgeBracket(g=g, h=h, psi=psi, lam=lam[0] if lam else 0)
 
 
 @cache
 def _top_degree_terms(g, mu):
     """The table-free part of the localization chain: the degree 3g - 3 + h
-    terms of u^r * ``inverse_euler_normal`` as ((psi, lam), Laurent) items,
-    built and cross-checked once per (g, mu) for the life of the process.
-    Lower degrees pair to zero by the dimension constraint."""
+    terms of u^r * ``inverse_euler_normal``, one item per (psi, lam) in the
+    canonical order, as (psi, lam, bracket, ((power of u, coefficient),
+    ...)), built and cross-checked once per (g, mu) for the life of the
+    process.  Lower degrees pair to zero by the dimension constraint."""
     inv = inverse_euler_normal(fixed_locus_data(g, mu))
     r = 2 * g - 2 + mu.size + mu.length
-    return tuple((inv * Laurent.monomial(r)).terms_of_degree(inv.cap).items())
+    top = {}
+    for (psi, lam, e), c in inv.items():
+        if sum(psi) + sum(lam) == inv.cap:
+            top.setdefault((psi, lam), []).append((e + r, c))
+    return tuple((psi, lam, _hodge_bracket(g, inv.h, psi, lam), tuple(coef))
+                 for (psi, lam), coef in top.items())
 
 
 def elsv_via_localization(g, mu, table, u_value=None):
@@ -576,32 +592,30 @@ def elsv_via_localization(g, mu, table, u_value=None):
     The u-independence check and the pairing run on every call.
 
     With ``u_value`` set, substitutes that nonzero rational for u instead of
-    checking that each coefficient is constant; the result is the same for
-    every choice.
+    checking that each coefficient is constant, summing c * u_value^e over
+    each monomial's powers of u; the result is the same for every choice.
     """
     terms = _top_degree_terms(g, mu)
-    h = mu.length
-    r = 2 * g - 2 + mu.size + h
+    r = 2 * g - 2 + mu.size + mu.length
     # prod(mu.parts) is FixedLocusData.automorphism_order
     prefactor = Fraction(factorial(r), aut_size(mu) * prod(mu.parts))
 
     total = Fraction(0)
     if u_value is None:
-        for (psi, lam), coef in terms:
-            if not coef.is_constant():
+        for psi, lam, bracket, coef in terms:
+            if len(coef) > 1 or coef[0][0] != 0:
                 raise ConsistencyError(
                     "nonvanishing u-dependence after degree selection in term "
-                    f"{_format_term(Fraction(1), 0, psi, lam)}: coefficient {coef}"
+                    f"{_format_term(Fraction(1), 0, psi, lam)}: "
+                    f"coefficient {Laurent(dict(coef))}"
                 )
-            total += coef.constant_value() * _bracket_for_term(g, h, psi, lam, table)
+            total += coef[0][1] * table.value(bracket)
     else:
         u_value = _as_fraction(u_value)
         if u_value == 0:
             raise DomainError("substitution value for u must be nonzero")
-        for (psi, lam), coef in terms:
-            total += coef.substitute(u_value) * _bracket_for_term(
-                g, h, psi, lam, table
-            )
+        for psi, lam, bracket, coef in terms:
+            total += sum(c * u_value**e for e, c in coef) * table.value(bracket)
     return prefactor * total
 
 
@@ -625,21 +639,15 @@ def _format_term(coef, uexp, psi, lam):
 def format_hodge_class(poly):
     """Canonical, round-trippable rendering: terms sorted by degree then key
     then u-exponent, joined with " + "; coefficients are exact rationals."""
-    if poly.is_zero():
-        return "0"
-    rendered = []
-    for (psi, lam), coef in poly.items():
-        for uexp, c in coef.items():
-            rendered.append(_format_term(c, uexp, psi, lam))
-    return " + ".join(rendered)
+    return " + ".join(_format_term(c, uexp, psi, lam)
+                      for (psi, lam, uexp), c in poly.items()) or "0"
 
 
 def parse_hodge_class(text, g, h):
     """Inverse of ``format_hodge_class`` for classes on the (g, h) moduli."""
     text = text.strip()
-    poly = HodgeClassPoly(g, h)
     if text == "0":
-        return poly
+        return HodgeClassPoly(g, h)
     terms = {}
     for chunk in text.split(" + "):
         tokens = chunk.split()
@@ -664,7 +672,6 @@ def parse_hodge_class(text, g, h):
                 lam.append(int(tok[3:]))
             else:
                 raise DomainError(f"cannot parse factor {tok!r} in {chunk!r}")
-        key = (tuple(psi), tuple(sorted(lam)))
-        prev = terms.get(key, Laurent())
-        terms[key] = prev + Laurent.monomial(uexp, coef)
+        key = (tuple(psi), tuple(sorted(lam)), uexp)
+        terms[key] = terms.get(key, 0) + coef
     return HodgeClassPoly(g, h, terms)

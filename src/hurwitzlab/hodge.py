@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement, islice
 from math import comb, factorial, gcd, isqrt, lcm, prod
 
 from .errors import ConsistencyError, DomainError, MissingBracketError
-from .hurwitz import DP_MAX_D, connected_dp, connected_via_transform
+from .hurwitz import DP_MAX_D, _dp_budget, connected_dp, connected_via_transform
 from .partitions import Partition, aut_size, partitions_of
 
 _TABLE_HEADER = "hurwitzlab-hodge-table v1"
@@ -434,7 +434,9 @@ def elsv_inversion(g, h, hurwitz_engine=None, dp_max_d=DP_MAX_D):
     the character sums.  Every grid point is re-derived by the cut-and-join
     count of transitive factorizations on cycle types
     (``connected_dp(g, mu, max_d=dp_max_d)``), which uses no characters and
-    no transform; a disagreement raises ConsistencyError.
+    no transform; a disagreement raises ConsistencyError.  A grid point
+    over ``dp_max_d`` raises that check's ResourceLimitError as soon as it
+    is chosen.
     """
     # looked up per call, so a wrapper installed on the module name applies
     engine = connected_via_transform if hurwitz_engine is None else hurwitz_engine
@@ -446,6 +448,7 @@ def elsv_inversion(g, h, hurwitz_engine=None, dp_max_d=DP_MAX_D):
     grid = []
     for mu in pool:
         if elimination.add(_monomial_row(exponents, mu.parts)):
+            _dp_budget(mu.size, dp_max_d)  # before any engine runs
             grid.append(mu)
             if len(grid) == len(unknowns):
                 break

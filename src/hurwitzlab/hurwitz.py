@@ -26,8 +26,8 @@ Conventions: the reference permutation for cycle type mu is the one with the
 cycles (1..mu_1)(mu_1+1..mu_1+mu_2)...; products compose right-to-left, i.e.
 the product sigma_1 ... sigma_r applies sigma_r first.  Counts are class
 functions, so neither choice affects any result: the tests run
-``connected_dfs`` in both conventions, and pin ``disconnected_dp`` to a
-permutation-level convolution in both.
+``_transitive_count`` in both conventions and on conjugate representatives,
+and pin ``disconnected_dp`` to a permutation-level convolution in both.
 
 Note on the character-sum grading: the classical identity packages the tuple
 counts as an exponential generating series (a lambda^r / r! per count), while
@@ -84,10 +84,6 @@ def cycle_type(p):
     return Partition(sorted(Counter(_cycle_labels(p)).values(), reverse=True))
 
 
-def cycle_count(p):
-    return len(set(_cycle_labels(p)))
-
-
 def canonical_representative(mu):
     """The permutation with cycles (1..mu_1)(mu_1+1..mu_1+mu_2)... in order,
     on 0-based points."""
@@ -115,39 +111,33 @@ def _connected_r(g, mu):
     return r
 
 
-def connected_dfs(g, mu, node_budget=DFS_NODE_BUDGET, sigma_inf=None,
-                  composition="rl"):
+def connected_dfs(g, mu, node_budget=DFS_NODE_BUDGET):
     """Connected cover count for genus ``g`` and ramification profile ``mu``.
 
     Counts tuples (sigma_1, ..., sigma_r) of transpositions with product equal
-    to a fixed representative of the class of ``mu`` and with the generated
-    subgroup transitive, then divides by the centralizer order.  The tuple
-    length is r = 2g - 2 + |mu| + len(mu).  The count advances one
+    to the canonical representative of the class of ``mu`` and with the
+    generated subgroup transitive, then divides by the centralizer order.  The
+    tuple length is r = 2g - 2 + |mu| + len(mu).  The count advances one
     transposition at a time over states (pending product, component labels of
     the points under the transpositions chosen so far); see
-    ``_transitive_count``.
-
-    ``sigma_inf`` may supply an alternative class representative (the count is
-    a class function, so the result cannot depend on it).  ``composition``
-    selects the product convention, "rl" (apply rightmost first) or "lr".
-    ``node_budget`` bounds the number of states visited.
+    ``_transitive_count``.  ``node_budget`` bounds the number of states
+    visited.
     """
     d, r = mu.size, _connected_r(g, mu)
-    if composition not in ("rl", "lr"):
-        raise DomainError(f"unknown composition convention {composition!r}")
-
-    if sigma_inf is None:
-        sigma_inf = canonical_representative(mu)
-    elif cycle_type(sigma_inf) != mu:
-        raise DomainError(
-            f"sigma_inf has cycle type {cycle_type(sigma_inf)}, expected {mu}"
-        )
-
-    dist0 = d - cycle_count(sigma_inf)
+    sigma = canonical_representative(mu)
+    dist0 = d - mu.length
     if dist0 > r or (r - dist0) % 2 != 0:
         return Fraction(0)  # parity: each factor flips the sign
-    count = _transitive_count(d, r, sigma_inf, node_budget, composition)
-    return Fraction(count, z(mu))
+    return Fraction(_transitive_count(d, r, sigma, node_budget, "rl"), z(mu))
+
+
+def _merge(labels, edge):
+    """The labels after joining the components of the edge's two points,
+    relabelled by first occurrence, and their component count."""
+    lo, hi = sorted(labels[i] for i in edge)
+    if lo == hi:
+        return labels, max(labels) + 1
+    return tuple(lo if x == hi else x - (x > hi) for x in labels), max(labels)
 
 
 def _transitive_count(d, r, sigma, node_budget, composition):
@@ -162,47 +152,49 @@ def _transitive_count(d, r, sigma, node_budget, composition):
     components of i and j.  Either way the cycle count of p moves by one: up
     when i and j share a cycle, down otherwise.  A state is dropped when the
     steps left cannot close the transposition distance d - #cycles or merge
-    the remaining components.  Only the current step's {state: ways} dict is
-    held.  This is the cut-and-join recursion of Goulden and Jackson, run on
-    permutations rather than on cycle types.
+    the remaining components.  Only the current step's states are held,
+    grouped by p: the products a step can reach from p are found once for
+    every label vector that shares p, and each label vector's merges once
+    per call.  This is the cut-and-join recursion of Goulden and Jackson,
+    run on permutations rather than on cycle types.
     """
     edges = list(combinations(range(d), 2))
     right_to_left = composition == "rl"
-    layer = {(sigma, tuple(range(d))): 1}
+    merges = {}
+    layer = {sigma: {tuple(range(d)): 1}}
     visited = 0
     for left in range(r, 0, -1):
-        visited += len(layer)
+        visited += sum(map(len, layer.values()))
         if visited > node_budget:
             raise ResourceLimitError(
                 f"budget of {node_budget} visited states exceeded"
             )
         nxt = {}
-        for (p, labels), ways in layer.items():
+        for p, states in layer.items():
             cycle_of = _cycle_labels(p)
             dist = d - len(set(cycle_of))
-            components = max(labels, default=-1) + 1
             where = invert_perm(p) if right_to_left else range(d)
-            for i, j in edges:
-                if (dist - 1 if cycle_of[i] == cycle_of[j] else dist + 1) >= left:
-                    continue
-                li, lj = labels[i], labels[j]
-                if components - (li != lj) > left:
-                    continue
-                q = list(p)
-                a, b = where[i], where[j]
-                q[a], q[b] = q[b], q[a]
-                if li != lj:
-                    lo, hi = min(li, lj), max(li, lj)
-                    merged = tuple(
-                        lo if x == hi else x - (x > hi) for x in labels
-                    )
-                else:
-                    merged = labels
-                key = (tuple(q), merged)
-                nxt[key] = nxt.get(key, 0) + ways
-        layer = nxt
+            moves = []
+            for k, (i, j) in enumerate(edges):
+                if (dist - 1 if cycle_of[i] == cycle_of[j] else dist + 1) < left:
+                    q = list(p)
+                    a, b = where[i], where[j]
+                    q[a], q[b] = q[b], q[a]
+                    moves.append((k, nxt.setdefault(tuple(q), {})))
+            for labels, ways in states.items():
+                merged = merges.get(labels)
+                if merged is None:
+                    merged = merges[labels] = [None] * len(edges)
+                for k, out in moves:
+                    if merged[k] is None:
+                        merged[k] = _merge(labels, edges[k])
+                    joined, components = merged[k]
+                    if components <= left:
+                        out[joined] = out.get(joined, 0) + ways
+        layer = {p: states for p, states in nxt.items() if states}
     # every surviving state has p = identity and at most one component
-    return sum(ways for (_, labels), ways in layer.items() if set(labels) == {0})
+    return sum(ways for states in layer.values()
+               for labels, ways in states.items() if set(labels) == {0})
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +346,19 @@ def _transitive_class_count(parts, r):
     return total
 
 
+def _dp_budget(d, max_d):
+    if d > max_d:
+        raise ResourceLimitError(
+            f"cycle-type recursion budget is d <= {max_d}, got d = {d}")
+
+
 def connected_dp(g, mu, max_d=DP_MAX_D):
     """The connected cover count ``connected_dfs`` gives, by the
     cut-and-join recursion on cycle types (``_transitive_class_count``): no
     permutations, no characters, no transform.  The tuple counts stay
     memoized for the life of the process, shared by every caller."""
     r = _connected_r(g, mu)
-    if mu.size > max_d:
-        raise ResourceLimitError(
-            f"cycle-type recursion budget is d <= {max_d}, got d = {mu.size}")
+    _dp_budget(mu.size, max_d)
     for lower in range(g, -1, -1):  # genus by genus keeps the recursion shallow
         count = _transitive_class_count(_canonical(mu.parts), r - 2 * lower)
     return Fraction(count, z(mu))

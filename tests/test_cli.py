@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from hurwitzlab import cli
 from hurwitzlab.cli import main
 from hurwitzlab.hodge import HodgeBracket
 from hurwitzlab.hurwitz import DP_MAX_D
@@ -138,6 +139,24 @@ def test_hodge_budgets_reach_their_engines(capsys, cache):
         code, _, err = run_cli(capsys, "hodge", "--genus", "1", "--marks", "5",
                                flag, "4", "--cache-dir", cache)
         assert code == 2 and f"{budget} budget is d <= 4" in err
+
+
+def test_hodge_grid_budget_fires_before_any_count(capsys, cache, monkeypatch):
+    # the (1, 5) grid reaches |mu| = 7: the grid-point check's budget stops
+    # the run when that point is chosen, before the transform counts any
+    counted = []
+    real = cli.connected_via_transform
+
+    def counting(*args, **kwargs):
+        counted.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "connected_via_transform", counting)
+    code, _, err = run_cli(capsys, "hodge", "--genus", "1", "--marks", "5",
+                           "--budget-dp-max-d", "6", "--cache-dir", cache)
+    assert code == 2
+    assert "cycle-type recursion budget is d <= 6, got d = 7" in err
+    assert counted == []
 
 
 def test_dp_reaches_the_burnside_ceiling(capsys, cache):

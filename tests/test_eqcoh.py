@@ -68,14 +68,16 @@ def test_laurent_zero_normalization():
     lambda: EquivariantPolyRing(2, [0, 1.5, -2]),
     lambda: EquivariantPolyRing(2.0),
     lambda: HodgeClassPoly(1.5, 2),
-    lambda: HodgeClassPoly(1, 1, {((1.9,), ()): 1}),
-    lambda: HodgeClassPoly(1, 1, {((True,), ()): 1}),
-    lambda: HodgeClassPoly(2, 1, {((0,), (1.0,)): 1}),
+    lambda: HodgeClassPoly(1, 1, {((1.9,), (), 0): 1}),
+    lambda: HodgeClassPoly(1, 1, {((True,), (), 0): 1}),
+    lambda: HodgeClassPoly(2, 1, {((0,), (1.0,), 0): 1}),
+    lambda: HodgeClassPoly(1, 1, {((0,), (), 0.5): 1}),
+    lambda: HodgeClassPoly(1, 1, {((0,), (), 1): 1}).shifted(0.5),
 ], ids=["laurent-exponent", "laurent-zero-term", "laurent-bool",
         "laurent-shift",
         "multiplicity", "multiplicity-bool", "ring-weight", "ring-dimension",
         "hodge-genus", "psi-exponent",
-        "psi-bool", "lambda-index"])
+        "psi-bool", "lambda-index", "hodge-u-power", "hodge-shift"])
 def test_non_integer_exponents_are_rejected_not_truncated(build):
     # int() would turn 1.5 into 1 and True into 1 without a word
     with pytest.raises(DomainError, match="expected an integer"):
@@ -88,6 +90,12 @@ def test_float_weights_are_rejected_even_on_a_zero_term(multiplicity):
     # dropped only after its key is checked
     with pytest.raises(DomainError, match="expected an exact rational"):
         WeightMultiset({0.5: multiplicity})
+
+
+@pytest.mark.parametrize("coef", [0.5, 0.0])
+def test_float_hodge_coefficients_are_rejected(coef):
+    with pytest.raises(DomainError, match="expected an exact rational"):
+        HodgeClassPoly(1, 1, {((0,), (), 0): coef})
 
 
 # --- weight multisets -------------------------------------------------------
@@ -432,7 +440,7 @@ def test_ab_integrate_needs_distinct_weights():
 def psi_class(g, h, index):
     psi = [0] * h
     psi[index] = 1
-    return HodgeClassPoly(g, h, {(tuple(psi), ()): F(1)})
+    return HodgeClassPoly(g, h, {(tuple(psi), (), 0): 1})
 
 
 def test_hodge_class_truncation():
@@ -445,39 +453,41 @@ def test_hodge_class_truncation():
 
 def test_hodge_class_rejects_bad_keys():
     with pytest.raises(DomainError, match="psi"):
-        HodgeClassPoly(1, 2, {((1,), ()): 1})  # one exponent for two points
+        HodgeClassPoly(1, 2, {((1,), (), 0): 1})  # one exponent for two points
     with pytest.raises(DomainError, match="psi"):
-        HodgeClassPoly(1, 1, {((-1,), ()): 1})
+        HodgeClassPoly(1, 1, {((-1,), (), 0): 1})
     with pytest.raises(DomainError, match="lambda"):
-        HodgeClassPoly(1, 1, {((0,), (2,)): 1})  # lambda_2 on genus one
+        HodgeClassPoly(1, 1, {((0,), (2,), 0): 1})  # lambda_2 on genus one
     with pytest.raises(DomainError, match="lambda"):
-        HodgeClassPoly(2, 1, {((0,), (0,)): 1})
+        HodgeClassPoly(2, 1, {((0,), (0,), 0): 1})
 
 
-_coefficients = st.dictionaries(
-    st.integers(-2, 2), st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
-    max_size=2)
+_rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+_coefficients = st.dictionaries(st.integers(-2, 2), _rationals, max_size=2)
 
 
 @st.composite
 def _hodge_classes(draw, g, h):
     """A class through the validating constructor, with some keys above the
-    cap and some zero coefficients, which it drops.  Most psi exponents are
-    small, so that most products survive the truncation."""
+    cap, some zero coefficients, which it drops, and some lambda multisets
+    out of order, which it sorts and merges.  Most psi exponents are small,
+    so that most products survive the truncation."""
     cap = 3 * g - 3 + h
     keys = st.tuples(
         st.tuples(*[st.sampled_from([0, 0, 0, 1, 2, cap + 1])] * h),
         st.lists(st.integers(1, g), max_size=2) if g else st.just([]),
+        st.integers(-2, 2),
     )
-    terms = draw(st.lists(st.tuples(keys, _coefficients), max_size=5))
+    terms = draw(st.lists(st.tuples(keys, _rationals), max_size=8))
     return HodgeClassPoly(
-        g, h, {(psi, tuple(lam)): Laurent(c) for (psi, lam), c in terms})
+        g, h, {(psi, tuple(lam), e): c for (psi, lam, e), c in terms})
 
 
 def _assert_clean(poly):
     assert poly == HodgeClassPoly(poly.g, poly.h, poly.terms)
-    for (psi, lam), coef in poly.terms.items():
-        assert coef, (psi, lam)
+    for (psi, lam, e), coef in poly.terms.items():
+        assert coef, (psi, lam, e)
+        assert type(coef) in (int, F)
         assert sum(psi) + sum(lam) <= poly.cap
         assert list(lam) == sorted(lam)
 
@@ -491,37 +501,41 @@ def test_algebra_results_equal_the_validated_class(g, h, data):
     a = data.draw(_hodge_classes(g, h))
     b = data.draw(_hodge_classes(g, h))
     c = data.draw(st.builds(F, st.integers(-4, 4), st.integers(1, 4)))
-    u = Laurent(data.draw(_coefficients))
+    u = data.draw(_coefficients)
+    pure_u = HodgeClassPoly(g, h, {((0,) * h, (), e): x for e, x in u.items()})
     for result in (a * b, b * a, a + b, a - b, a * 3, a.scaled(c), a.scaled(0),
-                   a * c, c * a, a * u, a * 0):
+                   a * c, c * a, a * pure_u, a.shifted(-2), a * 0):
         _assert_clean(result)
     assert a.scaled(0).is_zero() and (a - a).is_zero() and (a * 0).is_zero()
     # a scalar scales each coefficient, as the product with its class would
-    for s in (3, c, u, 0):
+    for s in (3, c, 0):
         assert a * s == s * a == a * HodgeClassPoly.scalar(g, h, s)
+    # a class in u alone shifts and scales each term
+    assert a * pure_u == pure_u * a == sum(
+        (a.shifted(e).scaled(x) for e, x in u.items()), a * 0)
+    assert a.shifted(2).shifted(-2) == a
 
 
 def test_algebra_products_sort_lambda_indices():
-    lam2, lam1 = (HodgeClassPoly(2, 1, {((0,), (i,)): 1}) for i in (2, 1))
+    lam2, lam1 = (HodgeClassPoly(2, 1, {((0,), (i,), 1 - i): 1}) for i in (2, 1))
     product = lam2 * lam1
-    assert product.terms == {((0,), (1, 2)): Laurent.constant(1)}
+    assert product.terms == {((0,), (1, 2), -1): 1}
     _assert_clean(product)
 
 
 def test_hodge_euler_dual_structure():
     lam = hodge_euler_dual(2, 1)
-    terms = dict(lam.terms)
-    assert terms[((0,), ())] == Laurent.monomial(2)
-    assert terms[((0,), (1,))] == Laurent.monomial(1, -1)
-    assert terms[((0,), (2,))] == Laurent.constant(1)
+    assert lam.terms == {((0,), (), 2): 1, ((0,), (1,), 1): -1,
+                         ((0,), (2,), 0): 1}
+    assert all(type(c) is int for c in lam.terms.values())
+    assert hodge_euler_dual(1, 1, F(1, 2)).terms == {
+        ((0,), (), 1): F(1, 2), ((0,), (1,), 0): -1}
 
 
 def test_inv_u_minus_psi_geometric_series():
     inv = inv_u_minus_psi(2, 1, 2, 0)  # cap 4
     # u^-1 sum (2 psi / u)^j
-    assert inv.terms[((0,), ())] == Laurent.monomial(-1)
-    assert inv.terms[((3,), ())] == Laurent.monomial(-4, 8)
-    assert ((4,), ()) in inv.terms and ((5,), ()) not in inv.terms
+    assert inv.terms == {((j,), (), -(j + 1)): 2**j for j in range(5)}
 
 
 # --- fixed locus and the localization chain ---------------------------------
@@ -555,7 +569,8 @@ def test_fixed_locus_rejects_unstable():
 def test_inverse_euler_normal_three_sheets():
     inv = inverse_euler_normal(fixed_locus_data(0, Partition([1, 1, 1])))
     # cap is 0: only the scalar term u^(h-d-1) * u^(-h) = u^-4 survives
-    assert inv.terms == {((0, 0, 0), ()): Laurent.monomial(-4)}
+    assert inv.terms == {((0, 0, 0), (), -4): 1}
+    assert type(inv.terms[(0, 0, 0), (), -4]) is int
 
 
 def test_inverse_euler_normal_genus_one_double_cover():
@@ -576,6 +591,57 @@ def test_compositional_equals_closed_form_grid(g):
                 if mu.length != h or mu.parts[0] > 4:
                     continue
                 inverse_euler_normal(fixed_locus_data(g, mu))
+
+
+def _wide_profiles():
+    """Every (g, mu) with 0 < 2g - 2 + h <= 6 and |mu| <= 8."""
+    return [(g, mu) for g in range(4) for size in range(1, 9)
+            for mu in partitions_of(size) if 0 < 2 * g - 2 + mu.length <= 6]
+
+
+def _assert_exact(poly):
+    for key, coef in poly.terms.items():
+        assert type(coef) in (int, F) and coef, (key, coef)
+        assert type(coef) is int or coef.denominator != 1, (key, coef)
+
+
+def test_every_chain_coefficient_is_an_exact_rational(
+        fresh_expansions, monkeypatch):
+    real_inverse = eqcoh.inverse_euler_normal
+    built = {}
+
+    def recorded(data):
+        built[data.g, data.mu] = real_inverse(data)
+        return built[data.g, data.mu]
+
+    monkeypatch.setattr(eqcoh, "inverse_euler_normal", recorded)
+    assert all(r.passed for r in verify.localization_rederivation_checks())
+    assert len(built) == 42
+    wide = _wide_profiles()
+    assert len(wide) == 181
+    for g, mu in wide:
+        built[g, mu] = real_inverse(fixed_locus_data(g, mu))
+    for (g, mu), inv in built.items():
+        _assert_exact(inv)
+        for _, _, _, coef in eqcoh._top_degree_terms(g, mu):
+            assert all(type(c) in (int, F) for _, c in coef), (g, mu)
+
+
+def test_a_wrong_class_product_fails_the_closed_form(monkeypatch):
+    # the closed form multiplies no classes, so a product that drops its
+    # top-degree terms leaves only the compositional route wrong
+    real_product = HodgeClassPoly._product
+
+    def drops_top_degree(self, a, b):
+        return {key: c for key, c in real_product(self, a, b).items()
+                if sum(key[0]) + sum(key[1]) < self.cap}
+
+    monkeypatch.setattr(HodgeClassPoly, "_product", drops_top_degree)
+    for g, parts in [(0, [1, 1, 1]), (1, [2]), (2, [3, 1])]:
+        mu = Partition(parts)
+        with pytest.raises(ConsistencyError,
+                           match=rf"mismatch for \(g={g}, mu={mu}\)"):
+            inverse_euler_normal(fixed_locus_data(g, mu))
 
 
 @pytest.fixture(scope="module")
@@ -613,11 +679,11 @@ def test_localization_rejects_zero_substitution(table):
         elsv_via_localization(1, Partition([2]), table, u_value=0)
 
 
-def test_nonlinear_lambda_monomials_rejected(table):
-    from hurwitzlab.eqcoh import _bracket_for_term
+def test_nonlinear_lambda_monomials_rejected():
+    from hurwitzlab.eqcoh import _hodge_bracket
 
     with pytest.raises(DomainError):
-        _bracket_for_term(2, 1, (0,), (1, 1), table)
+        _hodge_bracket(2, 1, (0,), (1, 1))
 
 
 # --- the memoized expansion -------------------------------------------------
@@ -630,11 +696,11 @@ def fresh_expansions():
     eqcoh._top_degree_terms.cache_clear()
 
 
-def _perturbed(inv, extra):
-    """``inv`` with ``extra`` (a Laurent polynomial) added to the coefficient
-    of its top-degree pure psi monomial psi_1^cap."""
-    key = ((inv.cap,) + (0,) * (inv.h - 1), ())
-    return inv + HodgeClassPoly(inv.g, inv.h, {key: extra})
+def _perturbed(inv, uexp):
+    """``inv`` with u^uexp added at its top-degree pure psi monomial
+    psi_1^cap."""
+    psi = (inv.cap,) + (0,) * (inv.h - 1)
+    return inv + HodgeClassPoly(inv.g, inv.h, {(psi, (), uexp): 1})
 
 
 def test_localization_suite_builds_each_expansion_once(
@@ -669,7 +735,7 @@ def test_a_wrong_top_degree_coefficient_fails_the_rederivation(
         if (data.g, data.mu.length) != (1, 2):
             return inv
         r = 2 * data.g - 2 + data.mu.size + data.mu.length
-        return _perturbed(inv, Laurent.monomial(-r))  # still constant in u
+        return _perturbed(inv, -r)  # still constant in u
 
     monkeypatch.setattr(eqcoh, "inverse_euler_normal",
                         wrong_at_genus_one_two_marks)
@@ -686,7 +752,7 @@ def test_a_u_dependent_top_degree_coefficient_raises(
     r = 2 * 1 - 2 + mu.size + mu.length
     monkeypatch.setattr(
         eqcoh, "inverse_euler_normal",
-        lambda data: _perturbed(real_inverse(data), Laurent.monomial(1 - r)))
+        lambda data: _perturbed(real_inverse(data), 1 - r))
     for _ in range(2):  # the check runs on every call, memo hit or not
         with pytest.raises(ConsistencyError, match="u-dependence"):
             elsv_via_localization(1, mu, table)
@@ -698,7 +764,10 @@ def test_a_u_dependent_top_degree_coefficient_raises(
 def test_grammar_round_trip():
     poly = inverse_euler_normal(fixed_locus_data(2, Partition([3])))
     text = format_hodge_class(poly)
-    assert parse_hodge_class(text, 2, 1) == poly
+    parsed = parse_hodge_class(text, 2, 1)
+    assert parsed == poly and parsed.terms == poly.terms
+    assert format_hodge_class(parsed) == text
+    assert "u^-5 psi1^2 lam1" in text  # one term per power of u and monomial
 
 
 def test_grammar_zero():
@@ -709,8 +778,8 @@ def test_grammar_zero():
 
 def test_grammar_examples():
     poly = parse_hodge_class("1/2 u^-1 psi1^2 + -3 lam1", 2, 1)
-    assert poly.terms[((2,), ())] == Laurent.monomial(-1, F(1, 2))
-    assert poly.terms[((0,), (1,))] == Laurent.constant(-3)
+    assert poly.terms == {((2,), (), -1): F(1, 2), ((0,), (1,), 0): -3}
+    assert type(poly.terms[(0,), (1,), 0]) is int
     assert format_hodge_class(poly) == "-3 lam1 + 1/2 u^-1 psi1^2"
 
 

@@ -10,8 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from hurwitzlab.errors import ConsistencyError, DomainError, ResourceLimitError
 from hurwitzlab.hurwitz import (
     BURNSIDE_MAX_D,
+    DFS_NODE_BUDGET,
     DP_MAX_D,
     HurwitzSeries,
+    _transitive_count,
     canonical_representative,
     connected_dfs,
     connected_dp,
@@ -249,7 +251,11 @@ def test_dfs_independent_of_class_representative(data):
     perm = tuple(data.draw(st.permutations(tuple(range(size)))))
     sigma = conjugate_perm(canonical_representative(mu), perm)
     assert cycle_type(sigma) == mu
-    assert connected_dfs(g, mu, sigma_inf=sigma) == connected_dfs(g, mu)
+    r = 2 * g - 2 + size + mu.length
+    count = _transitive_count(size, r, sigma, DFS_NODE_BUDGET, "rl")
+    assert count == _transitive_count(
+        size, r, canonical_representative(mu), DFS_NODE_BUDGET, "rl")
+    assert F(count, z(mu)) == connected_dfs(g, mu)
 
 
 @pytest.mark.parametrize("size", range(1, 5))
@@ -260,9 +266,12 @@ def test_composition_convention_invariance(size):
             r = 2 * g - 2 + d + h
             if r < 0 or r > 6:
                 continue
-            assert connected_dfs(g, mu, composition="rl") == connected_dfs(
-                g, mu, composition="lr"
-            )
+            sigma = canonical_representative(mu)
+            counts = {composition: _transitive_count(
+                d, r, sigma, DFS_NODE_BUDGET, composition)
+                for composition in ("rl", "lr")}
+            assert counts["rl"] == counts["lr"], (g, mu)
+            assert F(counts["rl"], z(mu)) == connected_dfs(g, mu), (g, mu)
 
 
 def convolution_counts(d, r_max, composition):

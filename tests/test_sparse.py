@@ -11,6 +11,7 @@ from hurwitzlab.eqcoh import (
     Laurent,
     WeightMultiset,
     hodge_euler_dual,
+    inv_u_minus_psi,
 )
 from hurwitzlab.errors import DomainError
 from hurwitzlab.hurwitz import HurwitzSeries
@@ -21,6 +22,11 @@ def _series(max_size=4, max_exp=2):
     s.set_coefficient((2,), -1, 3)
     s.set_coefficient((1, 1), 0, F(1, 2))
     return s
+
+
+def _hodge_class(h):
+    # terms in several powers of u, some with Fraction coefficients
+    return hodge_euler_dual(1, h) * inv_u_minus_psi(1, h, F(1, 2), 0)
 
 
 def _ring_element(ring):
@@ -34,7 +40,7 @@ ELEMENTS = {
     "WeightMultiset": lambda: (WeightMultiset({1: 2, F(1, 2): -1}), None),
     "RingElement": lambda: (_ring_element(EquivariantPolyRing(2)),
                             _ring_element(EquivariantPolyRing(2))),
-    "HodgeClassPoly": lambda: (hodge_euler_dual(1, 2), hodge_euler_dual(1, 3)),
+    "HodgeClassPoly": lambda: (_hodge_class(2), _hodge_class(3)),
     "HurwitzSeries": lambda: (_series(), _series(max_exp=3)),
 }
 
