@@ -29,7 +29,7 @@ from .hurwitz import (
     BURNSIDE_MAX_D,
     DFS_NODE_BUDGET,
     DP_MAX_D,
-    _engine_callable,
+    _disconnected,
     connected_dfs,
     connected_dp,
     connected_via_transform,
@@ -229,7 +229,7 @@ def _run_query(engine, genus, euler, mu, args):
                 "the dfs engine counts connected covers; "
                 "use --genus with it, or pick dp/burnside for --euler"
             )
-        value = _engine_callable(engine, **engine_opts)(euler, mu)
+        value = _disconnected(euler, mu, engine, **engine_opts)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     record = {
         "result": str(value),
@@ -501,6 +501,9 @@ def main(argv=None):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout was closed before all output was written",
               file=sys.stderr)
+        return 1
+    except OSError as exc:  # a file or directory that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

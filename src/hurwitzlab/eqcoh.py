@@ -570,9 +570,11 @@ def _top_degree_terms(g, mu):
     inv = inverse_euler_normal(fixed_locus_data(g, mu))
     r = 2 * g - 2 + mu.size + mu.length
     top = {}
-    for (psi, lam, e), c in inv.items():
-        if sum(psi) + sum(lam) == inv.cap:
-            top.setdefault((psi, lam), []).append((e + r, c))
+    # the kept terms share one degree: sorted by key, they keep inv.items() order
+    kept = sorted((k, c) for k, c in inv.terms.items()
+                  if sum(k[0]) + sum(k[1]) == inv.cap)
+    for (psi, lam, e), c in kept:
+        top.setdefault((psi, lam), []).append((e + r, c))
     return tuple((psi, lam, _hodge_bracket(g, inv.h, psi, lam), tuple(coef))
                  for (psi, lam), coef in top.items())
 

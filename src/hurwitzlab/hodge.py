@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement, islice
 from math import comb, factorial, gcd, isqrt, lcm, prod
 
 from .errors import ConsistencyError, DomainError, MissingBracketError
-from .hurwitz import DP_MAX_D, _dp_budget, connected_dp, connected_via_transform
+from .hurwitz import DP_MAX_D, _tuple_count, connected_dp, connected_via_transform
 from .partitions import Partition, aut_size, partitions_of
 
 _TABLE_HEADER = "hurwitzlab-hodge-table v1"
@@ -448,7 +448,7 @@ def elsv_inversion(g, h, hurwitz_engine=None, dp_max_d=DP_MAX_D):
     grid = []
     for mu in pool:
         if elimination.add(_monomial_row(exponents, mu.parts)):
-            _dp_budget(mu.size, dp_max_d)  # before any engine runs
+            _tuple_count("dp", mu.size, dp_max_d)  # before any engine runs
             grid.append(mu)
             if len(grid) == len(unknowns):
                 break

@@ -26,8 +26,9 @@ Conventions: the reference permutation for cycle type mu is the one with the
 cycles (1..mu_1)(mu_1+1..mu_1+mu_2)...; products compose right-to-left, i.e.
 the product sigma_1 ... sigma_r applies sigma_r first.  Counts are class
 functions, so neither choice affects any result: the tests run
-``_transitive_count`` in both conventions and on conjugate representatives,
-and pin ``disconnected_dp`` to a permutation-level convolution in both.
+``_transitive_count`` on conjugate representatives and on sigma^-1
+(reversing a tuple inverts its product), and pin ``disconnected_dp`` to a
+permutation-level convolution in both conventions.
 
 Note on the character-sum grading: the classical identity packages the tuple
 counts as an exponential generating series (a lambda^r / r! per count), while
@@ -102,12 +103,14 @@ def canonical_representative(mu):
 
 def _connected_r(g, mu):
     """The tuple length r = 2g - 2 + |mu| + len(mu) of a connected query;
-    every connected engine rejects g < 0 and r < 0 here."""
+    every connected engine rejects g < 0, r < 0 and the empty profile here."""
     if g < 0:
         raise DomainError(f"genus must be nonnegative, got {g}")
     r = 2 * g - 2 + mu.size + mu.length
     if r < 0:
         raise DomainError(f"invalid query: r = 2g-2+|mu|+len(mu) = {r} < 0")
+    if mu.size == 0:
+        raise DomainError("the empty partition has no connected covers")
     return r
 
 
@@ -128,7 +131,7 @@ def connected_dfs(g, mu, node_budget=DFS_NODE_BUDGET):
     dist0 = d - mu.length
     if dist0 > r or (r - dist0) % 2 != 0:
         return Fraction(0)  # parity: each factor flips the sign
-    return Fraction(_transitive_count(d, r, sigma, node_budget, "rl"), z(mu))
+    return Fraction(_transitive_count(d, r, sigma, node_budget), z(mu))
 
 
 def _merge(labels, edge):
@@ -140,26 +143,25 @@ def _merge(labels, edge):
     return tuple(lo if x == hi else x - (x > hi) for x in labels), max(labels)
 
 
-def _transitive_count(d, r, sigma, node_budget, composition):
+def _transitive_count(d, r, sigma, node_budget):
     """Number of r-tuples of transpositions with product ``sigma`` whose
     supports connect all d points.
 
     A state is the pending product p (what the remaining factors must
     multiply to) and the component label of each point under the
     transpositions chosen so far, relabelled by first occurrence.  Each step
-    multiplies p by one transposition (i j) -- "lr": p o t swaps entries i
-    and j; "rl": t o p swaps entries p^-1(i) and p^-1(j) -- and merges the
-    components of i and j.  Either way the cycle count of p moves by one: up
-    when i and j share a cycle, down otherwise.  A state is dropped when the
-    steps left cannot close the transposition distance d - #cycles or merge
-    the remaining components.  Only the current step's states are held,
-    grouped by p: the products a step can reach from p are found once for
-    every label vector that shares p, and each label vector's merges once
-    per call.  This is the cut-and-join recursion of Goulden and Jackson,
-    run on permutations rather than on cycle types.
+    multiplies p on the left by one transposition t = (i j) -- t o p swaps
+    the entries p^-1(i) and p^-1(j) -- and merges the components of i and j.
+    The cycle count of p moves by one: up when i and j share a cycle, down
+    otherwise.  A state is dropped when the steps left cannot close the
+    transposition distance d - #cycles or merge the remaining components.
+    Only the current step's states are held, grouped by p: the products a
+    step can reach from p are found once for every label vector that shares
+    p, and each label vector's merges once per call.  This is the
+    cut-and-join recursion of Goulden and Jackson, run on permutations
+    rather than on cycle types.
     """
     edges = list(combinations(range(d), 2))
-    right_to_left = composition == "rl"
     merges = {}
     layer = {sigma: {tuple(range(d)): 1}}
     visited = 0
@@ -173,7 +175,7 @@ def _transitive_count(d, r, sigma, node_budget, composition):
         for p, states in layer.items():
             cycle_of = _cycle_labels(p)
             dist = d - len(set(cycle_of))
-            where = invert_perm(p) if right_to_left else range(d)
+            where = invert_perm(p)
             moves = []
             for k, (i, j) in enumerate(edges):
                 if (dist - 1 if cycle_of[i] == cycle_of[j] else dist + 1) < left:
@@ -200,23 +202,46 @@ def _transitive_count(d, r, sigma, node_budget, composition):
 # ---------------------------------------------------------------------------
 # engines 2 and 3: disconnected counts
 
-def _disconnected(chi, mu, max_d, budget, tuple_count):
-    """The guard both disconnected engines share: r = -chi + |mu| + len(mu)
-    must be nonnegative; odd chi gives 0 (the sign of a product of r
-    transpositions must match the sign of the class); d is capped at
-    ``max_d``; the empty profile has one cover, at r = 0.  Otherwise the
-    count is ``tuple_count(d, r, mu.parts)`` / z(mu)."""
+#: The disconnected engines by name: the label of each one's degree budget
+#: and the module name of its tuple count N(d, r, parts).
+_DISCONNECTED = {
+    "dp": ("cycle-type recursion", "_class_tuple_count"),
+    "burnside": ("character-sum", "_character_tuple_count"),
+}
+
+
+def _tuple_count(engine, d, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D):
+    """The tuple count of the disconnected ``engine`` for a degree-d query:
+    an unknown name raises DomainError, and d over that engine's budget
+    raises ResourceLimitError.  The count is looked up in the module globals
+    on each call, so a count patched on the module applies."""
+    try:
+        budget, count = _DISCONNECTED[engine]
+    except KeyError:
+        raise DomainError(f"unknown disconnected engine {engine!r}") from None
+    max_d = dp_max_d if engine == "dp" else burnside_max_d
+    if d > max_d:
+        raise ResourceLimitError(f"{budget} budget is d <= {max_d}, got d = {d}")
+    return globals()[count]
+
+
+def _disconnected(chi, mu, engine, dp_max_d=DP_MAX_D,
+                  burnside_max_d=BURNSIDE_MAX_D):
+    """The disconnected count of the engine named ``engine``: r = -chi + |mu|
+    + len(mu) must be nonnegative; odd chi gives 0 (the sign of a product of
+    r transpositions must match the sign of the class); then the name and
+    the engine's budget are checked (``_tuple_count``); the empty profile has
+    one cover, at r = 0.  Otherwise the count is N(d, r, mu.parts) / z(mu)."""
     d, h = mu.size, mu.length
     r = -chi + d + h
     if r < 0:
         raise DomainError(f"invalid query: r = -chi+|mu|+len(mu) = {r} < 0")
     if chi % 2 != 0:
         return Fraction(0)
-    if d > max_d:
-        raise ResourceLimitError(f"{budget} budget is d <= {max_d}, got d = {d}")
+    count = _tuple_count(engine, d, dp_max_d, burnside_max_d)
     if d == 0:
         return Fraction(1 if r == 0 else 0)
-    return Fraction(tuple_count(d, r, mu.parts), z(mu))
+    return Fraction(count(d, r, mu.parts), z(mu))
 
 
 @cache
@@ -275,8 +300,7 @@ def disconnected_dp(chi, mu, max_d=DP_MAX_D):
     The tuples are counted by the cut-and-join recursion on cycle types
     (``_class_tuple_count``): no permutations, no transitivity condition,
     no characters."""
-    return _disconnected(chi, mu, max_d, "cycle-type recursion",
-                         _class_tuple_count)
+    return _disconnected(chi, mu, "dp", dp_max_d=max_d)
 
 
 @cache
@@ -346,19 +370,13 @@ def _transitive_class_count(parts, r):
     return total
 
 
-def _dp_budget(d, max_d):
-    if d > max_d:
-        raise ResourceLimitError(
-            f"cycle-type recursion budget is d <= {max_d}, got d = {d}")
-
-
 def connected_dp(g, mu, max_d=DP_MAX_D):
     """The connected cover count ``connected_dfs`` gives, by the
     cut-and-join recursion on cycle types (``_transitive_class_count``): no
     permutations, no characters, no transform.  The tuple counts stay
     memoized for the life of the process, shared by every caller."""
     r = _connected_r(g, mu)
-    _dp_budget(mu.size, max_d)
+    _tuple_count("dp", mu.size, dp_max_d=max_d)
     for lower in range(g, -1, -1):  # genus by genus keeps the recursion shallow
         count = _transitive_class_count(_canonical(mu.parts), r - 2 * lower)
     return Fraction(count, z(mu))
@@ -376,8 +394,7 @@ def disconnected_burnside(chi, mu, max_d=BURNSIDE_MAX_D, cache_dir=None):
     cycle type) and the sums (``_character_tuple_count``, one per (d, r,
     mu)) stay memoized for the life of the process."""
     # cache_dir is ignored; it stays accepted while perfbench passes it
-    return _disconnected(chi, mu, max_d, "character-sum",
-                         _character_tuple_count)
+    return _disconnected(chi, mu, "burnside", burnside_max_d=max_d)
 
 
 @cache
@@ -550,18 +567,6 @@ class HurwitzSeries(sparse.Element):
         return acc
 
 
-def _engine_callable(engine, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D,
-                     cache_dir=None):
-    # cache_dir is ignored; it stays accepted while perfbench passes it
-    if engine == "dp":
-        return lambda chi, mu: disconnected_dp(chi, mu, max_d=dp_max_d)
-    if engine == "burnside":
-        return lambda chi, mu: disconnected_burnside(
-            chi, mu, max_d=burnside_max_d
-        )
-    raise DomainError(f"unknown disconnected engine {engine!r}")
-
-
 def connected_via_transform(g, mu, engine="burnside", dp_max_d=DP_MAX_D,
                             burnside_max_d=BURNSIDE_MAX_D, cache_dir=None):
     """Connected cover count extracted from the disconnected engine "dp" or
@@ -569,21 +574,11 @@ def connected_via_transform(g, mu, engine="burnside", dp_max_d=DP_MAX_D,
     lambda^(2g-2+len(mu)) p_mu in the log of the disconnected series, read
     by the rooted sub-multiset recursion of ``_transitive_from_disconnected``
     on the engine's own memoized tuple counts, with no series built.  Every
-    profile it reads is a sub-multiset of mu, so the budget is checked on mu."""
+    profile it reads is a sub-multiset of mu, so ``_tuple_count`` checks the
+    name and the engine's budget once, on mu."""
     # cache_dir is ignored; it stays accepted while perfbench passes it
     r = _connected_r(g, mu)
-    if mu.size == 0:
-        raise DomainError("the empty partition has no connected covers")
-    dp = engine == "dp"
-    if not dp and engine != "burnside":
-        raise DomainError(f"unknown disconnected engine {engine!r}")
-    max_d = dp_max_d if dp else burnside_max_d
-    if mu.size > max_d:
-        budget = "cycle-type recursion" if dp else "character-sum"
-        raise ResourceLimitError(
-            f"{budget} budget is d <= {max_d}, got d = {mu.size}")
-    # looked up on each call, so a count patched on the module applies
-    count = globals()["_class_tuple_count" if dp else "_character_tuple_count"]
+    count = _tuple_count(engine, mu.size, dp_max_d, burnside_max_d)
     return Fraction(_transitive_from_disconnected(count, mu.parts, r), z(mu))
 
 
@@ -612,15 +607,14 @@ def _transitive_from_disconnected(tuple_count, parts, r):
     return total
 
 
-def phi_series(mu, engine="dp", max_r=10, **engine_opts):
+def phi_series(mu, engine="dp", max_r=10):
     """One-variable generating series of the disconnected counts for the
-    profile ``mu`` (engines "dp" and "burnside"): a map from the exponent
-    e = -chi + len(mu) = r - |mu| to the cover count, over all admissible
-    r <= max_r."""
+    profile ``mu`` by the engine named ``engine`` ("dp" or "burnside", at its
+    default budget): a map from the exponent e = -chi + len(mu) = r - |mu| to
+    the cover count, over all admissible r <= max_r."""
     d, h = mu.size, mu.length
-    eng = _engine_callable(engine, **engine_opts)
     terms = {}
     for r in range((d + h) % 2, max_r + 1, 2):
-        if value := eng(d + h - r, mu):
+        if value := _disconnected(d + h - r, mu, engine):
             terms[r - d] = value
     return terms

@@ -341,6 +341,30 @@ def test_closed_stdout_exits_one_without_a_traceback(argv, cache):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["hodge", "--genus", "1", "--marks", "1", "--table-file", "{dir}"],
+    ["elsv", "--genus", "1", "--partition", "2", "--table-file", "{dir}"],
+    ["export", "--what", "hodge", "--table-file", "{dir}"],
+    ["hodge", "--genus", "1", "--marks", "1", "--table-file", "{file}/t.txt"],
+    ["export", "--what", "chartable", "--d", "3", "--output", "{file}/x"],
+], ids=["hodge-dir", "elsv-dir", "export-hodge-dir", "hodge-under-file",
+        "export-under-file"])
+def test_unusable_paths_exit_one_without_a_traceback(argv, tmp_path):
+    # a table file that is a directory, or a path through a regular file
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src,
+               HURWITZLAB_CACHE_DIR=str(tmp_path / "cache"))
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("not a directory\n")
+    paths = {"dir": tmp_path / "dir", "file": tmp_path / "file"}
+    argv = [arg.format(**paths) for arg in argv]
+    proc = subprocess.run([sys.executable, "-m", "hurwitzlab.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_hodge_command_writes_table(capsys, cache):
     code, out, _ = run_cli(
         capsys, "hodge", "--genus", "1", "--marks", "1", "--cache-dir", cache,
@@ -365,8 +389,10 @@ def test_failed_table_write_keeps_previous_file(capsys, cache, monkeypatch):
         raise OSError("simulated crash before the rename")
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError):
-        main(["hodge", "--genus", "1", "--marks", "1", "--cache-dir", cache])
+    code, _, err = run_cli(capsys, "hodge", "--genus", "1", "--marks", "1",
+                           "--cache-dir", cache)
+    assert code == 1
+    assert err == "error: simulated crash before the rename\n"
     with open(table_path) as fh:
         assert fh.read() == before
     assert sorted(os.listdir(cache)) == listing
@@ -681,9 +707,10 @@ def test_failed_export_write_keeps_previous_file(capsys, tmp_path, monkeypatch):
         raise OSError("simulated crash before the rename")
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError):
-        main(["export", "--what", "chartable", "--d", "5",
-              "--output", str(target)])
+    code, _, err = run_cli(capsys, "export", "--what", "chartable", "--d", "5",
+                           "--output", str(target))
+    assert code == 1
+    assert err == "error: simulated crash before the rename\n"
     assert target.read_text() == "previous contents\n"
     assert os.listdir(target.parent) == ["table.txt"]
     monkeypatch.undo()

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hurwitzlab.errors import ConsistencyError, DomainError, ResourceLimitError
+from hurwitzlab.hodge import elsv_inversion
 from hurwitzlab.hurwitz import (
     BURNSIDE_MAX_D,
     DFS_NODE_BUDGET,
     DP_MAX_D,
     HurwitzSeries,
+    _disconnected,
     _transitive_count,
     canonical_representative,
     connected_dfs,
@@ -252,9 +254,9 @@ def test_dfs_independent_of_class_representative(data):
     sigma = conjugate_perm(canonical_representative(mu), perm)
     assert cycle_type(sigma) == mu
     r = 2 * g - 2 + size + mu.length
-    count = _transitive_count(size, r, sigma, DFS_NODE_BUDGET, "rl")
+    count = _transitive_count(size, r, sigma, DFS_NODE_BUDGET)
     assert count == _transitive_count(
-        size, r, canonical_representative(mu), DFS_NODE_BUDGET, "rl")
+        size, r, canonical_representative(mu), DFS_NODE_BUDGET)
     assert F(count, z(mu)) == connected_dfs(g, mu)
 
 
@@ -266,12 +268,14 @@ def test_composition_convention_invariance(size):
             r = 2 * g - 2 + d + h
             if r < 0 or r > 6:
                 continue
+            # reversing a tuple of transpositions inverts its product, so
+            # the left-to-right count of sigma is the right-to-left count of
+            # sigma^-1
             sigma = canonical_representative(mu)
-            counts = {composition: _transitive_count(
-                d, r, sigma, DFS_NODE_BUDGET, composition)
-                for composition in ("rl", "lr")}
-            assert counts["rl"] == counts["lr"], (g, mu)
-            assert F(counts["rl"], z(mu)) == connected_dfs(g, mu), (g, mu)
+            count = _transitive_count(d, r, sigma, DFS_NODE_BUDGET)
+            assert count == _transitive_count(
+                d, r, invert_perm(sigma), DFS_NODE_BUDGET), (g, mu)
+            assert F(count, z(mu)) == connected_dfs(g, mu), (g, mu)
 
 
 def convolution_counts(d, r_max, composition):
@@ -371,7 +375,8 @@ def test_disconnected_budget_and_domain_errors():
 def test_empty_profile_edges():
     # the empty cover is disconnected data (one cover at chi = 0), never
     # a connected one
-    assert connected_dfs(1, Partition()) == 0
+    with pytest.raises(DomainError, match="no connected covers"):
+        connected_dfs(1, Partition())
     assert disconnected_dp(0, Partition()) == 1
     assert disconnected_burnside(0, Partition()) == 1
     assert disconnected_dp(-2, Partition()) == 0
@@ -704,7 +709,8 @@ def test_transform_matches_hurwitz_genus_zero_formula(d):
 
 
 def test_transform_rejects_empty_partition():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError,
+                       match="the empty partition has no connected covers"):
         connected_via_transform(1, Partition())
 
 
@@ -742,3 +748,53 @@ def test_connected_engines_reject_negative_genus(engine):
     # at g = -1 the profile (1,1,1) still has r = 1 >= 0
     with pytest.raises(DomainError, match="nonnegative"):
         engine(-1, Partition([1, 1, 1]))
+
+
+_DP_TEXT = "cycle-type recursion budget is d <= {}, got d = {}"
+_BURNSIDE_TEXT = "character-sum budget is d <= {}, got d = {}"
+_UNKNOWN_TEXT = "unknown disconnected engine 'nope'"
+_EMPTY_TEXT = "the empty partition has no connected covers"
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: connected_dp(0, Partition([5]), max_d=4),
+     ResourceLimitError, _DP_TEXT.format(4, 5)),
+    (lambda: disconnected_dp(0, Partition([5]), max_d=4),
+     ResourceLimitError, _DP_TEXT.format(4, 5)),
+    (lambda: disconnected_burnside(0, Partition([5]), max_d=4),
+     ResourceLimitError, _BURNSIDE_TEXT.format(4, 5)),
+    (lambda: connected_via_transform(0, Partition([5]), "dp", dp_max_d=4),
+     ResourceLimitError, _DP_TEXT.format(4, 5)),
+    (lambda: connected_via_transform(0, Partition([5]), "burnside",
+                                     burnside_max_d=4),
+     ResourceLimitError, _BURNSIDE_TEXT.format(4, 5)),
+    (lambda: phi_series(Partition([DP_MAX_D + 1]), "dp"),
+     ResourceLimitError, _DP_TEXT.format(DP_MAX_D, DP_MAX_D + 1)),
+    (lambda: phi_series(Partition([BURNSIDE_MAX_D + 1]), "burnside"),
+     ResourceLimitError, _BURNSIDE_TEXT.format(BURNSIDE_MAX_D,
+                                               BURNSIDE_MAX_D + 1)),
+    # the (1, 5) grid reaches |mu| = 7, checked as that point is chosen
+    (lambda: elsv_inversion(1, 5, dp_max_d=6),
+     ResourceLimitError, _DP_TEXT.format(6, 7)),
+    (lambda: connected_via_transform(1, Partition([3, 1, 1]), "nope"),
+     DomainError, _UNKNOWN_TEXT),
+    (lambda: phi_series(Partition([2]), "nope"), DomainError, _UNKNOWN_TEXT),
+    # the route of the CLI's --euler queries
+    (lambda: _disconnected(0, Partition([2]), "nope"),
+     DomainError, _UNKNOWN_TEXT),
+    # every connected engine rejects the empty profile the same way
+    (lambda: connected_dfs(1, Partition()), DomainError, _EMPTY_TEXT),
+    (lambda: connected_dp(1, Partition()), DomainError, _EMPTY_TEXT),
+    (lambda: connected_via_transform(1, Partition(), "dp"),
+     DomainError, _EMPTY_TEXT),
+    (lambda: connected_via_transform(1, Partition(), "burnside"),
+     DomainError, _EMPTY_TEXT),
+], ids=["connected-dp", "disconnected-dp", "disconnected-burnside",
+        "transform-dp", "transform-burnside", "phi-dp", "phi-burnside",
+        "inversion-grid", "transform-name", "phi-name", "euler-name",
+        "empty-dfs", "empty-dp", "empty-transform-dp",
+        "empty-transform-burnside"])
+def test_one_text_per_budget_and_engine_name(call, error, text):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == text
