@@ -14,7 +14,6 @@ import os
 import sys
 import tempfile
 import time
-from functools import partial
 
 from .errors import ConsistencyError, DomainError, HurwitzlabError, ResourceLimitError
 from .hodge import (
@@ -346,25 +345,11 @@ def _load_table(path):
         return HodgeTable()
 
 
-def _invert_block(table, g, h, args):
-    """``invert_into`` with the budgets: the character-sum engine runs to
-    ``--budget-burnside-max-d``, the grid-point check to
-    ``--budget-dp-max-d``."""
-    engine = partial(connected_via_transform,
-                     burnside_max_d=args.budget_burnside_max_d)
-    return invert_into(table, g, h, hurwitz_engine=engine,
-                       dp_max_d=args.budget_dp_max_d)
-
-
 def _cmd_hodge(args):
-    if 2 * args.genus - 2 + args.marks <= 0:
-        raise DomainError(
-            f"unstable (g, h) = ({args.genus}, {args.marks}): no moduli to "
-            "integrate over"
-        )
     path = _table_path(args)
     table = _load_table(path)
-    result = _invert_block(table, args.genus, args.marks, args)
+    result = invert_into(table, args.genus, args.marks, args.budget_dp_max_d,
+                         args.budget_burnside_max_d)
     write_atomic(path, hodge_export(table))
 
     entries = sorted(result.brackets.items(), key=lambda kv: kv[0].sort_key())
@@ -395,8 +380,6 @@ def _cmd_hodge(args):
 def _cmd_elsv(args):
     mu = _parse_partition(args.partition)
     g, h = args.genus, mu.length
-    if 2 * g - 2 + h <= 0:
-        raise DomainError(f"unstable (g, h) = ({g}, {h})")
     path = _table_path(args)
     table = _load_table(path)
     # every m_J is positive at the all-ones profile, so a changed bracket
@@ -404,7 +387,8 @@ def _cmd_elsv(args):
     ones = next(sample_candidates(g, h))
     if not (table.has_all_for(g, h) and elsv_evaluate(g, ones, table)
             == connected_dp(g, ones, max_d=args.budget_dp_max_d)):
-        _invert_block(table, g, h, args)
+        invert_into(table, g, h, args.budget_dp_max_d,
+                    args.budget_burnside_max_d)
         write_atomic(path, hodge_export(table))
     started = time.perf_counter()
     value = elsv_evaluate(g, mu, table)
@@ -489,6 +473,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    # an exact count may run past the 4300 digits that int -> str allows
+    getattr(sys, "set_int_max_str_digits", lambda n: None)(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

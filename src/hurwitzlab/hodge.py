@@ -9,13 +9,13 @@ the connected cover count factors as
 where P is a symmetric polynomial in the parts whose homogeneous piece of
 degree 3g - 3 + h - i carries, with sign (-1)^i, exactly the brackets
 <psi_1^{j_1} ... psi_h^{j_h} lambda_i>.  ``elsv_evaluate`` runs this forward
-from a bracket table; ``elsv_inversion`` samples an engine on a grid of part
-tuples and solves the exact linear system in the monomial-symmetric basis to
-recover the brackets, and ``invert_into`` puts them in a table.  The grid
-rows are integers; they are picked by elimination modulo a 61-bit prime, and
-the square system is solved on that factorization by p-adic lifting, whose
-solution is checked against A x = b exactly before it is used; no floating
-point anywhere.
+from a bracket table; ``elsv_inversion`` samples the character sums on a
+grid of part tuples and solves the exact linear system in the
+monomial-symmetric basis to recover the brackets, and ``invert_into`` puts
+them in a table.  The grid rows are integers; they are picked by
+elimination modulo a 61-bit prime, and the square system is solved on that
+factorization by p-adic lifting, whose solution is checked against A x = b
+exactly before it is used; no floating point anywhere.
 """
 
 from collections import namedtuple
@@ -24,7 +24,8 @@ from itertools import combinations_with_replacement, islice
 from math import comb, factorial, gcd, isqrt, lcm, prod
 
 from .errors import ConsistencyError, DomainError, MissingBracketError
-from .hurwitz import DP_MAX_D, _tuple_count, connected_dp, connected_via_transform
+from .hurwitz import (BURNSIDE_MAX_D, DP_MAX_D, _tuple_count, connected_dp,
+                      connected_via_transform)
 from .partitions import Partition, aut_size, partitions_of
 
 _TABLE_HEADER = "hurwitzlab-hodge-table v1"
@@ -420,8 +421,8 @@ InversionResult = namedtuple("InversionResult", [
 _MAX_RADIUS_GROWTH = 20
 
 
-def elsv_inversion(g, h, hurwitz_engine=None, dp_max_d=DP_MAX_D):
-    """Recover all (g, h) brackets by exact interpolation against an engine.
+def elsv_inversion(g, h, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D):
+    """Recover all (g, h) brackets by exact interpolation of cover counts.
 
     Samples the normalized count on a grid of profiles, solves for the
     monomial-symmetric coefficients in the degree band
@@ -429,17 +430,15 @@ def elsv_inversion(g, h, hurwitz_engine=None, dp_max_d=DP_MAX_D):
     picked mod p and solved by ``_Elimination``; a candidate dependent mod
     p is skipped, so the grid is a nonsingular one and the brackets, the
     unique solution, do not depend on which.  The certificate (A x = b,
-    checked exactly) raises ConsistencyError naming (g, h).  The engine
-    ``hurwitz_engine(g, mu)`` defaults to ``connected_via_transform`` over
-    the character sums.  Every grid point is re-derived by the cut-and-join
+    checked exactly) raises ConsistencyError naming (g, h).  The samples
+    are ``connected_via_transform(g, mu, "burnside")`` up to
+    ``burnside_max_d``.  Every grid point is re-derived by the cut-and-join
     count of transitive factorizations on cycle types
     (``connected_dp(g, mu, max_d=dp_max_d)``), which uses no characters and
     no transform; a disagreement raises ConsistencyError.  A grid point
-    over ``dp_max_d`` raises that check's ResourceLimitError as soon as it
-    is chosen.
+    over either budget raises its ResourceLimitError as soon as it is
+    chosen, the dp budget first.
     """
-    # looked up per call, so a wrapper installed on the module name applies
-    engine = connected_via_transform if hurwitz_engine is None else hurwitz_engine
     unknowns = required_brackets(g, h)
     radius = max(3 * g - 1 + h, 1) + _MAX_RADIUS_GROWTH
     pool = islice(sample_candidates(g, h), comb(radius + h - 1, h))
@@ -448,7 +447,8 @@ def elsv_inversion(g, h, hurwitz_engine=None, dp_max_d=DP_MAX_D):
     grid = []
     for mu in pool:
         if elimination.add(_monomial_row(exponents, mu.parts)):
-            _tuple_count("dp", mu.size, dp_max_d)  # before any engine runs
+            for engine in ("dp", "burnside"):  # before any engine runs
+                _tuple_count(engine, mu.size, dp_max_d, burnside_max_d)
             grid.append(mu)
             if len(grid) == len(unknowns):
                 break
@@ -457,7 +457,10 @@ def elsv_inversion(g, h, hurwitz_engine=None, dp_max_d=DP_MAX_D):
             f"singular interpolation system for (g, h) = ({g}, {h}): "
             f"rank {len(grid)} of {len(unknowns)} after grid {grid}"
         )
-    samples = {mu: engine(g, mu) for mu in grid}
+    # looked up per call, so a wrapper installed on the module name applies
+    samples = {mu: connected_via_transform(g, mu, "burnside",
+                                           burnside_max_d=burnside_max_d)
+               for mu in grid}
     solution = elimination.solve(
         [normalized_count(g, mu, samples[mu]) for mu in grid]
     )
@@ -475,11 +478,10 @@ def elsv_inversion(g, h, hurwitz_engine=None, dp_max_d=DP_MAX_D):
                            samples=samples)
 
 
-def invert_into(table, g, h, hurwitz_engine=None, dp_max_d=DP_MAX_D):
+def invert_into(table, g, h, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D):
     """Replace the (g, h) block of ``table`` by a fresh ``elsv_inversion``
     and return its ``InversionResult``; other blocks and the seed stay."""
-    result = elsv_inversion(g, h, hurwitz_engine=hurwitz_engine,
-                            dp_max_d=dp_max_d)
+    result = elsv_inversion(g, h, dp_max_d, burnside_max_d)
     table.drop(g, h)
     for bracket, value in result.brackets.items():
         table.add(bracket, value)

@@ -316,12 +316,6 @@ def _splits(parts):
     return tuple((_canonical(a), _canonical(b), w) for a, b, w in out)
 
 
-@cache
-def _divisors(parts):
-    """The part tuples nu of the monomials p_nu that divide p_mu, mu = parts."""
-    return frozenset(a for a, _, _ in _splits(parts))
-
-
 def _min_r(parts):
     """The genus-0 length r = |mu| + len(mu) - 2 of a transitive tuple."""
     return sum(parts) + len(parts) - 2
@@ -436,12 +430,6 @@ class HurwitzSeries(sparse.Element):
     bound on e alone is not an ideal, because e can be negative: a dropped
     term times a later factor with e < 0 should have come back.)
 
-    ``divides``, when set to the parts of a partition mu, also drops every
-    p_nu that does not divide p_mu (parts not a sub-multiset of mu's), which
-    implies |nu| <= |mu|.  A multiple of a non-divisor is a non-divisor, so
-    these monomials form a second ideal and log and exp stay exact on the
-    quotient by both.  No dropped term can reach the coefficient of p_mu.
-
     The coefficient of a product picks up binom(r1 + r2, r1) with
     r = e + |mu| per factor: covers over a disjoint profile interleave their
     labelled simple branch points, so the grading is exponential in r.  (A
@@ -453,22 +441,22 @@ class HurwitzSeries(sparse.Element):
     and ``items`` convert at the boundary.  The map c -> c / r! is a ring
     isomorphism that keeps all the truncation gradings, so log and exp need
     no conversion.
+
+    No command builds one: the tests check ``connected_via_transform``, which
+    reads one coefficient of the log by an integer recursion, against ``log``.
     """
 
-    __slots__ = ("max_size", "max_exp", "divides")
-    _frame = ("max_size", "max_exp", "divides")
+    __slots__ = ("max_size", "max_exp")
+    _frame = ("max_size", "max_exp")
     _scalars = (int, Fraction)
 
-    def __init__(self, max_size, max_exp, terms=None, divides=None):
-        self.max_size, self.max_exp, self.divides = max_size, max_exp, divides
+    def __init__(self, max_size, max_exp, terms=None):
+        self.max_size, self.max_exp = max_size, max_exp
         self.terms = {} if terms is None else terms
 
     @classmethod
-    def one(cls, max_size, max_exp, divides=None):
-        return cls(max_size, max_exp, {((), 0): Fraction(1)}, divides)
-
-    def _keeps(self, parts):
-        return self.divides is None or parts in _divisors(self.divides)
+    def one(cls, max_size, max_exp):
+        return cls(max_size, max_exp, {((), 0): Fraction(1)})
 
     def coefficient(self, mu, e):
         parts = mu.parts if isinstance(mu, Partition) else tuple(mu)
@@ -492,15 +480,13 @@ class HurwitzSeries(sparse.Element):
 
     def _product(self, a, b):
         max_size, max_r = self.max_size, self.max_exp + self.max_size
-        keeps = self._keeps
 
         def key_mul(k1, k2):
             (p1, e1), (p2, e2) = k1, k2
             size = sum(p1) + sum(p2)
             if size > max_size or size + e1 + e2 > max_r:
                 return None
-            parts = tuple(sorted(p1 + p2, reverse=True))
-            return (parts, e1 + e2) if keeps(parts) else None
+            return tuple(sorted(p1 + p2, reverse=True)), e1 + e2
 
         return sparse.mul(a, b, key_mul)
 
@@ -522,8 +508,7 @@ class HurwitzSeries(sparse.Element):
             size = sum(parts)
             if e + size < 0:
                 raise DomainError(f"exponent {e} below -|mu| = {-size}")
-            if ((parts or e) and size <= self.max_size and size + e <= max_r
-                    and self._keeps(parts)):
+            if (parts or e) and size <= self.max_size and size + e <= max_r:
                 pieces.setdefault(e + 2 * size, {})[(parts, e)] = c
         return {w: self._like(piece) for w, piece in pieces.items()}
 
@@ -556,7 +541,7 @@ class HurwitzSeries(sparse.Element):
         if self.coefficient((), 0) != 0:
             raise DomainError("invalid series: constant term must be 0 for exp")
         dt = {w: w * piece for w, piece in self._weight_pieces().items()}
-        acc = HurwitzSeries.one(self.max_size, self.max_exp, self.divides)
+        acc = HurwitzSeries.one(self.max_size, self.max_exp)
         done = {0: acc}
         for n in range(1, self.max_exp + 2 * self.max_size + 1):
             piece = sum((d * done[n - j] for j, d in dt.items() if n - j in done),

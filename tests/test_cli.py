@@ -7,7 +7,6 @@ import sys
 
 import pytest
 
-from hurwitzlab import cli
 from hurwitzlab.cli import main
 from hurwitzlab.hodge import HodgeBracket
 from hurwitzlab.hurwitz import DP_MAX_D
@@ -141,21 +140,47 @@ def test_hodge_budgets_reach_their_engines(capsys, cache):
         assert code == 2 and f"{budget} budget is d <= 4" in err
 
 
-def test_hodge_grid_budget_fires_before_any_count(capsys, cache, monkeypatch):
-    # the (1, 5) grid reaches |mu| = 7: the grid-point check's budget stops
-    # the run when that point is chosen, before the transform counts any
+def _hodge_1_5_counts(capsys, cache, monkeypatch, *budget):
+    """Run hodge at (1, 5) with ``budget``: the exit code, stderr, and every
+    count the inversion sampled."""
+    from hurwitzlab import hodge, hurwitz
+
     counted = []
-    real = cli.connected_via_transform
 
     def counting(*args, **kwargs):
         counted.append(args)
-        return real(*args, **kwargs)
+        return hurwitz.connected_via_transform(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "connected_via_transform", counting)
+    monkeypatch.setattr(hodge, "connected_via_transform", counting)
     code, _, err = run_cli(capsys, "hodge", "--genus", "1", "--marks", "5",
-                           "--budget-dp-max-d", "6", "--cache-dir", cache)
+                           *budget, "--cache-dir", cache)
+    return code, err, counted
+
+
+def test_hodge_samples_every_grid_point_through_the_hodge_module(
+        capsys, cache, monkeypatch):
+    # the seam the two tests below watch: within budget, it sees all 12
+    code, _, counted = _hodge_1_5_counts(capsys, cache, monkeypatch)
+    assert code == 0 and len(counted) == 12
+
+
+def test_hodge_grid_budget_fires_before_any_count(capsys, cache, monkeypatch):
+    # the (1, 5) grid reaches |mu| = 7: the grid-point check's budget stops
+    # the run when that point is chosen, before the inversion samples any
+    code, err, counted = _hodge_1_5_counts(capsys, cache, monkeypatch,
+                                           "--budget-dp-max-d", "6")
     assert code == 2
     assert "cycle-type recursion budget is d <= 6, got d = 7" in err
+    assert counted == []
+
+
+def test_hodge_burnside_budget_fires_before_any_count(capsys, cache,
+                                                      monkeypatch):
+    # the same grid point stops the run under the character-sum budget too
+    code, err, counted = _hodge_1_5_counts(capsys, cache, monkeypatch,
+                                           "--budget-burnside-max-d", "6")
+    assert code == 2
+    assert "character-sum budget is d <= 6, got d = 7" in err
     assert counted == []
 
 
@@ -403,6 +428,35 @@ def test_hodge_unstable_exits_one(capsys, cache):
         capsys, "hodge", "--genus", "0", "--marks", "2", "--cache-dir", cache,
     )
     assert code == 1 and "unstable" in err
+
+
+def test_elsv_unstable_exits_one_before_any_write(capsys, cache):
+    code, _, err = run_cli(
+        capsys, "elsv", "--genus", "0", "--partition", "2", "--cache-dir", cache,
+    )
+    assert code == 1
+    assert err == "error: unsupported range: unstable (g, h) = (0, 1)\n"
+    assert not os.path.exists(cache)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hurwitz", "--euler", "-6000", "--partition", "3,1", "--engine", "burnside"],
+    ["hurwitz", "--euler", "-6000", "--partition", "3,1", "--engine", "dp"],
+    ["hurwitz", "--genus", "3000", "--partition", "3,1", "--engine", "dfs"],
+    ["elsv", "--genus", "1", "--partition", "3000,1"],
+], ids=["euler-burnside", "euler-dp", "genus-dfs", "elsv"])
+def test_counts_past_4300_digits_print_in_full(argv, capsys, cache):
+    # Python stops int <-> str conversions at 4300 digits by default; the CLI
+    # lifts that limit, so the exact count prints, as it does in-process
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, HURWITZLAB_CACHE_DIR=cache)
+    proc = subprocess.run([sys.executable, "-m", "hurwitzlab.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    code, out, _ = run_cli(capsys, *argv, "--cache-dir", cache)
+    assert code == 0 and proc.stdout == out
+    assert len(out.splitlines()[0]) > 4300
 
 
 def test_elsv_command_bootstraps_table(capsys, cache):

@@ -500,56 +500,68 @@ def test_lambda_g_brackets_where_rows_are_skipped(g, h, skipped, count):
         assert result.brackets[b] == multinom * _FABER_PANDHARIPANDE_B[g], b
 
 
-def test_inversion_independent_of_sampling_orientation():
+def _sample_with(monkeypatch, adjust):
+    """Make the inversion sample adjust(mu, count) in place of each
+    character-sum count, through the module name it looks up per call."""
+    from hurwitzlab import hodge
+
+    def engine(g, mu, *args, **kwargs):
+        return adjust(mu, connected_via_transform(g, mu, *args, **kwargs))
+
+    monkeypatch.setattr(hodge, "connected_via_transform", engine)
+
+
+def test_inversion_independent_of_sampling_orientation(monkeypatch):
     # evaluating the engine on reversed tuples is the same partition, and
     # the monomial-symmetric rows are symmetric, so the result cannot move
+    from hurwitzlab import hodge
+
     res = elsv_inversion(0, 4).brackets
-    engine = lambda g, mu: connected_via_transform(
-        g, Partition(sorted(mu.parts, reverse=True)), "burnside"
-    )
-    res2 = elsv_inversion(0, 4, hurwitz_engine=engine).brackets
+
+    def engine(g, mu, *args, **kwargs):
+        return connected_via_transform(
+            g, Partition(sorted(mu.parts, reverse=True)), *args, **kwargs)
+
+    monkeypatch.setattr(hodge, "connected_via_transform", engine)
+    res2 = elsv_inversion(0, 4).brackets
     assert res == res2
 
 
-def test_spot_check_catches_bad_engine():
-    def corrupt_engine(g, mu):
-        value = connected_via_transform(g, mu, "burnside")
-        return value + 1  # consistently wrong
-
+def test_spot_check_catches_bad_engine(monkeypatch):
+    _sample_with(monkeypatch, lambda mu, value: value + 1)  # consistently wrong
     with pytest.raises(ConsistencyError):
-        elsv_inversion(1, 1, hurwitz_engine=corrupt_engine)
+        elsv_inversion(1, 1)
 
 
-def _off_by_one_at(bad):
-    """The default engine, but one too high at the profile ``bad``."""
-    exact = cache(lambda g, mu: connected_via_transform(g, mu, "burnside"))
-
-    def engine(g, mu):
-        return exact(g, mu) + 1 if mu == bad else exact(g, mu)
-    return engine
+def _off_by_one_at(monkeypatch, bad):
+    """The character sums, but one too high at the profile ``bad``."""
+    _sample_with(monkeypatch, lambda mu, value: value + (mu == bad))
 
 
-def test_spot_check_runs_at_second_smallest_grid_point():
+def test_spot_check_runs_at_second_smallest_grid_point(monkeypatch):
     # (2,1,1,1,1) is the second smallest (0, 5) grid point, with r = 9
+    _off_by_one_at(monkeypatch, Partition([2, 1, 1, 1, 1]))
     with pytest.raises(ConsistencyError):
-        elsv_inversion(0, 5, hurwitz_engine=_off_by_one_at(Partition([2, 1, 1, 1, 1])))
+        elsv_inversion(0, 5)
 
 
 @pytest.mark.parametrize("g,h", [(0, 5), (1, 3)])
-def test_spot_check_runs_at_every_grid_point(g, h):
+def test_spot_check_runs_at_every_grid_point(g, h, monkeypatch):
     # (0, 5) has the grid (1^5), (2,1^4); (1, 3) has five points
     grid = elsv_inversion(g, h).grid
     for bad in grid:
+        _off_by_one_at(monkeypatch, bad)
         with pytest.raises(ConsistencyError):
-            elsv_inversion(g, h, hurwitz_engine=_off_by_one_at(bad))
+            elsv_inversion(g, h)
 
 
-def test_spot_check_runs_at_largest_grid_point():
+def test_spot_check_runs_at_largest_grid_point(monkeypatch):
     # the two smallest points alone would let this engine through
     grid = elsv_inversion(2, 4).grid
     bad = max(grid, key=lambda p: (p.size, p.parts))
+    _off_by_one_at(monkeypatch, bad)
     with pytest.raises(ConsistencyError, match=f"mu={bad}"):
-        elsv_inversion(2, 4, hurwitz_engine=_off_by_one_at(bad))
+        elsv_inversion(2, 4)
 
 
 def test_inversion_makes_no_dfs_call(monkeypatch):

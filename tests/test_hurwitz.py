@@ -434,23 +434,9 @@ def test_series_truncation_drops_terms():
     assert (s * s).coefficient((2, 2), 2) == 0  # size 4 > 3 truncated
 
 
-def test_divisor_truncation_drops_non_divisors():
-    # for mu = (3,2,1,1), p_3^2 has size 6 <= 7 but cannot divide p_mu
-    s = HurwitzSeries(7, 2, divides=(3, 2, 1, 1))
-    s.set_coefficient((3,), 0, 1)  # r = 3
-    s.set_coefficient((1,), 0, 1)  # r = 1
-    square = s * s
-    assert square.coefficient((3, 3), 0) == 0
-    assert square.coefficient((3, 1), 0) == 2 * 4  # binom(4, 1) interleavings
-    assert square.coefficient((1, 1), 0) == 2
-    size_only = HurwitzSeries(7, 2, dict(s.terms))
-    assert (size_only * size_only).coefficient((3, 3), 0) == 20  # binom(6, 3)
-
-
 def test_series_with_different_truncations_do_not_combine():
-    a = HurwitzSeries.one(4, 2, divides=(2, 1, 1))
-    for b in (HurwitzSeries.one(4, 2), HurwitzSeries.one(4, 2, divides=(3, 1)),
-              HurwitzSeries.one(4, 3, divides=(2, 1, 1))):
+    a = HurwitzSeries.one(4, 2)
+    for b in (HurwitzSeries.one(5, 2), HurwitzSeries.one(4, 3)):
         for combine in (lambda x, y: x + y, lambda x, y: x * y,
                         lambda x, y: x == y):
             with pytest.raises(DomainError):
@@ -486,12 +472,12 @@ def test_transform_trivial_covers():
 def disconnected_series(engine, max_size, max_exp, submultisets_of=None):
     """The disconnected generating series of ``engine`` at every partition of
     size <= max_size and every r = e + |mu| <= max_exp + max_size, the
-    truncation rule of ``HurwitzSeries``; with ``submultisets_of`` = mu, also
-    truncated to the divisors of p_mu.  The constant term is 1."""
-    divides = None if submultisets_of is None else submultisets_of.parts
-    series = HurwitzSeries.one(max_size, max_exp, divides)
+    truncation rule of ``HurwitzSeries``; with ``submultisets_of`` = mu, only
+    at the sub-multisets of mu.  The constant term is 1."""
+    series = HurwitzSeries.one(max_size, max_exp)
     for mu in (p for size in range(1, max_size + 1) for p in partitions_of(size)):
-        if divides is None or not Counter(mu.parts) - Counter(divides):
+        if (submultisets_of is None
+                or not Counter(mu.parts) - Counter(submultisets_of.parts)):
             for e, value in phi_series(mu, engine, max_exp + max_size).items():
                 series.set_coefficient(mu, e, value)
     return series
@@ -503,25 +489,14 @@ def test_exp_log_round_trip():
     assert again == s
 
 
-#: Divisor truncations of size 4 for the random series below.
-DIVIDES = [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-
-
 @st.composite
-def unit_series(draw, divides=None):
-    """Random series with constant term 1 and only admissible exponents; with
-    ``divides``, only monomials dividing p_divides and that truncation."""
-    s = HurwitzSeries.one(4, 4, divides)
+def unit_series(draw):
+    """Random series with constant term 1 and only admissible exponents."""
+    s = HurwitzSeries.one(4, 4)
     n_terms = draw(st.integers(min_value=1, max_value=6))
     for _ in range(n_terms):
         size = draw(st.integers(min_value=1, max_value=4))
         mu = draw(st.sampled_from(partitions_of(size)))
-        if divides is not None:  # keep the part of mu that divides p_divides
-            mu = Partition(sorted((Counter(mu.parts) & Counter(divides))
-                                  .elements(), reverse=True))
-            if not mu.parts:
-                continue
-            size = mu.size
         e = draw(st.integers(min_value=-size, max_value=4))
         num = draw(st.integers(min_value=-6, max_value=6))
         den = draw(st.integers(min_value=1, max_value=4))
@@ -550,8 +525,8 @@ def _power_sum(t, coefficient_of_power):
     """sum_k c_k t^k from * and + alone: the power-series definition that the
     weight-by-weight log and exp must reproduce.  Every term of t has weight
     e + 2|mu| >= 1, so the powers vanish past the top weight."""
-    acc = HurwitzSeries(t.max_size, t.max_exp, divides=t.divides)
-    power = HurwitzSeries.one(t.max_size, t.max_exp, t.divides)
+    acc = HurwitzSeries(t.max_size, t.max_exp)
+    power = HurwitzSeries.one(t.max_size, t.max_exp)
     for k in range(1, t.max_exp + 2 * t.max_size + 2):
         power = power * t
         acc = acc + coefficient_of_power(k) * power
@@ -567,14 +542,6 @@ def test_log_and_exp_match_their_power_series(s):
     assert s.log() == _power_sum(t, lambda k: F((-1) ** (k + 1), k))
     assert t.exp() == HurwitzSeries.one(s.max_size, s.max_exp) + _power_sum(
         t, lambda k: F(1, factorial(k)))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(DIVIDES).flatmap(unit_series))
-def test_log_exp_round_trip_divisor_truncated(s):
-    assert s.log().exp() == s
-    t = s - HurwitzSeries.one(s.max_size, s.max_exp, s.divides)
-    assert s.log() == _power_sum(t, lambda k: F((-1) ** (k + 1), k))
 
 
 @pytest.mark.parametrize("key", [((), -1), ((1,), -2), ((3,), -4)])
@@ -611,17 +578,16 @@ def test_transform_cross_engine_small():
 
 @pytest.mark.parametrize("size", range(1, 7))
 def test_divisor_truncated_transform_matches_size_only_and_dfs(size):
-    # the log read at p_mu is the same with or without the divisor truncation,
-    # and equals the character-free transitive count
+    # the log read at p_mu needs the series at the sub-multisets of mu only,
+    # since no product of non-divisors of p_mu reaches it, and equals the
+    # character-free transitive count
     for mu in partitions_of(size):
         for g in range(0, 3):
             e = 2 * g - 2 + mu.length
             series = disconnected_series("burnside", max_size=size, max_exp=e,
                                          submultisets_of=mu)
-            assert series.divides == mu.parts
-            size_only = HurwitzSeries(size, e, dict(series.terms))
             value = connected_via_transform(g, mu, "burnside")
-            assert value == size_only.log().coefficient(mu, e), (g, mu)
+            assert value == series.log().coefficient(mu, e), (g, mu)
             assert value == connected_dfs(g, mu), (g, mu)
 
 
@@ -776,6 +742,8 @@ _EMPTY_TEXT = "the empty partition has no connected covers"
     # the (1, 5) grid reaches |mu| = 7, checked as that point is chosen
     (lambda: elsv_inversion(1, 5, dp_max_d=6),
      ResourceLimitError, _DP_TEXT.format(6, 7)),
+    (lambda: elsv_inversion(1, 5, burnside_max_d=6),
+     ResourceLimitError, _BURNSIDE_TEXT.format(6, 7)),
     (lambda: connected_via_transform(1, Partition([3, 1, 1]), "nope"),
      DomainError, _UNKNOWN_TEXT),
     (lambda: phi_series(Partition([2]), "nope"), DomainError, _UNKNOWN_TEXT),
@@ -791,7 +759,7 @@ _EMPTY_TEXT = "the empty partition has no connected covers"
      DomainError, _EMPTY_TEXT),
 ], ids=["connected-dp", "disconnected-dp", "disconnected-burnside",
         "transform-dp", "transform-burnside", "phi-dp", "phi-burnside",
-        "inversion-grid", "transform-name", "phi-name", "euler-name",
+        "inversion-grid", "inversion-grid-burnside", "transform-name", "phi-name", "euler-name",
         "empty-dfs", "empty-dp", "empty-transform-dp",
         "empty-transform-burnside"])
 def test_one_text_per_budget_and_engine_name(call, error, text):
