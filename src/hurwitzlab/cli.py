@@ -22,16 +22,16 @@ from .hodge import (
     hodge_export,
     hodge_import,
     invert_into,
-    sample_candidates,
 )
 from .hurwitz import (
     BURNSIDE_MAX_D,
     DFS_NODE_BUDGET,
     DP_MAX_D,
-    _disconnected,
     connected_dfs,
     connected_dp,
     connected_via_transform,
+    disconnected_burnside,
+    disconnected_dp,
 )
 from .partitions import Partition
 from .symgroup import build_table
@@ -210,17 +210,15 @@ def _emit(record, args, text_lines=_count_lines):
 
 def _run_query(engine, genus, euler, mu, args):
     d, h = mu.size, mu.length
-    engine_opts = {
-        "dp_max_d": args.budget_dp_max_d,
-        "burnside_max_d": args.budget_burnside_max_d,
-    }
     started = time.perf_counter()
     if genus is not None:
         r = 2 * genus - 2 + d + h
         if engine == "dfs":
             value = connected_dfs(genus, mu, node_budget=args.budget_dfs_nodes)
         else:
-            value = connected_via_transform(genus, mu, engine, **engine_opts)
+            value = connected_via_transform(
+                genus, mu, engine, dp_max_d=args.budget_dp_max_d,
+                burnside_max_d=args.budget_burnside_max_d)
     else:
         r = -euler + d + h
         if engine == "dfs":
@@ -228,7 +226,11 @@ def _run_query(engine, genus, euler, mu, args):
                 "the dfs engine counts connected covers; "
                 "use --genus with it, or pick dp/burnside for --euler"
             )
-        value = _disconnected(euler, mu, engine, **engine_opts)
+        if engine == "dp":
+            value = disconnected_dp(euler, mu, max_d=args.budget_dp_max_d)
+        else:
+            value = disconnected_burnside(
+                euler, mu, max_d=args.budget_burnside_max_d)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     record = {
         "result": str(value),
@@ -384,7 +386,7 @@ def _cmd_elsv(args):
     table = _load_table(path)
     # every m_J is positive at the all-ones profile, so a changed bracket
     # changes this value: a stored block must match the character-free count
-    ones = next(sample_candidates(g, h))
+    ones = Partition((1,) * h)
     if not (table.has_all_for(g, h) and elsv_evaluate(g, ones, table)
             == connected_dp(g, ones, max_d=args.budget_dp_max_d)):
         invert_into(table, g, h, args.budget_dp_max_d,

@@ -487,12 +487,12 @@ def fixed_locus_data(g, mu):
         mu=mu,
         b1_fixed=WeightMultiset({0: h}),
         b2_fixed=WeightMultiset({0: h}),
-        b4_moving=tuple((Fraction(1, p), i) for i, p in enumerate(mu.parts)),
+        b4_moving=tuple((Fraction(1, p), i) for i, p in enumerate(mu)),
         hodge_twist=Fraction(1),
         trivial_moving=WeightMultiset({1: h - 1}),
         cover_weights=WeightMultiset.from_weights(
-            Fraction(a, p) for p in mu.parts for a in range(1, p + 1)),
-        automorphism_order=prod(mu.parts),
+            Fraction(a, p) for p in mu for a in range(1, p + 1)),
+        automorphism_order=prod(mu),
     )
 
 
@@ -529,10 +529,10 @@ def inverse_euler_normal(data):
         for (psi, lam, e), c in compositional.terms.items()})
 
     cap = compositional.cap
-    num = prod(p ** (p + 1) for p in mu.parts)
-    den = prod(map(factorial, mu.parts))
+    num = prod(p ** (p + 1) for p in mu)
+    den = prod(map(factorial, mu))
     vectors = [((), 1, 0)]  # (J, prod mu_i^j_i, |J|) with |J| <= cap
-    for p in mu.parts:
+    for p in mu:
         vectors = [(J + (j,), w * p**j, s + j)
                    for J, w, s in vectors for j in range(cap - s + 1)]
     closed = {}
@@ -599,8 +599,8 @@ def elsv_via_localization(g, mu, table, u_value=None):
     """
     terms = _top_degree_terms(g, mu)
     r = 2 * g - 2 + mu.size + mu.length
-    # prod(mu.parts) is FixedLocusData.automorphism_order
-    prefactor = Fraction(factorial(r), aut_size(mu) * prod(mu.parts))
+    # prod(mu) is FixedLocusData.automorphism_order
+    prefactor = Fraction(factorial(r), aut_size(mu) * prod(mu))
 
     total = Fraction(0)
     if u_value is None:

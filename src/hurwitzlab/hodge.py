@@ -171,7 +171,7 @@ def required_brackets(g, h):
 def _exponent_multisets(total, h):
     """Weakly decreasing h-tuples of nonnegative integers with the given sum."""
     return [
-        tuple(p.parts) + (0,) * (h - p.length)
+        p + (0,) * (h - p.length)
         for p in partitions_of(total)
         if p.length <= h
     ]
@@ -207,7 +207,7 @@ def _prefactor(g, mu):
     d, h = mu.size, mu.length
     r = 2 * g - 2 + d + h
     out = Fraction(factorial(r), aut_size(mu))
-    for p in mu.parts:
+    for p in mu:
         out *= Fraction(p**p, factorial(p))
     return out
 
@@ -218,7 +218,7 @@ def elsv_evaluate(g, mu, table):
     bracket, and rejects unstable (g, len(mu))."""
     total = Fraction(0)
     for b in required_brackets(g, mu.length):
-        total += (-1) ** b.lam * table.value(b) * monomial_symmetric(b.psi, mu.parts)
+        total += (-1) ** b.lam * table.value(b) * monomial_symmetric(b.psi, mu)
     return _prefactor(g, mu) * total
 
 
@@ -446,7 +446,7 @@ def elsv_inversion(g, h, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D):
     exponents = [b.psi for b in unknowns]
     grid = []
     for mu in pool:
-        if elimination.add(_monomial_row(exponents, mu.parts)):
+        if elimination.add(_monomial_row(exponents, mu)):
             for engine in ("dp", "burnside"):  # before any engine runs
                 _tuple_count(engine, mu.size, dp_max_d, burnside_max_d)
             grid.append(mu)

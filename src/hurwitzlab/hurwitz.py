@@ -91,7 +91,7 @@ def canonical_representative(mu):
     d = mu.size
     out = list(range(d))
     start = 0
-    for part in mu.parts:
+    for part in mu:
         for k in range(part):
             out[start + k] = start + (k + 1) % part
         start += part
@@ -231,7 +231,7 @@ def _disconnected(chi, mu, engine, dp_max_d=DP_MAX_D,
     + len(mu) must be nonnegative; odd chi gives 0 (the sign of a product of
     r transpositions must match the sign of the class); then the name and
     the engine's budget are checked (``_tuple_count``); the empty profile has
-    one cover, at r = 0.  Otherwise the count is N(d, r, mu.parts) / z(mu)."""
+    one cover, at r = 0.  Otherwise the count is N(d, r, mu) / z(mu)."""
     d, h = mu.size, mu.length
     r = -chi + d + h
     if r < 0:
@@ -241,7 +241,7 @@ def _disconnected(chi, mu, engine, dp_max_d=DP_MAX_D,
     count = _tuple_count(engine, d, dp_max_d, burnside_max_d)
     if d == 0:
         return Fraction(1 if r == 0 else 0)
-    return Fraction(count(d, r, mu.parts), z(mu))
+    return Fraction(count(d, r, mu), z(mu))
 
 
 @cache
@@ -274,7 +274,7 @@ def _neighbours(parts):
 def _class_vectors(d):
     """[N_0, N_1, ...] at degree d, each {parts: tuple count}; starts at N_0
     and is extended in place by ``_class_tuple_count``."""
-    first = dict.fromkeys((p.parts for p in partitions_of(d)), 0)
+    first = dict.fromkeys(partitions_of(d), 0)
     first[(1,) * d] = 1
     return [first]
 
@@ -372,7 +372,7 @@ def connected_dp(g, mu, max_d=DP_MAX_D):
     r = _connected_r(g, mu)
     _tuple_count("dp", mu.size, dp_max_d=max_d)
     for lower in range(g, -1, -1):  # genus by genus keeps the recursion shallow
-        count = _transitive_class_count(_canonical(mu.parts), r - 2 * lower)
+        count = _transitive_class_count(_canonical(mu), r - 2 * lower)
     return Fraction(count, z(mu))
 
 
@@ -459,11 +459,10 @@ class HurwitzSeries(sparse.Element):
         return cls(max_size, max_exp, {((), 0): Fraction(1)})
 
     def coefficient(self, mu, e):
-        parts = mu.parts if isinstance(mu, Partition) else tuple(mu)
-        return self.terms.get((parts, e), Fraction(0)) * factorial(e + sum(parts))
+        return self.terms.get((tuple(mu), e), Fraction(0)) * factorial(e + sum(mu))
 
     def set_coefficient(self, mu, e, value):
-        parts = mu.parts if isinstance(mu, Partition) else tuple(mu)
+        parts = tuple(mu)
         if e + sum(parts) < 0:
             raise DomainError(
                 f"exponent {e} below -|mu| = {-sum(parts)}: no cover has "
@@ -564,7 +563,7 @@ def connected_via_transform(g, mu, engine="burnside", dp_max_d=DP_MAX_D,
     # cache_dir is ignored; it stays accepted while perfbench passes it
     r = _connected_r(g, mu)
     count = _tuple_count(engine, mu.size, dp_max_d, burnside_max_d)
-    return Fraction(_transitive_from_disconnected(count, mu.parts, r), z(mu))
+    return Fraction(_transitive_from_disconnected(count, mu, r), z(mu))
 
 
 @cache

@@ -2,8 +2,10 @@
 
 A partition both labels a ramification profile over infinity (its parts are
 the sheet multiplicities) and, elsewhere in the package, an irreducible
-representation of the symmetric group.  Everything here is exact integer
-arithmetic.
+representation of the symmetric group.  A ``Partition`` is its part tuple: a
+checked ``tuple`` subclass, so it equals, hashes and orders as the plain tuple
+of its parts, and the engines' memos, keyed on part tuples, take it as it is.
+Everything here is exact integer arithmetic.
 """
 
 from collections import Counter
@@ -13,18 +15,17 @@ from math import factorial, prod
 from .errors import DomainError
 
 
-class Partition:
-    """A weakly decreasing sequence of positive integers.
+class Partition(tuple):
+    """A weakly decreasing tuple of positive integers.
 
     Every part must be an ``int`` (not a bool): a float or a string part is
-    rejected, never truncated.  The empty sequence is the valid empty
-    partition.  Instances are immutable by convention (the part tuple is
-    never mutated), hashable, and ordered by their part tuples.
+    rejected, never truncated.  The empty tuple is the valid empty partition.
+    A partition equals the plain tuple of its parts and hashes like it.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         parts = tuple(parts)
         for p in parts:
             if not isinstance(p, int) or isinstance(p, bool):
@@ -34,7 +35,7 @@ class Partition:
                 raise DomainError(f"parts must be weakly decreasing, got {parts}")
         if parts and parts[-1] < 1:
             raise DomainError(f"parts must be positive, got {parts}")
-        self.parts = parts
+        return super().__new__(cls, parts)
 
     @classmethod
     def from_string(cls, text):
@@ -49,50 +50,27 @@ class Partition:
 
     @property
     def size(self):
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def length(self):
-        return len(self.parts)
+        return len(self)
 
     def transpose(self):
         """The conjugate partition (columns of the diagram read as rows)."""
-        if not self.parts:
+        if not self:
             return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
+        cols = [0] * self[0]
+        for p in self:
             for j in range(p):
                 cols[j] += 1
         return Partition(cols)
 
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __lt__(self, other):
-        return self.parts < other.parts
-
-    def __le__(self, other):
-        return self.parts <= other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
     def __repr__(self):
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
 
     def __str__(self):
-        return ",".join(str(p) for p in self.parts)
+        return ",".join(str(p) for p in self)
 
 
 @lru_cache(maxsize=None)
@@ -124,13 +102,13 @@ def partitions_of(d):
 def aut_size(mu):
     """Order of the symmetry group of the part sequence: product of m_j! over
     the multiplicities m_j of the distinct part values."""
-    return prod(factorial(m) for m in Counter(mu.parts).values())
+    return prod(factorial(m) for m in Counter(mu).values())
 
 
 def z(mu):
     """Centralizer order of a permutation of cycle type ``mu``:
     mu_1 * ... * mu_h * aut_size(mu)."""
-    return prod(mu.parts) * aut_size(mu)
+    return prod(mu) * aut_size(mu)
 
 
 def kappa(nu):
@@ -138,7 +116,7 @@ def kappa(nu):
 
     Twice the sum of the contents of the diagram; in particular always even.
     """
-    return sum(p * (p - 2 * i + 1) for i, p in enumerate(nu.parts, start=1))
+    return sum(p * (p - 2 * i + 1) for i, p in enumerate(nu, start=1))
 
 
 def class_size(mu):

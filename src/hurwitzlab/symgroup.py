@@ -31,13 +31,11 @@ def dim_irrep(nu):
     """Dimension of the irreducible representation labelled by ``nu``: the
     number of standard Young tableaux of that shape, by the hook length
     formula."""
-    if not nu.parts:
-        return 1
-    cols = nu.transpose().parts
+    cols = nu.transpose()
     hooks = prod(
-        nu.parts[i] - j + cols[j] - i - 1
-        for i in range(len(nu.parts))
-        for j in range(nu.parts[i])
+        p - j + cols[j] - i - 1
+        for i, p in enumerate(nu)
+        for j in range(p)
     )
     return factorial(nu.size) // hooks
 
@@ -55,7 +53,7 @@ def _bead_masks(d):
     with bead nu_i + d - i for i = 1..d, the parts padded with zeros."""
     return tuple(
         sum(1 << (p + d - 1 - i)
-            for i, p in enumerate(nu.parts + (0,) * (d - nu.length)))
+            for i, p in enumerate(nu + (0,) * (d - nu.length)))
         for nu in partitions_of(d)
     )
 
@@ -87,8 +85,7 @@ def _tail_expansion(parts):
 def _schur_coefficients(mu):
     """The coefficients of p_mu in the Schur basis, in ``partitions_of``
     order: one strip step for mu_1 on the memoized expansion of the rest."""
-    shapes = (_strip_step(_tail_expansion(mu.parts[1:]), mu.parts[0])
-              if mu.parts else {0: 1})
+    shapes = _strip_step(_tail_expansion(mu[1:]), mu[0]) if mu else {0: 1}
     return tuple(shapes.get(mask, 0) for mask in _bead_masks(mu.size))
 
 

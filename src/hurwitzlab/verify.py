@@ -170,10 +170,10 @@ def disconnected_agreement_checks():
     return out
 
 
-def _egf_coefficient(mu, r):
-    """The lambda^r coefficient at p_mu of the textbook character series:
+def _egf_coefficient(table, mu, r):
+    """The lambda^r coefficient at p_mu of the textbook character series,
+    read from the character ``table`` of degree |mu|:
     sum over nu of chi_nu(mu)/z(mu) * (kappa(nu)/2)^r/r! * dim_nu/d!."""
-    table = build_table(mu.size)
     return sum(
         (
             Fraction(table.chi(nu, mu) * (kappa(nu) // 2) ** r * table.dim(nu),
@@ -190,11 +190,12 @@ def grading_convention_checks():
     exactly lambda^(-d), and matching coefficients needs an r! rescale.  The
     artifact therefore pins the identity at coefficient level."""
     out = []
+    tables = {d: build_table(d) for d in range(1, 4)}
     # definitional side at d = 1: the only cover is the trivial one at r = 0
     defn = phi_series(Partition([1]), "dp", max_r=6)
     # exponent -> coefficient of the printed character series
     char_side = {r: c for r in range(0, 7)
-                 if (c := _egf_coefficient(Partition([1]), r))}
+                 if (c := _egf_coefficient(tables[1], Partition([1]), r))}
     shifted = {e - 1: c for e, c in char_side.items()}  # multiply by lambda^(-d)
     out.append(
         CheckResult(
@@ -206,7 +207,7 @@ def grading_convention_checks():
     # coefficient level: count identity H*(r) == r! * [EGF coefficient], d <= 3
     ok = all(
         disconnected_dp(mu.size + mu.length - r, mu)
-        == factorial(r) * _egf_coefficient(mu, r)
+        == factorial(r) * _egf_coefficient(tables[mu.size], mu, r)
         for size in range(1, 4)
         for mu in partitions_of(size)
         for r in _admissible_r(mu, 8)

@@ -588,7 +588,7 @@ def test_compositional_equals_closed_form_grid(g):
             continue
         for size in range(h, 13):
             for mu in partitions_of(size):
-                if mu.length != h or mu.parts[0] > 4:
+                if mu.length != h or mu[0] > 4:
                     continue
                 inverse_euler_normal(fixed_locus_data(g, mu))
 

@@ -51,14 +51,14 @@ def test_partitions_of_zero_and_one():
 
 
 def test_partitions_of_four_reverse_lex():
-    got = [p.parts for p in partitions_of(4)]
+    got = partitions_of(4)
     assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert len(got) == 5
 
 
 @pytest.mark.parametrize("d", range(0, 9))
 def test_partitions_of_matches_brute_force(d):
-    assert [p.parts for p in partitions_of(d)] == brute_partitions(d)
+    assert partitions_of(d) == brute_partitions(d)
 
 
 @pytest.mark.parametrize("d", range(0, 11))
@@ -162,3 +162,14 @@ def test_ordering_and_hash():
     assert a == b and hash(a) == hash(b)
     assert Partition([3]) > Partition([2, 1])
     assert len({a, b}) == 1
+
+
+def test_a_partition_is_its_part_tuple():
+    # the engines' memos key on plain part tuples and take a partition as is
+    mu = Partition([3, 1, 1])
+    assert isinstance(mu, tuple) and not hasattr(mu, "__dict__")
+    assert mu == (3, 1, 1) and hash(mu) == hash((3, 1, 1))
+    assert {(3, 1, 1): "plain"}[mu] == "plain"
+    assert mu[1:] == (1, 1) and type(mu[1:]) is tuple
+    assert (mu.size, mu.length, repr(mu), str(mu)) == (
+        5, 3, "Partition([3, 1, 1])", "3,1,1")

@@ -92,7 +92,7 @@ def brute_character_table(d):
     irreducible constituents (exact Gram-Schmidt over the class algebra).
     Completely independent of the border-strip recursion."""
     parts = partitions_of(d)
-    sizes = {mu.parts: class_size(mu) for mu in parts}
+    sizes = {mu: class_size(mu) for mu in parts}
     order = factorial(d)
 
     def inner(a, b):
@@ -100,7 +100,7 @@ def brute_character_table(d):
 
     chars = []
     for lam in parts:
-        vec = permutation_module_character(lam.parts, d)
+        vec = permutation_module_character(lam, d)
         vec = {m: Fraction(v) for m, v in vec.items()}
         for prev in chars:
             mult = inner(vec, prev)
@@ -117,7 +117,7 @@ def bead_by_bead_column(mu):
     between), every part from scratch."""
     d = mu.size
     shapes = {(1 << d) - 1: 1}
-    for k in mu.parts:
+    for k in mu:
         between = (1 << (k - 1)) - 1
         step = {}
         for mask, coef in shapes.items():
@@ -130,7 +130,7 @@ def bead_by_bead_column(mu):
                 step[shape] = step.get(shape, 0) + (-coef if jumped & 1 else coef)
         shapes = {mask: coef for mask, coef in step.items() if coef}
     beads = [sum(1 << (p + d - 1 - i)
-                 for i, p in enumerate(nu.parts + (0,) * (d - nu.length)))
+                 for i, p in enumerate(nu + (0,) * (d - nu.length)))
              for nu in partitions_of(d)]
     return tuple(shapes.get(mask, 0) for mask in beads)
 
@@ -139,6 +139,7 @@ def bead_by_bead_column(mu):
 
 
 def test_dim_trivial_rep():
+    assert dim_irrep(Partition()) == 1
     for d in range(1, 8):
         assert dim_irrep(Partition([d])) == 1
 
@@ -151,7 +152,7 @@ def test_dim_examples_against_tableau_count():
 @pytest.mark.parametrize("d", range(1, 8))
 def test_dim_matches_tableau_count(d):
     for nu in partitions_of(d):
-        assert dim_irrep(nu) == standard_tableaux_count(nu.parts)
+        assert dim_irrep(nu) == standard_tableaux_count(nu)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -204,7 +205,7 @@ def test_characters_match_permutation_module_oracle(d):
     parts, chars = brute_character_table(d)
     for nu, vec in zip(parts, chars):
         for mu in parts:
-            assert character(nu, mu) == vec[mu.parts], (nu, mu)
+            assert character(nu, mu) == vec[mu], (nu, mu)
 
 
 # --- tables -----------------------------------------------------------------
