@@ -194,22 +194,51 @@ def _csv_writer():
     return csv.writer(sys.stdout, lineterminator="\n")
 
 
-def _emit(record, args, text_lines=_count_lines):
-    """Render one result record in the format of ``--format``."""
+def _emit(args, doc, rows, lines, indent=None):
+    """Print one result in the format of ``--format``: ``doc`` as JSON,
+    ``rows`` (header first) as csv, or ``lines`` as text."""
     if args.format == "json":
-        print(json.dumps(record, sort_keys=True))
+        print(json.dumps(doc, sort_keys=True, indent=indent))
     elif args.format == "csv":
-        keys = sorted(record)
-        out = _csv_writer()
-        out.writerow(keys)
-        out.writerow([record[k] for k in keys])
+        _csv_writer().writerows(rows)
     else:
-        for line in text_lines(record):
-            print(line)
+        print("\n".join(lines))
 
 
-def _run_query(engine, genus, euler, mu, args):
-    d, h = mu.size, mu.length
+def _emit_record(record, args, lines):
+    """``_emit`` for a flat record: its sorted keys are the csv header."""
+    keys = sorted(record)
+    _emit(args, record, [keys, [record[k] for k in keys]], lines)
+
+
+_QUERY_KEYS = ("genus", "euler", "partition", "engine")
+# A batch answer is a flat dict of checked scalars, so the C encoder with
+# these separators gives its block of json.dumps(..., indent=2) byte for byte.
+_ANSWER = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
+
+
+def _batch_query(rec, args):
+    """Check one query record, which is outside input (a batch record, or
+    the flags of a single query), and run it; return the answer."""
+    if not isinstance(rec, dict):
+        raise DomainError(f"not a JSON object: {json.dumps(rec)}")
+    unknown = set(rec).difference(_QUERY_KEYS)
+    if unknown:
+        raise DomainError(f"unknown keys {', '.join(sorted(unknown))}")
+    if ("genus" in rec) == ("euler" in rec):
+        raise DomainError("provide exactly one of genus/euler")
+    key = "genus" if "genus" in rec else "euler"
+    if type(rec[key]) is not int:  # a JSON bool is not an integer
+        raise DomainError(f"{key} is not an integer: {json.dumps(rec[key])}")
+    partition = rec.get("partition", "")
+    if not isinstance(partition, str):
+        raise DomainError(
+            f"partition is not a string such as \"3,1\": {json.dumps(partition)}")
+    engine = rec.get("engine", "burnside")
+    if engine not in ENGINES:
+        raise DomainError(f"unknown engine {engine!r}")
+    mu = _parse_partition(partition)
+    genus, euler, d, h = rec.get("genus"), rec.get("euler"), mu.size, mu.length
     started = time.perf_counter()
     if genus is not None:
         r = 2 * genus - 2 + d + h
@@ -231,72 +260,23 @@ def _run_query(engine, genus, euler, mu, args):
         else:
             value = disconnected_burnside(
                 euler, mu, max_d=args.budget_burnside_max_d)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    record = {
-        "result": str(value),
-        "engine": engine,
-        "d": d,
-        "h": h,
-        "r": r,
-    }
-    if genus is not None:
-        record["genus"] = genus
-    else:
-        record["euler"] = euler
+    answer = {"result": str(value), "engine": engine, "d": d, "h": h, "r": r,
+              key: rec[key]}
     if args.timing:
-        record["elapsed_ms"] = round(elapsed_ms, 3)
-    return record
+        answer["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
+    return answer
 
 
 def _cmd_hurwitz(args):
-    if args.batch:
-        given = [f"--{name}" for name in ("genus", "euler", "partition", "engine")
-                 if getattr(args, name) is not None]
-        if given:
-            raise DomainError(f"{', '.join(given)} cannot be combined with "
-                              "--batch: each record names its own query")
-        return _cmd_hurwitz_batch(args)
-    if args.genus is None and args.euler is None:
-        raise DomainError("provide exactly one of --genus or --euler")
-    if not args.partition:
-        raise DomainError("--partition is required")
-    mu = _parse_partition(args.partition)
-    engine = args.engine or "burnside"
-    _emit(_run_query(engine, args.genus, args.euler, mu, args), args)
-    return 0
-
-
-_BATCH_KEYS = {"engine", "genus", "euler", "partition"}
-# A batch answer is a flat dict of checked scalars, so the C encoder with
-# these separators gives its block of json.dumps(..., indent=2) byte for byte.
-_ANSWER = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
-
-
-def _batch_query(rec, args):
-    """Check one batch record, which is outside input, and run it."""
-    if not isinstance(rec, dict):
-        raise DomainError(f"not a JSON object: {json.dumps(rec)}")
-    unknown = set(rec) - _BATCH_KEYS
-    if unknown:
-        raise DomainError(f"unknown keys {', '.join(sorted(unknown))}")
-    if ("genus" in rec) == ("euler" in rec):
-        raise DomainError("provide exactly one of genus/euler")
-    key = "genus" if "genus" in rec else "euler"
-    if type(rec[key]) is not int:  # a JSON bool is not an integer
-        raise DomainError(f"{key} is not an integer: {json.dumps(rec[key])}")
-    partition = rec.get("partition", "")
-    if not isinstance(partition, str):
-        raise DomainError(
-            f"partition is not a string such as \"3,1\": {json.dumps(partition)}")
-    engine = rec.get("engine", "burnside")
-    if engine not in ENGINES:
-        raise DomainError(f"unknown engine {engine!r}")
-    mu = _parse_partition(partition)
-    return {**rec, **_run_query(engine, rec.get("genus"), rec.get("euler"),
-                                mu, args)}
-
-
-def _cmd_hurwitz_batch(args):
+    flags = {k: getattr(args, k) for k in _QUERY_KEYS
+             if getattr(args, k) is not None}
+    if not args.batch:
+        answer = _batch_query(flags, args)
+        _emit_record(answer, args, _count_lines(answer))
+        return 0
+    if flags:
+        raise DomainError(f"{', '.join('--' + k for k in flags)} cannot be "
+                          "combined with --batch: each record names its own query")
     try:
         with open(args.batch, encoding="utf-8") as fh:
             records = json.load(fh)
@@ -313,6 +293,7 @@ def _cmd_hurwitz_batch(args):
             answer = _batch_query(rec, args)
         except DomainError as exc:
             raise DomainError(f"record {i}: {exc}") from exc
+        answer = {**rec, **answer}
         # keep only what is printed: the csv row, or the answer's JSON block
         records[i] = None
         answers.append(answer if as_csv else
@@ -337,45 +318,40 @@ def _table_path(args):
     return args.table_file or os.path.join(_cache_dir(args), "hodge-table.txt")
 
 
+def _read_table(path):
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        return hodge_import(fh.read())
+
+
 def _load_table(path):
     """The bracket table at ``path``.  A missing or unparsable file is a cache
     miss: an empty table, which the caller fills and writes back."""
     try:
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            return hodge_import(fh.read())
+        return _read_table(path)
     except (FileNotFoundError, DomainError):
         return HodgeTable()
 
 
-def _cmd_hodge(args):
-    path = _table_path(args)
-    table = _load_table(path)
-    result = invert_into(table, args.genus, args.marks, args.budget_dp_max_d,
+def _refresh(path, table, g, h, args):
+    """Invert the (g, h) block into ``table`` and write the table to
+    ``path``; return the ``InversionResult``."""
+    result = invert_into(table, g, h, args.budget_dp_max_d,
                          args.budget_burnside_max_d)
     write_atomic(path, hodge_export(table))
+    return result
 
+
+def _cmd_hodge(args):
+    path = _table_path(args)
+    result = _refresh(path, _load_table(path), args.genus, args.marks, args)
     entries = sorted(result.brackets.items(), key=lambda kv: kv[0].sort_key())
-    if args.format == "json":
-        print(json.dumps(
-            {
-                "genus": args.genus,
-                "marks": args.marks,
-                "entries": [
-                    {"bracket": str(b), "value": str(v)} for b, v in entries
-                ],
-                "table_file": path,
-            },
-            sort_keys=True,
-        ))
-    elif args.format == "csv":
-        out = _csv_writer()
-        out.writerow(("bracket", "value"))
-        out.writerows(entries)
-    else:
-        width = max(len(str(b)) for b, _ in entries)
-        for b, v in entries:
-            print(f"{str(b):<{width}}  {v}")
-        print(f"table updated: {path}")
+    width = max(len(str(b)) for b, _ in entries)
+    _emit(args,
+          {"genus": args.genus, "marks": args.marks, "table_file": path,
+           "entries": [{"bracket": str(b), "value": str(v)} for b, v in entries]},
+          [("bracket", "value"), *entries],
+          [f"{str(b):<{width}}  {v}" for b, v in entries]
+          + [f"table updated: {path}"])
     return 0
 
 
@@ -389,9 +365,7 @@ def _cmd_elsv(args):
     ones = Partition((1,) * h)
     if not (table.has_all_for(g, h) and elsv_evaluate(g, ones, table)
             == connected_dp(g, ones, max_d=args.budget_dp_max_d)):
-        invert_into(table, g, h, args.budget_dp_max_d,
-                    args.budget_burnside_max_d)
-        write_atomic(path, hodge_export(table))
+        _refresh(path, table, g, h, args)
     started = time.perf_counter()
     value = elsv_evaluate(g, mu, table)
     record = {
@@ -404,25 +378,18 @@ def _cmd_elsv(args):
     }
     if args.timing:
         record["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    _emit(record, args)
+    _emit_record(record, args, _count_lines(record))
     return 0
 
 
 def _cmd_verify(args):
     results = run_suite(args.suite)
-    if args.format == "csv":
-        out = _csv_writer()
-        out.writerow(("suite", "name", "passed", "detail"))
-        out.writerows(results)  # a CheckResult is its row
-    elif args.format == "json":
-        print(json.dumps([r._asdict() for r in results], sort_keys=True,
-                         indent=2))
-    else:
-        for r in results:
-            print(r.line())
-        passed = sum(1 for r in results if r.passed)
-        print(f"{passed}/{len(results)} checks passed")
-    return 0 if all(r.passed for r in results) else 3
+    passed = sum(1 for r in results if r.passed)
+    _emit(args, [r._asdict() for r in results],
+          [("suite", "name", "passed", "detail"), *results],  # a check is its row
+          [r.line() for r in results] + [f"{passed}/{len(results)} checks passed"],
+          indent=2)
+    return 0 if passed == len(results) else 3
 
 
 def _cmd_chartable(args):
@@ -430,15 +397,10 @@ def _cmd_chartable(args):
     # nothing is stored there, but scripts that prepared the cache directory
     # with chartable (perfbench's set-up removes it afterwards) still find it
     os.makedirs(_cache_dir(args), exist_ok=True)
-    record = {"d": table.d, "classes": len(table.partitions)}
-
-    def lines(rec):
-        return [
-            f"character table d = {rec['d']}: {rec['classes']} classes, "
-            "row orthogonality verified",
-        ]
-
-    _emit(record, args, lines)
+    classes = len(table.partitions)
+    _emit_record({"d": table.d, "classes": classes}, args, [
+        f"character table d = {table.d}: {classes} classes, "
+        "row orthogonality verified"])
     return 0
 
 
@@ -449,8 +411,7 @@ def _cmd_export(args):
         path = _table_path(args)
         if not os.path.exists(path):
             raise DomainError(f"no bracket table at {path}; run 'hodge' first")
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            document = hodge_export(hodge_import(fh.read()))
+        document = hodge_export(_read_table(path))
     else:
         if args.table_file is not None:
             raise DomainError("--table-file is for --what hodge")
@@ -498,6 +459,9 @@ def main(argv=None):
         return 1
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

@@ -30,9 +30,6 @@ from .partitions import Partition, aut_size, partitions_of
 
 _TABLE_HEADER = "hurwitzlab-hodge-table v1"
 
-SEEDED = "seeded"
-INVERTED = "inverted-from-hurwitz"
-
 
 class HodgeBracket(namedtuple("HodgeBracket", "g h psi lam")):
     """A linear Hodge integral <psi_1^{j_1} ... psi_h^{j_h} lambda_i> on the
@@ -88,54 +85,39 @@ _SEED_BRACKET = HodgeBracket(g=0, h=3, psi=(0, 0, 0), lam=0)
 
 
 class HodgeTable:
-    """Map from brackets to exact rational values, with a provenance tag per
-    entry.  The three-point genus-zero seed <psi^0 psi^0 psi^0> = 1 is always
-    present."""
+    """Map from brackets to exact rational values.  The three-point genus-zero
+    seed <psi^0 psi^0 psi^0> = 1 is always present."""
 
     def __init__(self):
-        self._entries = {_SEED_BRACKET: (Fraction(1), SEEDED)}
+        self._values = {_SEED_BRACKET: Fraction(1)}
 
-    def add(self, bracket, value, provenance=INVERTED):
+    def add(self, bracket, value):
         value = Fraction(value)
-        existing = self._entries.get(bracket)
-        if existing is not None:
-            if existing[0] != value:
-                raise ConsistencyError(
-                    f"conflicting values for {bracket}: {existing[0]} vs {value}"
-                )
-            return
-        self._entries[bracket] = (value, provenance)
+        existing = self._values.setdefault(bracket, value)
+        if existing != value:
+            raise ConsistencyError(
+                f"conflicting values for {bracket}: {existing} vs {value}"
+            )
 
     def value(self, bracket):
-        entry = self._entries.get(bracket)
-        if entry is None:
-            raise MissingBracketError(bracket)
-        return entry[0]
-
-    def provenance(self, bracket):
-        entry = self._entries.get(bracket)
-        if entry is None:
-            raise MissingBracketError(bracket)
-        return entry[1]
+        try:
+            return self._values[bracket]
+        except KeyError:
+            raise MissingBracketError(bracket) from None
 
     def __contains__(self, bracket):
-        return bracket in self._entries
+        return bracket in self._values
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._values)
 
     def __iter__(self):
-        return iter(sorted(self._entries, key=HodgeBracket.sort_key))
+        return iter(sorted(self._values, key=HodgeBracket.sort_key))
 
     def __eq__(self, other):
         if not isinstance(other, HodgeTable):
             return NotImplemented
-        return self._entries == other._entries
-
-    def items(self):
-        for bracket in self:
-            value, provenance = self._entries[bracket]
-            yield bracket, value, provenance
+        return self._values == other._values
 
     def brackets_for(self, g, h):
         return [b for b in self if (b.g, b.h) == (g, h)]
@@ -145,8 +127,8 @@ class HodgeTable:
 
     def drop(self, g, h):
         """Forget the (g, h) brackets, except the built-in seed."""
-        self._entries = {
-            b: entry for b, entry in self._entries.items()
+        self._values = {
+            b: v for b, v in self._values.items()
             if (b.g, b.h) != (g, h) or b == _SEED_BRACKET
         }
 
@@ -216,10 +198,11 @@ def elsv_evaluate(g, mu, table):
     """Forward evaluation: the connected cover count for (g, mu) from a
     bracket table.  Raises MissingBracketError naming the first absent
     bracket, and rejects unstable (g, len(mu))."""
-    total = Fraction(0)
-    for b in required_brackets(g, mu.length):
-        total += (-1) ** b.lam * table.value(b) * monomial_symmetric(b.psi, mu)
-    return _prefactor(g, mu) * total
+    brackets = required_brackets(g, mu.length)
+    row = _monomial_row([b.psi for b in brackets], mu)
+    return _prefactor(g, mu) * sum(
+        ((-1) ** b.lam * table.value(b) * m for b, m in zip(brackets, row)),
+        Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +538,14 @@ def string_equation_check(table):
 # serialization
 
 def hodge_export(table):
-    """Deterministic versioned document: one line per bracket, sorted."""
+    """Deterministic versioned document: one line per bracket, sorted, each
+    with its provenance tag.  The tag is written from the bracket, not
+    stored: the built-in seed is "seeded", and every other value the library
+    holds was inverted from cover counts."""
     lines = [_TABLE_HEADER]
-    for bracket, value, provenance in table.items():
-        lines.append(f"{bracket} {value} {provenance}")
+    for b in table:
+        provenance = "seeded" if b == _SEED_BRACKET else "inverted-from-hurwitz"
+        lines.append(f"{b} {table.value(b)} {provenance}")
     return "\n".join(lines) + "\n"
 
 
@@ -569,8 +556,8 @@ def hodge_import(text):
     table = HodgeTable()
     for ln in lines[1:]:
         try:
-            key, value, provenance = ln.split()
-            table.add(HodgeBracket.from_string(key), Fraction(value), provenance)
+            key, value, _ = ln.split()  # the provenance tag is not stored
+            table.add(HodgeBracket.from_string(key), Fraction(value))
         except (ValueError, ZeroDivisionError, ConsistencyError) as exc:
             # a line contradicting an earlier one or the seed is bad input
             raise DomainError(f"malformed Hodge table line {ln!r}") from exc

@@ -213,8 +213,9 @@ _DISCONNECTED = {
 def _tuple_count(engine, d, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D):
     """The tuple count of the disconnected ``engine`` for a degree-d query:
     an unknown name raises DomainError, and d over that engine's budget
-    raises ResourceLimitError.  The count is looked up in the module globals
-    on each call, so a count patched on the module applies."""
+    raises ResourceLimitError, so d = 0 checks the name alone.  The count is
+    looked up in the module globals on each call, so a count patched on the
+    module applies."""
     try:
         budget, count = _DISCONNECTED[engine]
     except KeyError:
@@ -228,15 +229,17 @@ def _tuple_count(engine, d, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D):
 def _disconnected(chi, mu, engine, dp_max_d=DP_MAX_D,
                   burnside_max_d=BURNSIDE_MAX_D):
     """The disconnected count of the engine named ``engine``: r = -chi + |mu|
-    + len(mu) must be nonnegative; odd chi gives 0 (the sign of a product of
-    r transpositions must match the sign of the class); then the name and
-    the engine's budget are checked (``_tuple_count``); the empty profile has
-    one cover, at r = 0.  Otherwise the count is N(d, r, mu) / z(mu)."""
+    + len(mu) must be nonnegative and the name known; odd chi gives 0 (the
+    sign of a product of r transpositions must match the sign of the class)
+    whatever the degree; then the engine's budget is checked
+    (``_tuple_count``); the empty profile has one cover, at r = 0.
+    Otherwise the count is N(d, r, mu) / z(mu)."""
     d, h = mu.size, mu.length
     r = -chi + d + h
     if r < 0:
         raise DomainError(f"invalid query: r = -chi+|mu|+len(mu) = {r} < 0")
     if chi % 2 != 0:
+        _tuple_count(engine, 0)
         return Fraction(0)
     count = _tuple_count(engine, d, dp_max_d, burnside_max_d)
     if d == 0:
@@ -595,8 +598,10 @@ def phi_series(mu, engine="dp", max_r=10):
     """One-variable generating series of the disconnected counts for the
     profile ``mu`` by the engine named ``engine`` ("dp" or "burnside", at its
     default budget): a map from the exponent e = -chi + len(mu) = r - |mu| to
-    the cover count, over all admissible r <= max_r."""
+    the cover count, over all admissible r <= max_r.  The name is checked
+    even when no r is admissible."""
     d, h = mu.size, mu.length
+    _tuple_count(engine, 0)
     terms = {}
     for r in range((d + h) % 2, max_r + 1, 2):
         if value := _disconnected(d + h - r, mu, engine):

@@ -117,6 +117,38 @@ def test_usage_error_exits_one_not_two(capsys, cache):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("--partition", "3,1"), "provide exactly one of genus/euler"),
+    (("--genus", "1"), "partition must be nonempty, e.g. --partition 3,1"),
+    (("--euler", "0", "--partition", " "),
+     "partition must be nonempty, e.g. --partition 3,1"),
+])
+def test_single_query_is_checked_as_a_batch_record(capsys, cache, argv, text):
+    code, out, err = run_cli(capsys, "hurwitz", *argv, "--cache-dir", cache)
+    assert (code, out, err) == (1, "", f"error: {text}\n")
+
+
+def test_out_of_memory_exits_two_without_a_traceback(tmp_path):
+    # the dp recursion keeps one layer per transposition: r = 6,000,004
+    # layers do not fit in 400 MiB of address space
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.join(tests, "..", "src"),
+               HURWITZLAB_CACHE_DIR=str(tmp_path / "cache"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hurwitzlab.cli", "hurwitz", "--genus",
+         "3000000", "--partition", "3,1", "--engine", "dp"],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=limit,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "resource limit: out of memory\n")
+
+
 def test_resource_limit_exits_two(capsys, cache):
     code, _, err = run_cli(
         capsys, "hurwitz", "--euler", "0", "--partition", "8,8",

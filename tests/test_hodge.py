@@ -95,7 +95,7 @@ def test_table_has_seed():
     seed = HodgeBracket(g=0, h=3, psi=(0, 0, 0), lam=0)
     assert seed in table
     assert table.value(seed) == 1
-    assert table.provenance(seed) == "seeded"
+    assert hodge_export(table).splitlines()[1:] == [f"{seed} 1 seeded"]
 
 
 def test_table_conflicting_value_rejected():
@@ -215,8 +215,15 @@ def test_invert_into_replaces_the_block():
     assert t.value(HodgeBracket(g=1, h=1, psi=(1,), lam=0)) == F(1, 24)
     assert t.value(HodgeBracket(g=1, h=1, psi=(0,), lam=1)) == F(1, 24)
     seed = HodgeBracket(g=0, h=3, psi=(0, 0, 0), lam=0)
-    assert t.value(seed) == 1 and t.provenance(seed) == "seeded"
+    assert t.value(seed) == 1
     assert len(t) == 4
+    # the export tags the seed, and every inverted value, by its bracket
+    assert hodge_export(t).splitlines()[1:] == [
+        f"{seed} 1 seeded",
+        f"{planted} 1 inverted-from-hurwitz",
+        "(1,1,[1],0) 1/24 inverted-from-hurwitz",
+        "(1,1,[0],1) 1/24 inverted-from-hurwitz",
+    ]
 
 
 def test_required_brackets_rejects_negative_genus():
@@ -683,11 +690,11 @@ def test_string_equation_detects_breakage():
     t = HodgeTable()
     invert_into(t, 0, 4)
     broken = HodgeTable()
-    for b, v, _ in t.items():
+    for b in t:
         if b.h == 4:
-            broken.add(b, v + 1)
+            broken.add(b, t.value(b) + 1)
         elif b.h != 3:
-            broken.add(b, v)
+            broken.add(b, t.value(b))
     report = string_equation_check(broken)
     assert not report.all_passed
 
@@ -748,7 +755,8 @@ def test_string_and_dilaton_catch_a_wrong_lambda_bracket(forgetful_table):
     # one bracket on each side of both equations
     for wrong in ("(2,1,[2],2)", "(1,3,[1,1,0],1)"):
         broken = HodgeTable()
-        for b, v, _ in forgetful_table.items():
+        for b in forgetful_table:
+            v = forgetful_table.value(b)
             broken.add(b, v + 1 if str(b) == wrong else v)
         for equation, checks in _forgetful_checks(broken).items():
             assert any(a != e for _, a, e in checks), (wrong, equation)
@@ -780,6 +788,20 @@ def test_import_rejects_garbage():
         hodge_import("what is this\n")
     with pytest.raises(DomainError):
         hodge_import("hurwitzlab-hodge-table v1\nbad line here and there\n")
+    with pytest.raises(DomainError):  # the tag field is still required
+        hodge_import("hurwitzlab-hodge-table v1\n(1,1,[1],0) 1/24\n")
+
+
+def test_import_reads_values_and_export_writes_tags():
+    # the tag is not stored: the export writes it from the bracket
+    table = hodge_import("hurwitzlab-hodge-table v1\n"
+                         "(1,1,[1],0) 1/24 seeded\n"
+                         "(0,3,[0,0,0],0) 1 anything\n")
+    assert table.value(HodgeBracket(g=1, h=1, psi=(1,), lam=0)) == F(1, 24)
+    assert hodge_export(table).splitlines()[1:] == [
+        "(0,3,[0,0,0],0) 1 seeded",
+        "(1,1,[1],0) 1/24 inverted-from-hurwitz",
+    ]
 
 
 def test_required_brackets_counts():

@@ -750,6 +750,11 @@ _EMPTY_TEXT = "the empty partition has no connected covers"
     # the route of the CLI's --euler queries
     (lambda: _disconnected(0, Partition([2]), "nope"),
      DomainError, _UNKNOWN_TEXT),
+    # the name is checked where the count is 0 without an engine
+    (lambda: _disconnected(1, Partition([1]), "nope"),
+     DomainError, _UNKNOWN_TEXT),
+    (lambda: phi_series(Partition([2]), "nope", max_r=0),
+     DomainError, _UNKNOWN_TEXT),
     # every connected engine rejects the empty profile the same way
     (lambda: connected_dfs(1, Partition()), DomainError, _EMPTY_TEXT),
     (lambda: connected_dp(1, Partition()), DomainError, _EMPTY_TEXT),
@@ -760,9 +765,17 @@ _EMPTY_TEXT = "the empty partition has no connected covers"
 ], ids=["connected-dp", "disconnected-dp", "disconnected-burnside",
         "transform-dp", "transform-burnside", "phi-dp", "phi-burnside",
         "inversion-grid", "inversion-grid-burnside", "transform-name", "phi-name", "euler-name",
+        "odd-euler-name", "empty-phi-name",
         "empty-dfs", "empty-dp", "empty-transform-dp",
         "empty-transform-burnside"])
 def test_one_text_per_budget_and_engine_name(call, error, text):
     with pytest.raises(error) as caught:
         call()
     assert str(caught.value) == text
+
+
+def test_odd_euler_characteristic_skips_the_budget():
+    # no product of an odd number of transpositions is a 21-cycle, so the
+    # count is 0 whatever the degree; the engine's budget is not consulted
+    assert disconnected_dp(1, Partition([21])) == 0
+    assert disconnected_burnside(1, Partition([BURNSIDE_MAX_D + 1])) == 0
