@@ -30,6 +30,7 @@ from .hurwitz import (
 from .hodge import (
     HodgeBracket,
     HodgeTable,
+    chain_inversion,
     elsv_evaluate,
     elsv_inversion,
     hodge_export,

@@ -11,21 +11,30 @@ degree 3g - 3 + h - i carries, with sign (-1)^i, exactly the brackets
 <psi_1^{j_1} ... psi_h^{j_h} lambda_i>.  ``elsv_evaluate`` runs this forward
 from a bracket table; ``elsv_inversion`` samples the character sums on a
 grid of part tuples and solves the exact linear system in the
-monomial-symmetric basis to recover the brackets, and ``invert_into`` puts
-them in a table.  The grid rows are integers; they are picked by
-elimination modulo a 61-bit prime, and the square system is solved on that
-factorization by p-adic lifting, whose solution is checked against A x = b
-exactly before it is used; no floating point anywhere.
+monomial-symmetric basis to recover the brackets.  The grid rows are
+integers; they are picked by elimination modulo a 61-bit prime, and the
+square system is solved on that factorization by p-adic lifting, whose
+solution is checked against A x = b exactly before it is used; no floating
+point anywhere.
+
+``invert_into`` puts a block in a table through ``chain_inversion``, where
+the string and dilaton equations are a source of values: the (g, h) block
+takes every bracket with a psi exponent of 0 or 1 from the (g, h - 1)
+block, computed in the same process, and inverts only the rest.  Each block
+of the chain must pass the closed forms and DVV of ``oracles`` and agree
+with ``connected_dp`` at profiles past its grid before it is used.
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement, islice
 from math import comb, factorial, gcd, isqrt, lcm, prod
 
 from .errors import ConsistencyError, DomainError, MissingBracketError
 from .hurwitz import (BURNSIDE_MAX_D, DP_MAX_D, _tuple_count, connected_dp,
                       connected_via_transform)
+from .oracles import check_block
 from .partitions import Partition, aut_size, partitions_of
 
 _TABLE_HEADER = "hurwitzlab-hodge-table v1"
@@ -133,21 +142,18 @@ class HodgeTable:
         }
 
 
+@cache
 def required_brackets(g, h):
-    """Every bracket the (g, h) forward evaluation touches."""
+    """Every bracket the (g, h) forward evaluation touches, as a tuple kept
+    for the process: the chain and each forward evaluation read it."""
     if g < 0:
         raise DomainError(f"genus must be nonnegative, got {g}")
     if 2 * g - 2 + h <= 0:
         raise DomainError(f"unsupported range: unstable (g, h) = ({g}, {h})")
     n = 3 * g - 3 + h
-    out = []
-    for i in range(0, g + 1):
-        s = n - i
-        if s < 0:
-            continue
-        for psi in _exponent_multisets(s, h):
-            out.append(HodgeBracket(g=g, h=h, psi=psi, lam=i))
-    return out
+    return tuple(HodgeBracket(g=g, h=h, psi=psi, lam=i)
+                 for i in range(0, min(g, n) + 1)
+                 for psi in _exponent_multisets(n - i, h))
 
 
 def _exponent_multisets(total, h):
@@ -194,15 +200,22 @@ def _prefactor(g, mu):
     return out
 
 
+def _signed_dot(brackets, values, row):
+    """sum (-1)^lambda v m over the brackets, their values and a monomial
+    row, summed over one common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return Fraction(sum((-1) ** b.lam * v.numerator * (den // v.denominator) * m
+                        for b, v, m in zip(brackets, values, row)), den)
+
+
 def elsv_evaluate(g, mu, table):
     """Forward evaluation: the connected cover count for (g, mu) from a
     bracket table.  Raises MissingBracketError naming the first absent
     bracket, and rejects unstable (g, len(mu))."""
     brackets = required_brackets(g, mu.length)
     row = _monomial_row([b.psi for b in brackets], mu)
-    return _prefactor(g, mu) * sum(
-        ((-1) ** b.lam * table.value(b) * m for b, m in zip(brackets, row)),
-        Fraction(0))
+    values = [table.value(b) for b in brackets]
+    return _prefactor(g, mu) * _signed_dot(brackets, values, row)
 
 
 # ---------------------------------------------------------------------------
@@ -404,38 +417,45 @@ InversionResult = namedtuple("InversionResult", [
 _MAX_RADIUS_GROWTH = 20
 
 
-def elsv_inversion(g, h, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D):
-    """Recover all (g, h) brackets by exact interpolation of cover counts.
+def elsv_inversion(g, h, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D,
+                   known=None):
+    """Recover the (g, h) brackets by exact interpolation of cover counts.
 
     Samples the normalized count on a grid of profiles, solves for the
     monomial-symmetric coefficients in the degree band
-    [2g-3+h, 3g-3+h], and reads brackets off the band.  The rows are
-    picked mod p and solved by ``_Elimination``; a candidate dependent mod
-    p is skipped, so the grid is a nonsingular one and the brackets, the
-    unique solution, do not depend on which.  The certificate (A x = b,
-    checked exactly) raises ConsistencyError naming (g, h).  The samples
-    are ``connected_via_transform(g, mu, "burnside")`` up to
+    [2g-3+h, 3g-3+h], and reads brackets off the band.  ``known`` maps
+    brackets of the block to values already fixed: their share of P(mu) is
+    subtracted from each normalized count, and only the other brackets are
+    unknowns, one grid profile each.  The rows are picked mod p and solved
+    by ``_Elimination``; a candidate dependent mod p is skipped, so the grid
+    is a nonsingular one and the brackets, the unique solution, do not
+    depend on which.  The certificate (A x = b, checked exactly) raises
+    ConsistencyError naming (g, h).  The samples are
+    ``connected_via_transform(g, mu, "burnside")`` up to
     ``burnside_max_d``.  Every grid point is re-derived by the cut-and-join
     count of transitive factorizations on cycle types
     (``connected_dp(g, mu, max_d=dp_max_d)``), which uses no characters and
     no transform; a disagreement raises ConsistencyError.  A grid point
     over either budget raises its ResourceLimitError as soon as it is
-    chosen, the dp budget first.
+    chosen, the dp budget first.  Returns the whole block, ``known``
+    included.
     """
-    unknowns = required_brackets(g, h)
+    block = required_brackets(g, h)
+    known = known or {}
+    unknowns = [b for b in block if b not in known]
     radius = max(3 * g - 1 + h, 1) + _MAX_RADIUS_GROWTH
     pool = islice(sample_candidates(g, h), comb(radius + h - 1, h))
     elimination = _Elimination(f"the (g, h) = ({g}, {h}) interpolation")
     exponents = [b.psi for b in unknowns]
     grid = []
-    for mu in pool:
+    for mu in pool if unknowns else ():
         if elimination.add(_monomial_row(exponents, mu)):
             for engine in ("dp", "burnside"):  # before any engine runs
                 _tuple_count(engine, mu.size, dp_max_d, burnside_max_d)
             grid.append(mu)
             if len(grid) == len(unknowns):
                 break
-    else:
+    if not block or len(grid) < len(unknowns):  # h = 0 has no brackets
         raise DomainError(
             f"singular interpolation system for (g, h) = ({g}, {h}): "
             f"rank {len(grid)} of {len(unknowns)} after grid {grid}"
@@ -444,9 +464,14 @@ def elsv_inversion(g, h, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D):
     samples = {mu: connected_via_transform(g, mu, "burnside",
                                            burnside_max_d=burnside_max_d)
                for mu in grid}
-    solution = elimination.solve(
-        [normalized_count(g, mu, samples[mu]) for mu in grid]
-    )
+    fixed, values = list(known), list(known.values())
+    fixed_exponents = [b.psi for b in fixed]
+
+    def unknown_share(mu):  # P(mu) less the part the known brackets fix
+        row = _monomial_row(fixed_exponents, mu)
+        return normalized_count(g, mu, samples[mu]) - _signed_dot(fixed, values, row)
+
+    solution = elimination.solve([unknown_share(mu) for mu in grid])
 
     for mu in grid:
         check = connected_dp(g, mu, max_d=dp_max_d)
@@ -456,15 +481,91 @@ def elsv_inversion(g, h, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D):
                 f"count gives {check}, inversion engine gave {samples[mu]}"
             )
 
-    brackets = {b: (-1) ** b.lam * x for b, x in zip(unknowns, solution)}
+    solved = {b: (-1) ** b.lam * x for b, x in zip(unknowns, solution)}
+    brackets = {b: known[b] if b in known else solved[b] for b in block}
     return InversionResult(g=g, h=h, brackets=brackets, grid=tuple(grid),
                            samples=samples)
 
 
+def _forget_a_point(block, g, h):
+    """The (g, h) brackets with a psi exponent of 0 or 1, from the
+    (g, h - 1) ``block`` (bracket -> value).  lambda_i pulls back along the
+    map that forgets a point, so for every i
+
+        string:  <tau_0 tau_K lambda_i>_(g,h) = sum_j <tau_(K - e_j) lambda_i>_(g,h-1)
+        dilaton: <tau_1 tau_K lambda_i>_(g,h) = (2g - 3 + h) <tau_K lambda_i>_(g,h-1)
+    """
+    lower = {(b.psi, b.lam): v for b, v in block.items()}
+    known = {}
+    for b in required_brackets(g, h):
+        rest = b.psi[:-1]
+        if b.psi[-1] == 0:
+            known[b] = sum((lower[tuple(sorted(rest[:j] + (k - 1,) + rest[j + 1:],
+                                               reverse=True)), b.lam]
+                            for j, k in enumerate(rest) if k), Fraction(0))
+        elif b.psi[-1] == 1:
+            known[b] = (2 * g - 3 + h) * lower[rest, b.lam]
+    return known
+
+
+#: How many sample profiles past its grid each block of a chain is
+#: evaluated at and compared with the cut-and-join count.
+PAST_GRID_SAMPLES = 3
+
+
+def _check_past_grid(result, dp_max_d):
+    """Evaluate the block of ``result`` at the first PAST_GRID_SAMPLES
+    profiles of the sample stream outside its grid, and compare with
+    ``connected_dp``; raise ConsistencyError on a disagreement.  A profile
+    over ``dp_max_d`` is skipped, so the check asks for no degree the grid
+    did not; when all are skipped, the grid's own check stands.  A block
+    with no grid gets the stream's first profile, 1^h, which is no larger
+    than any profile of the blocks above it."""
+    g, h = result.g, result.h
+    table = HodgeTable()
+    for bracket, value in result.brackets.items():
+        table.add(bracket, value)
+    grid = set(result.grid)
+    past = (mu for mu in sample_candidates(g, h) if mu not in grid)
+    for mu in islice(past, PAST_GRID_SAMPLES):
+        if mu.size > dp_max_d:
+            continue
+        got, want = elsv_evaluate(g, mu, table), connected_dp(g, mu, max_d=dp_max_d)
+        if got != want:
+            raise ConsistencyError(
+                f"past-grid check at (g={g}, mu={mu}): the ({g}, {h}) block "
+                f"gives {got}, the transitive count gives {want}"
+            )
+
+
+def chain_inversion(g, h, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D):
+    """The (g, h) block, built as a chain (g, 1), (g, 2) ... (g, h), or from
+    (0, 3) at genus 0.  The first block is inverted whole; each later one
+    takes every bracket with a psi exponent of 0 or 1 from the block before
+    it (``_forget_a_point``) and inverts only the rest, those with every
+    exponent >= 2, through ``elsv_inversion(..., known=...)``.  Every block
+    must pass the closed-form gate (``oracles.check_block``) and the
+    past-grid check (``_check_past_grid``) before the next one uses it.
+    Returns the last block's ``InversionResult``: its grid and samples are
+    those of the reduced system."""
+    required_brackets(g, h)  # an unstable (g, h) is a DomainError here
+    result = None
+    # at h = 0 the one block is the empty one, which the inversion rejects
+    for k in range(3 if g == 0 else min(h, 1), h + 1):
+        known = None if result is None else _forget_a_point(result.brackets, g, k)
+        # looked up per call, so a wrapper installed on the module name applies
+        result = elsv_inversion(g, k, dp_max_d, burnside_max_d, known=known)
+        check_block(result.brackets)
+        _check_past_grid(result, dp_max_d)
+    return result
+
+
 def invert_into(table, g, h, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D):
-    """Replace the (g, h) block of ``table`` by a fresh ``elsv_inversion``
-    and return its ``InversionResult``; other blocks and the seed stay."""
-    result = elsv_inversion(g, h, dp_max_d, burnside_max_d)
+    """Replace the (g, h) block of ``table`` by a fresh ``chain_inversion``
+    and return its ``InversionResult``; other blocks and the seed stay.  The
+    lower blocks of the chain are computed here, never read from
+    ``table``, and are not written to it."""
+    result = chain_inversion(g, h, dp_max_d, burnside_max_d)
     table.drop(g, h)
     for bracket, value in result.brackets.items():
         table.add(bracket, value)
@@ -472,7 +573,7 @@ def invert_into(table, g, h, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D):
 
 
 # ---------------------------------------------------------------------------
-# string equation (consistency check only, never a source of values)
+# string equation at lambda_0, as a check on a whole table
 
 class StringCheck(namedtuple("StringCheck", "lhs rhs expected actual")):
     __slots__ = ()

@@ -55,6 +55,11 @@ from .symgroup import BURNSIDE_MAX_D, column, irreps
 #: core), doubling every two degrees.
 DFS_NODE_BUDGET = 10**8
 DP_MAX_D = 20
+#: Ceiling on the memory the counts of one query may keep, in bytes, with no
+#: flag to raise it: the dp layers and the memos of the cut-and-join and
+#: transform counts keep a count per cycle type and per tuple length, so
+#: what they hold grows with both d and r (``_within_memory``).
+MAX_BYTES = 1 << 30
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +132,7 @@ def connected_dfs(g, mu, node_budget=DFS_NODE_BUDGET):
     visited.
     """
     d, r = mu.size, _connected_r(g, mu)
+    _within_memory(d, r)  # one layer, but its counts grow as the dp's do
     sigma = canonical_representative(mu)
     dist0 = d - mu.length
     if dist0 > r or (r - dist0) % 2 != 0:
@@ -233,7 +239,8 @@ def _disconnected(chi, mu, engine, dp_max_d=DP_MAX_D,
     sign of a product of r transpositions must match the sign of the class)
     whatever the degree; then the engine's budget is checked
     (``_tuple_count``); the empty profile has one cover, at r = 0.
-    Otherwise the count is N(d, r, mu) / z(mu)."""
+    Otherwise the memory budget is checked (``_within_memory``) and the
+    count is N(d, r, mu) / z(mu)."""
     d, h = mu.size, mu.length
     r = -chi + d + h
     if r < 0:
@@ -244,7 +251,31 @@ def _disconnected(chi, mu, engine, dp_max_d=DP_MAX_D,
     count = _tuple_count(engine, d, dp_max_d, burnside_max_d)
     if d == 0:
         return Fraction(1 if r == 0 else 0)
+    _within_memory(d, r)
     return Fraction(count(d, r, mu), z(mu))
+
+
+@cache
+def _cycle_types_to(d):
+    """sum_{k <= d} p(k), the number of cycle types of degree at most d."""
+    p = [1] + [0] * d
+    for part in range(1, d + 1):
+        for n in range(part, d + 1):
+            p[n] += p[n - part]
+    return sum(p)
+
+
+def _within_memory(d, r):
+    """ResourceLimitError when the counts a degree-d query of tuple length r
+    may keep are estimated over MAX_BYTES.  The estimate is from above: r + 1
+    counts for each cycle type of degree at most d, each about 100 bytes of
+    int and dict entry plus, on average, half the r log2 binom(d, 2) bits of
+    the largest.  Checked once the degree budget has passed."""
+    need = _cycle_types_to(d) * (r + 1) * (100 + r * comb(d, 2).bit_length() // 16)
+    if need > MAX_BYTES:
+        raise ResourceLimitError(
+            f"memory budget is {MAX_BYTES >> 20} MiB of kept counts, got about "
+            f"{need >> 20} MiB at d = {d}, r = {r}")
 
 
 @cache
@@ -374,6 +405,7 @@ def connected_dp(g, mu, max_d=DP_MAX_D):
     memoized for the life of the process, shared by every caller."""
     r = _connected_r(g, mu)
     _tuple_count("dp", mu.size, dp_max_d=max_d)
+    _within_memory(mu.size, r)
     for lower in range(g, -1, -1):  # genus by genus keeps the recursion shallow
         count = _transitive_class_count(_canonical(mu), r - 2 * lower)
     return Fraction(count, z(mu))
@@ -566,6 +598,7 @@ def connected_via_transform(g, mu, engine="burnside", dp_max_d=DP_MAX_D,
     # cache_dir is ignored; it stays accepted while perfbench passes it
     r = _connected_r(g, mu)
     count = _tuple_count(engine, mu.size, dp_max_d, burnside_max_d)
+    _within_memory(mu.size, r)
     return Fraction(_transitive_from_disconnected(count, mu, r), z(mu))
 
 

@@ -8,7 +8,8 @@ Suites:
   exact dp/character-sum agreement, and the grading probe documenting why the
   character-sum series needs its lambda^(-d) shift and factorial weights;
 * ``elsv`` -- seed reproduction, the genus-one forcing, and forward/backward
-  round trips on fresh samples;
+  round trips on fresh samples, each also comparing the chain inversion
+  with the full one;
 * ``grr`` -- fixed-point character identities for line bundles on the line
   and its cyclic covers;
 * ``localization`` -- point-class integration and the full symbolic
@@ -22,9 +23,10 @@ from functools import cache
 from itertools import islice
 from math import factorial
 
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .hodge import (
     HodgeTable,
+    chain_inversion,
     elsv_evaluate,
     elsv_inversion,
     sample_candidates,
@@ -277,12 +279,19 @@ def genus_one_checks():
 
 def round_trip_checks():
     """Forward evaluation must reproduce the engine on fresh profiles that
-    took no part in the interpolation."""
+    took no part in the interpolation, and the chain that ``hodge`` runs
+    (``chain_inversion``) must give the full inversion's brackets."""
     out = []
     table = _full_table()
     for g, h in ROUND_TRIP_PAIRS:
         fresh = _fresh_samples(g, h)
-        bad = []
+        full = _inversion(g, h).brackets
+        try:
+            chain = chain_inversion(g, h).brackets
+            bad = [(b, "chain", chain.get(b), "full", v)
+                   for b, v in full.items() if chain.get(b) != v]
+        except (ConsistencyError, ResourceLimitError) as exc:
+            bad = [("chain", str(exc))]  # one FAIL line, not the whole run
         for mu in fresh:
             direct = elsv_evaluate(g, mu, table)
             engine = connected_via_transform(g, mu, "burnside")

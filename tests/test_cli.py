@@ -1,7 +1,9 @@
 import csv
+from fractions import Fraction
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +11,7 @@ import pytest
 
 from hurwitzlab.cli import main
 from hurwitzlab.hodge import HodgeBracket
-from hurwitzlab.hurwitz import DP_MAX_D
+from hurwitzlab.hurwitz import DP_MAX_D, MAX_BYTES
 from hurwitzlab.symgroup import CharacterTable, build_table
 
 
@@ -128,9 +130,9 @@ def test_single_query_is_checked_as_a_batch_record(capsys, cache, argv, text):
     assert (code, out, err) == (1, "", f"error: {text}\n")
 
 
-def test_out_of_memory_exits_two_without_a_traceback(tmp_path):
-    # the dp recursion keeps one layer per transposition: r = 6,000,004
-    # layers do not fit in 400 MiB of address space
+def _run_under_400_mib(tmp_path, *argv):
+    """Run the CLI in a child process whose address space is capped at
+    400 MiB; ``argv`` may start with "-c", CODE to run CODE instead."""
     import resource
 
     def limit():
@@ -139,14 +141,47 @@ def test_out_of_memory_exits_two_without_a_traceback(tmp_path):
     tests = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=os.path.join(tests, "..", "src"),
                HURWITZLAB_CACHE_DIR=str(tmp_path / "cache"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hurwitzlab.cli", "hurwitz", "--genus",
-         "3000000", "--partition", "3,1", "--engine", "dp"],
-        env=env, capture_output=True, text=True, timeout=120,
-        preexec_fn=limit,
+    head = [] if argv[0] == "-c" else ["-m", "hurwitzlab.cli"]
+    return subprocess.run(
+        [sys.executable, *head, *argv], env=env, capture_output=True,
+        text=True, timeout=120, preexec_fn=limit,
     )
+
+
+def test_out_of_memory_exits_two_without_a_traceback(tmp_path):
+    # a tuple count that asks for 1 TiB meets the 400 MiB cap at once
+    proc = _run_under_400_mib(tmp_path, "-c", (
+        "import sys\n"
+        "from hurwitzlab import cli, hurwitz\n"
+        "hurwitz._class_tuple_count = lambda d, r, parts: bytearray(1 << 40)\n"
+        "sys.exit(cli.main(['hurwitz', '--euler', '0', '--partition', '3,1',"
+        " '--engine', 'dp']))\n"))
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", "resource limit: out of memory\n")
+
+
+@pytest.mark.parametrize("argv, d, r", [
+    (("--genus", "3000000", "--partition", "3,1", "--engine", "dp"), 4, 6000004),
+    (("--genus", "4990", "--partition", "20", "--engine", "dp"), 20, 9999),
+    (("--euler", "-6000000", "--partition", "3,1", "--engine", "dp"), 4,
+     6000006),
+    (("--euler", "-2000", "--partition", "20", "--engine", "dp"), 20, 2021),
+    (("--genus", "3000000", "--partition", "3,1", "--engine", "burnside"), 4,
+     6000004),
+    (("--euler", "-6000000", "--partition", "3,1"), 4, 6000006),
+    (("--genus", "3000000", "--partition", "3,1", "--engine", "dfs"), 4,
+     6000004),
+], ids=["genus-dp", "genus-dp-degree-20", "euler-dp", "euler-dp-degree-20",
+        "genus-burnside", "euler-burnside", "genus-dfs"])
+def test_large_queries_meet_the_memory_budget_before_memory(tmp_path, argv,
+                                                            d, r):
+    # the counts would keep r + 1 entries per cycle type, each growing with
+    # r: the estimate stops each query before the first, under any limit
+    proc = _run_under_400_mib(tmp_path, "hurwitz", *argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert re.fullmatch(
+        rf"resource limit: memory budget is {MAX_BYTES >> 20} MiB of kept "
+        rf"counts, got about \d+ MiB at d = {d}, r = {r}\n", proc.stderr)
 
 
 def test_resource_limit_exits_two(capsys, cache):
@@ -163,18 +198,19 @@ def test_resource_limit_exits_two(capsys, cache):
 
 
 def test_hodge_budgets_reach_their_engines(capsys, cache):
-    # the (1, 5) grid runs from |mu| = 5 to 10: the character sums and the
+    # the (6, 2) chain inverts (6, 1) on the grid (1) .. (7), then the
+    # reduced (6, 2) block up to |mu| = 13: the character sums and the
     # grid-point check must each stop at their own budget
     for flag, budget in (("--budget-dp-max-d", "cycle-type recursion"),
                          ("--budget-burnside-max-d", "character-sum")):
-        code, _, err = run_cli(capsys, "hodge", "--genus", "1", "--marks", "5",
+        code, _, err = run_cli(capsys, "hodge", "--genus", "6", "--marks", "2",
                                flag, "4", "--cache-dir", cache)
         assert code == 2 and f"{budget} budget is d <= 4" in err
 
 
-def _hodge_1_5_counts(capsys, cache, monkeypatch, *budget):
-    """Run hodge at (1, 5) with ``budget``: the exit code, stderr, and every
-    count the inversion sampled."""
+def _hodge_6_2_counts(capsys, cache, monkeypatch, *budget):
+    """Run hodge at (6, 2) with ``budget``: the exit code, stderr, and every
+    count the chain sampled."""
     from hurwitzlab import hodge, hurwitz
 
     counted = []
@@ -184,22 +220,23 @@ def _hodge_1_5_counts(capsys, cache, monkeypatch, *budget):
         return hurwitz.connected_via_transform(*args, **kwargs)
 
     monkeypatch.setattr(hodge, "connected_via_transform", counting)
-    code, _, err = run_cli(capsys, "hodge", "--genus", "1", "--marks", "5",
+    code, _, err = run_cli(capsys, "hodge", "--genus", "6", "--marks", "2",
                            *budget, "--cache-dir", cache)
     return code, err, counted
 
 
 def test_hodge_samples_every_grid_point_through_the_hodge_module(
         capsys, cache, monkeypatch):
-    # the seam the two tests below watch: within budget, it sees all 12
-    code, _, counted = _hodge_1_5_counts(capsys, cache, monkeypatch)
-    assert code == 0 and len(counted) == 12
+    # the seam the two tests below watch: within budget, it sees all 47,
+    # the 7 points of the (6, 1) grid and the 40 of the reduced (6, 2) one
+    code, _, counted = _hodge_6_2_counts(capsys, cache, monkeypatch)
+    assert code == 0 and len(counted) == 47
 
 
 def test_hodge_grid_budget_fires_before_any_count(capsys, cache, monkeypatch):
-    # the (1, 5) grid reaches |mu| = 7: the grid-point check's budget stops
+    # the (6, 1) grid reaches |mu| = 7: the grid-point check's budget stops
     # the run when that point is chosen, before the inversion samples any
-    code, err, counted = _hodge_1_5_counts(capsys, cache, monkeypatch,
+    code, err, counted = _hodge_6_2_counts(capsys, cache, monkeypatch,
                                            "--budget-dp-max-d", "6")
     assert code == 2
     assert "cycle-type recursion budget is d <= 6, got d = 7" in err
@@ -209,11 +246,22 @@ def test_hodge_grid_budget_fires_before_any_count(capsys, cache, monkeypatch):
 def test_hodge_burnside_budget_fires_before_any_count(capsys, cache,
                                                       monkeypatch):
     # the same grid point stops the run under the character-sum budget too
-    code, err, counted = _hodge_1_5_counts(capsys, cache, monkeypatch,
+    code, err, counted = _hodge_6_2_counts(capsys, cache, monkeypatch,
                                            "--budget-burnside-max-d", "6")
     assert code == 2
     assert "character-sum budget is d <= 6, got d = 7" in err
     assert counted == []
+
+
+@pytest.mark.parametrize("g, h, d", [(1, 1, 2), (5, 1, 6), (2, 3, 8)])
+def test_hodge_runs_at_the_dp_budget_its_full_grid_needs(capsys, cache, g, h,
+                                                         d):
+    # d is the largest |mu| of the full (g, h) inversion's grid; the chain's
+    # past-grid check skips the profiles past it, so the run still succeeds
+    argv = ("hodge", "--genus", str(g), "--marks", str(h), "--cache-dir", cache)
+    code, out, _ = run_cli(capsys, *argv, "--budget-dp-max-d", str(d))
+    assert code == 0
+    assert run_cli(capsys, *argv)[:2] == (0, out)
 
 
 def test_dp_reaches_the_burnside_ceiling(capsys, cache):
@@ -683,6 +731,94 @@ def test_hodge_replaces_a_tampered_block(capsys, cache):
     assert code == 0
     with open(path) as fh:
         assert "(1,1,[1],0) 1/24" in fh.read()
+
+
+def test_an_edited_lower_block_cannot_change_what_hodge_prints(capsys, cache):
+    # the (1, 3) chain computes (1, 1) and (1, 2) itself: a table file whose
+    # lower blocks were edited changes neither stdout nor those lines
+    query = ("hodge", "--genus", "1", "--marks", "3", "--format", "csv")
+    code, clean, _ = run_cli(capsys, *query, "--cache-dir", cache + "-clean")
+    assert code == 0
+    path = os.path.join(cache, "hodge-table.txt")
+    run_cli(capsys, "hodge", "--genus", "1", "--marks", "1", "--cache-dir", cache)
+    run_cli(capsys, "hodge", "--genus", "1", "--marks", "2", "--cache-dir", cache)
+    edits = {"(1,1,[1],0) 1/24": "(1,1,[1],0) 1/12",
+             "(1,2,[1,1],0) 1/24": "(1,2,[1,1],0) 31/168",
+             "(1,2,[2,0],0) 1/24": "(1,2,[2,0],0) -5/168"}
+    with open(path) as fh:
+        text = fh.read()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    with open(path, "w") as fh:
+        fh.write(text)
+    code, out, _ = run_cli(capsys, *query, "--cache-dir", cache)
+    assert (code, out) == (0, clean)
+    with open(path) as fh:
+        kept = fh.read()
+    assert all(new in kept for new in edits.values())  # written back as read
+
+
+def test_a_genus_four_prefactor_error_fails_the_hodge_gate(capsys, cache,
+                                                           monkeypatch):
+    # every bracket of genus >= 4 comes out halved; the round trips of a
+    # table against the engine that made it cannot see that, the one-point
+    # formula does
+    from hurwitzlab import hodge
+
+    prefactor = hodge._prefactor
+    monkeypatch.setattr(hodge, "_prefactor",
+                        lambda g, mu: prefactor(g, mu) * (2 if g >= 4 else 1))
+    code, out, err = run_cli(capsys, "hodge", "--genus", "4", "--marks", "1",
+                             "--cache-dir", cache)
+    assert (code, out) == (3, "")
+    assert err == ("internal consistency failure: closed-form gate at "
+                   "(4,1,[10],0): the block gives 1/15925248, the one-point "
+                   "formula gives 1/7962624\n")
+    assert not os.path.exists(cache)
+
+
+def _wrong_dilaton(monkeypatch, lambdas):
+    """Scale the dilaton-filled brackets (an exponent 1, none 0) whose lambda
+    index is in ``lambdas`` by (2g - 2 + h) / (2g - 3 + h): the factor of
+    one marked point more."""
+    from hurwitzlab import hodge
+
+    forget = hodge._forget_a_point
+
+    def wrong(block, g, h):
+        return {b: v * Fraction(2 * g - 2 + h, 2 * g - 3 + h)
+                if b.psi[-1] == 1 and b.lam in lambdas else v
+                for b, v in forget(block, g, h).items()}
+
+    monkeypatch.setattr(hodge, "_forget_a_point", wrong)
+
+
+def test_a_wrong_dilaton_factor_fails_the_hodge_gate(capsys, cache,
+                                                     monkeypatch):
+    _wrong_dilaton(monkeypatch, {0})
+    code, out, err = run_cli(capsys, "hodge", "--genus", "1", "--marks", "2",
+                             "--cache-dir", cache)
+    assert (code, out) == (3, "")
+    assert err == ("internal consistency failure: closed-form gate at "
+                   "(1,2,[1,1],0): the block gives 1/12, the DVV recursion "
+                   "gives 1/24\n")
+
+
+def test_the_past_grid_check_alone_catches_a_wrong_dilaton_factor(
+        capsys, cache, monkeypatch):
+    # a wrong lambda_1 bracket of genus 2, which no closed form holds,
+    # skews the brackets solved beside it; with the gate switched off, the
+    # profiles past the grid still see it
+    from hurwitzlab import hodge
+
+    monkeypatch.setattr(hodge, "check_block", lambda values: None)
+    _wrong_dilaton(monkeypatch, {1})
+    code, out, err = run_cli(capsys, "hodge", "--genus", "2", "--marks", "2",
+                             "--cache-dir", cache)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal consistency failure: past-grid check at "
+                          "(g=2, mu=")
 
 
 def test_unparsable_table_is_a_cache_miss(capsys, cache):

@@ -10,6 +10,7 @@ from hurwitzlab.errors import ConsistencyError, DomainError, MissingBracketError
 from hurwitzlab.hodge import (
     HodgeBracket,
     HodgeTable,
+    chain_inversion,
     elsv_evaluate,
     elsv_inversion,
     hodge_export,
@@ -224,6 +225,59 @@ def test_invert_into_replaces_the_block():
         "(1,1,[1],0) 1/24 inverted-from-hurwitz",
         "(1,1,[0],1) 1/24 inverted-from-hurwitz",
     ]
+
+
+#: The largest h, per genus, at which the full inversion takes at most
+#: 0.5 s at default budgets (cold, in a fresh process, one core).
+_CHEAP_FULL_INVERSIONS = {0: 10, 1: 8, 2: 6, 3: 5, 4: 3, 5: 3, 6: 2, 7: 1,
+                          8: 1, 9: 1, 10: 1, 11: 1}
+
+
+@pytest.mark.parametrize("g", sorted(_CHEAP_FULL_INVERSIONS))
+def test_chain_equals_the_full_inversion(g):
+    for h in range(3 if g == 0 else 1, _CHEAP_FULL_INVERSIONS[g] + 1):
+        chain, full = chain_inversion(g, h), elsv_inversion(g, h)
+        assert chain.brackets == full.brackets, (g, h)
+        assert len(chain.grid) <= len(full.grid)
+
+
+def test_chain_needs_no_larger_budget_than_the_full_inversion():
+    # each budget set to the full inversion's largest grid profile: the
+    # past-grid check skips profiles over it instead of raising
+    for g, h in ((1, 1), (0, 5), (1, 4), (2, 3), (3, 2), (4, 1)):
+        full = elsv_inversion(g, h)
+        d = max(mu.size for mu in full.grid)
+        chain = chain_inversion(g, h, dp_max_d=d, burnside_max_d=d)
+        assert chain.brackets == full.brackets, (g, h)
+
+
+def test_a_failing_chain_is_one_failed_round_trip_per_pair(monkeypatch):
+    # the chain's ConsistencyError is reported as each pair's mismatch, and
+    # the round trips still run to the end
+    from hurwitzlab import verify
+
+    def failing(g, h):
+        raise ConsistencyError(f"gate fails at ({g}, {h})")
+
+    monkeypatch.setattr(verify, "chain_inversion", failing)
+    results = verify.round_trip_checks()
+    assert len(results) == len(verify.ROUND_TRIP_PAIRS)
+    for (g, h), result in zip(verify.ROUND_TRIP_PAIRS, results):
+        assert not result.passed and f"gate fails at ({g}, {h})" in result.detail
+
+
+def test_chain_rejects_unstable_pairs():
+    for g, h in ((0, 2), (0, 1), (-1, 4)):
+        with pytest.raises(DomainError):
+            chain_inversion(g, h)
+
+
+def test_chain_and_inversion_reject_a_block_without_points():
+    # (2, 0) is stable but has no bracket to solve for: one DomainError
+    text = r"singular interpolation system for \(g, h\) = \(2, 0\): rank 0 of 0"
+    for invert in (chain_inversion, elsv_inversion):
+        with pytest.raises(DomainError, match=text):
+            invert(2, 0)
 
 
 def test_required_brackets_rejects_negative_genus():

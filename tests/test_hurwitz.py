@@ -1,4 +1,5 @@
 import gc
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -13,8 +14,10 @@ from hurwitzlab.hurwitz import (
     BURNSIDE_MAX_D,
     DFS_NODE_BUDGET,
     DP_MAX_D,
+    MAX_BYTES,
     HurwitzSeries,
     _disconnected,
+    _within_memory,
     _transitive_count,
     canonical_representative,
     connected_dfs,
@@ -772,6 +775,41 @@ def test_one_text_per_budget_and_engine_name(call, error, text):
     with pytest.raises(error) as caught:
         call()
     assert str(caught.value) == text
+
+
+@pytest.mark.parametrize("call, d, r", [
+    (lambda: connected_dfs(3 * 10**6, Partition([3, 1])), 4, 6000004),
+    (lambda: connected_dp(4990, Partition([20])), 20, 9999),
+    (lambda: connected_via_transform(4990, Partition([20]), "dp"), 20, 9999),
+    (lambda: connected_via_transform(3 * 10**6, Partition([3, 1])), 4, 6000004),
+    (lambda: disconnected_dp(-10**4, Partition([2] * 10)), 20, 10030),
+    (lambda: disconnected_burnside(-10**5, Partition([3, 1])), 4, 100006),
+], ids=["connected-dfs", "connected-dp", "transform-dp", "transform-burnside",
+        "disconnected-dp", "disconnected-burnside"])
+def test_memory_budget_fires_before_any_count(call, d, r):
+    # the counts would keep r + 1 entries per cycle type, each growing with
+    # r: the estimate stops the query before the first is built
+    with pytest.raises(ResourceLimitError) as caught:
+        call()
+    assert re.fullmatch(
+        rf"memory budget is {MAX_BYTES >> 20} MiB of kept counts, got about "
+        rf"\d+ MiB at d = {d}, r = {r}", str(caught.value))
+
+
+def test_the_memory_budget_runs_up_to_its_edge():
+    # the largest r the estimate allows at d = 2 still counts; one more does
+    # not (one transposition, so the count is 1 at odd r)
+    r = 1
+    while True:
+        try:
+            _within_memory(2, r + 2)
+        except ResourceLimitError:
+            break
+        r += 2
+    assert r > 10**4
+    assert disconnected_dp(3 - r, Partition([2])) == Fraction(1, 2)
+    with pytest.raises(ResourceLimitError):
+        disconnected_dp(1 - r, Partition([2]))
 
 
 def test_odd_euler_characteristic_skips_the_budget():

@@ -244,6 +244,42 @@ def test_row_and_column_orthogonality(d):
             assert inner == expected
 
 
+def _first_failing_pair(table):
+    """The error text of the plain row check: the first pair i <= j whose
+    weighted inner product is off, in row order."""
+    sizes = [class_size(mu) for mu in table.partitions]
+    n, d_fact = len(table.partitions), factorial(table.d)
+    for i in range(n):
+        for j in range(i, n):
+            inner = sum(c * a * b for c, a, b
+                        in zip(sizes, table.entries[i], table.entries[j]))
+            expected = d_fact if i == j else 0
+            if inner != expected:
+                return (f"row orthogonality fails for d={table.d} at rows "
+                        f"{table.partitions[i]} and {table.partitions[j]}: "
+                        f"{inner} != {expected}")
+    return None
+
+
+def _with_entry(table, i, k, value):
+    rows = [list(row) for row in table.entries]
+    rows[i][k] = value
+    return table._replace(entries=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("d, i, k, delta", [
+    (5, 3, 2, 1), (6, 0, 10, -1), (7, 14, 0, 2), (8, 21, 13, 1),
+])
+def test_verify_names_the_first_pair_a_wrong_entry_breaks(d, i, k, delta):
+    table = build_table(d)
+    bad = _with_entry(table, i, k, table.entries[i][k] + delta)
+    text = _first_failing_pair(bad)
+    assert text is not None
+    with pytest.raises(ConsistencyError) as caught:
+        bad.verify()
+    assert str(caught.value) == text
+
+
 def test_build_table_rejects_bad_degree():
     with pytest.raises(DomainError):
         build_table(0)
