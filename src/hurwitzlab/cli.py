@@ -3,9 +3,11 @@
 Subcommands: hurwitz, hodge, elsv, verify, chartable, export.  Exit codes:
 0 success, 1 domain error, 2 resource limit, 3 internal consistency failure.
 Machine-readable output (json/csv) is byte-identical across runs for the same
-command, configuration, and bracket-table file; timing is opt-in via
---timing.  The cache directory holds only the default bracket table,
-hodge-table.txt: character values are computed on demand and never stored.
+command and configuration; timing is opt-in via --timing.  The directory of
+--cache-dir holds only the default bracket table, hodge-table.txt, which is
+output: hodge and elsv rebuild the block they print and write it there, and
+no value read from the file is printed, except by export --what hodge.
+Character values are computed on demand and never stored.
 """
 
 import argparse
@@ -28,7 +30,6 @@ from .hurwitz import (
     DFS_NODE_BUDGET,
     DP_MAX_D,
     connected_dfs,
-    connected_dp,
     connected_via_transform,
     disconnected_burnside,
     disconnected_dp,
@@ -148,7 +149,7 @@ def _build_parser():
                    help="bracket table to update (default in the cache dir)")
 
     p = sub.add_parser("elsv", parents=[fmt, cache, dp, burnside, timing],
-                       help="forward-evaluate a cover count from the bracket table")
+                       help="forward-evaluate a cover count from a fresh bracket block")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--table-file", default="")
@@ -324,8 +325,9 @@ def _read_table(path):
 
 
 def _load_table(path):
-    """The bracket table at ``path``.  A missing or unparsable file is a cache
-    miss: an empty table, which the caller fills and writes back."""
+    """The bracket table at ``path``, whose other blocks a write carries
+    through.  A missing or unparsable file reads as an empty table, so the
+    write replaces it."""
     try:
         return _read_table(path)
     except (FileNotFoundError, DomainError):
@@ -360,12 +362,8 @@ def _cmd_elsv(args):
     g, h = args.genus, mu.length
     path = _table_path(args)
     table = _load_table(path)
-    # every m_J is positive at the all-ones profile, so a changed bracket
-    # changes this value: a stored block must match the character-free count
-    ones = Partition((1,) * h)
-    if not (table.has_all_for(g, h) and elsv_evaluate(g, ones, table)
-            == connected_dp(g, ones, max_d=args.budget_dp_max_d)):
-        _refresh(path, table, g, h, args)
+    # the (g, h) block, the only one evaluated, is rebuilt on every run
+    _refresh(path, table, g, h, args)
     started = time.perf_counter()
     value = elsv_evaluate(g, mu, table)
     record = {

@@ -131,9 +131,6 @@ class HodgeTable:
     def brackets_for(self, g, h):
         return [b for b in self if (b.g, b.h) == (g, h)]
 
-    def has_all_for(self, g, h):
-        return all(b in self for b in required_brackets(g, h))
-
     def drop(self, g, h):
         """Forget the (g, h) brackets, except the built-in seed."""
         self._values = {
@@ -150,6 +147,9 @@ def required_brackets(g, h):
         raise DomainError(f"genus must be nonnegative, got {g}")
     if 2 * g - 2 + h <= 0:
         raise DomainError(f"unsupported range: unstable (g, h) = ({g}, {h})")
+    if h < 1:
+        raise DomainError(f"ELSV needs at least one marked point, got "
+                          f"(g, h) = ({g}, {h})")
     n = 3 * g - 3 + h
     return tuple(HodgeBracket(g=g, h=h, psi=psi, lam=i)
                  for i in range(0, min(g, n) + 1)
@@ -455,7 +455,7 @@ def elsv_inversion(g, h, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D,
             grid.append(mu)
             if len(grid) == len(unknowns):
                 break
-    if not block or len(grid) < len(unknowns):  # h = 0 has no brackets
+    if len(grid) < len(unknowns):
         raise DomainError(
             f"singular interpolation system for (g, h) = ({g}, {h}): "
             f"rank {len(grid)} of {len(unknowns)} after grid {grid}"
@@ -548,10 +548,9 @@ def chain_inversion(g, h, dp_max_d=DP_MAX_D, burnside_max_d=BURNSIDE_MAX_D):
     past-grid check (``_check_past_grid``) before the next one uses it.
     Returns the last block's ``InversionResult``: its grid and samples are
     those of the reduced system."""
-    required_brackets(g, h)  # an unstable (g, h) is a DomainError here
+    required_brackets(g, h)  # unstable, or h = 0: a DomainError here
     result = None
-    # at h = 0 the one block is the empty one, which the inversion rejects
-    for k in range(3 if g == 0 else min(h, 1), h + 1):
+    for k in range(3 if g == 0 else 1, h + 1):
         known = None if result is None else _forget_a_point(result.brackets, g, k)
         # looked up per call, so a wrapper installed on the module name applies
         result = elsv_inversion(g, k, dp_max_d, burnside_max_d, known=known)

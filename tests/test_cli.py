@@ -723,6 +723,60 @@ def test_elsv_read_back_makes_no_dfs_call(capsys, cache, monkeypatch):
         assert "(1,1,[1],0) 1/24" in fh.read()
 
 
+def test_elsv_ignores_edits_that_cancel_at_the_all_ones_profile(capsys,
+                                                                 tmp_path):
+    # both edits keep the (1,2) block's value at mu = (1,1), so a check of
+    # the stored block at one profile would pass it
+    path = str(tmp_path / "table.txt")
+    run_cli(capsys, "hodge", "--genus", "1", "--marks", "2", "--table-file", path)
+    edits = {"(1,2,[1,1],0) 1/24": "(1,2,[1,1],0) 31/168",
+             "(1,2,[2,0],0) 1/24": "(1,2,[2,0],0) -5/168"}
+    with open(path) as fh:
+        text = fh.read()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    with open(path, "w") as fh:
+        fh.write(text)
+    # the edited block gives 2025/7 and 160/7
+    for partition, count in (("3,1", "1215"), ("2,1", "40")):
+        code, out, _ = run_cli(capsys, "elsv", "--genus", "1", "--partition",
+                               partition, "--table-file", path)
+        assert (code, out.splitlines()[0]) == (0, f"H = {count}")
+        code, out, _ = run_cli(capsys, "hurwitz", "--genus", "1", "--partition",
+                               partition, "--engine", "dp")
+        assert (code, out.splitlines()[0]) == (0, f"H = {count}")
+    with open(path) as fh:
+        text = fh.read()
+    assert all(old in text for old in edits)
+
+
+def test_elsv_rebuilds_an_intact_block_on_every_run(capsys, cache, monkeypatch):
+    from hurwitzlab import cli
+
+    invert_into, calls = cli.invert_into, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])  # (g, h)
+        return invert_into(*args, **kwargs)
+
+    run_cli(capsys, "hodge", "--genus", "1", "--marks", "2", "--cache-dir", cache)
+    monkeypatch.setattr(cli, "invert_into", counted)
+    for run, partition in enumerate(("2,1", "3,1", "2,1"), start=1):
+        code, _, _ = run_cli(capsys, "elsv", "--genus", "1", "--partition",
+                             partition, "--cache-dir", cache)
+        assert code == 0 and calls == [(1, 2)] * run
+
+
+def test_hodge_without_marked_points_exits_one(capsys, cache):
+    code, out, err = run_cli(capsys, "hodge", "--genus", "2", "--marks", "0",
+                             "--cache-dir", cache)
+    assert (code, out) == (1, "")
+    assert err == ("error: ELSV needs at least one marked point, "
+                   "got (g, h) = (2, 0)\n")
+    assert not os.path.exists(cache)
+
+
 def test_hodge_replaces_a_tampered_block(capsys, cache):
     path = _tampered_table(capsys, cache)
     code, out, _ = run_cli(
